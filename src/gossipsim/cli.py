@@ -15,17 +15,19 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import harness
 from .bounds import basic_growth_bounds, refined_spectral_lower, shrink_bounds
-from .credibility import Additive, Constant, Multiplicative, PowerLaw, parse_credibility
-from .errors import DomainError, GossipSimError, RangeError
+from .credibility import Constant, parse_credibility
+from .errors import DomainError, GossipSimError, IoError, RangeError
 from .graphs import load_graph, parse_graph_spec, spectral_lambda
 from .plotting import plot_trajectories
 from .predictor import (
     fixed_q_runtime,
     general_strong_T,
     phase_schedule,
+    predictor_comparison,
     tau2_threshold,
     tau3_threshold,
 )
@@ -124,6 +126,8 @@ def _cmd_predict(args) -> int:
     kind = ProtocolKind.parse(args.protocol)
     cred = parse_credibility(args.cred)
     n = args.n
+    if n < 3:
+        raise RangeError(f"need n >= 3, got {n}")
     lam = args.lam
     if args.graph_file:
         lam = spectral_lambda(load_graph(args.graph_file)).lam
@@ -134,13 +138,8 @@ def _cmd_predict(args) -> int:
         "lambda": lam,
         "credibility": args.cred,
         "leading_order": True,
+        "family": predictor_comparison(kind, cred, n, lam=lam),
     }
-    spec_like = harness.ExperimentSpec(
-        graph=harness.StaticGraph(harness.complete_graph(max(n, 2))),
-        protocol=kind,
-        credibility=cred,
-    )
-    out["family"] = harness.predictor_comparison(spec_like, lam=lam)
 
     if isinstance(cred, Constant) and 0.0 < cred.q <= 1.0:
         q = cred.q
@@ -150,17 +149,7 @@ def _cmd_predict(args) -> int:
             out["fixed_q_runtime"] = None
         try:
             plan = phase_schedule(kind, q, n, lam=lam or 0.0)
-            out["phase_plan"] = [
-                {
-                    "start_size": p.start_size,
-                    "finish_size": p.finish_size,
-                    "mode": p.mode,
-                    "nu": p.nu,
-                    "duration_bound": p.duration_bound,
-                    "dominant": p.dominant,
-                }
-                for p in plan.phases
-            ]
+            out["phase_plan"] = [asdict(p) for p in plan.phases]
             out["phase_plan_total"] = plan.total_rounds
         except (DomainError, RangeError):
             out["phase_plan"] = None
@@ -216,15 +205,9 @@ def _cmd_verify(args) -> int:
 
 def _apply_sweep_value(args, param: str, value: str):
     if param == "alpha":
-        cred = parse_credibility(args.cred)
-        if isinstance(cred, PowerLaw):
-            args.cred = f"power:{value}"
-        elif isinstance(cred, Additive):
-            args.cred = f"add:{value}"
-        elif isinstance(cred, Multiplicative):
-            args.cred = f"mult:{value}"
-        else:
+        if not hasattr(parse_credibility(args.cred), "alpha"):
             raise RangeError("--param alpha needs a power/add/mult credibility")
+        args.cred = f"{args.cred.partition(':')[0]}:{value}"
     elif param == "q":
         args.cred = f"const:{value}"
     elif param in ("n", "d"):
@@ -236,12 +219,11 @@ def _apply_sweep_value(args, param: str, value: str):
             raise RangeError(f"--param {param} does not apply to graph spec {args.graph!r}")
         parts[plain[slot]] = value
         args.graph = f"{head}:{','.join(parts)}"
-    elif param == "trials":
-        args.trials = int(value)
-    elif param == "seed":
-        args.seed = int(value)
-    elif param == "max-rounds":
-        args.max_rounds = int(value)
+    else:
+        try:
+            setattr(args, param.replace("-", "_"), int(value))
+        except ValueError as exc:
+            raise RangeError(f"--param {param} needs integer values, got {value!r}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -269,8 +251,11 @@ def _cmd_sweep(args) -> int:
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise IoError(str(exc)) from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -13,7 +13,8 @@ Each family also has a compact textual form used by the CLI and config files:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field
 
 from .errors import RangeError
 
@@ -29,8 +30,26 @@ __all__ = [
 ]
 
 
+class _Schedule:
+    """Queries every family answers; each family defines its own ``value_at``."""
+
+    def sup_from(self, t0: int) -> float:
+        return self.value_at(max(t0, 0))
+
+    def constant_from(self) -> tuple[int, float] | None:
+        """(round, value) from which q(t) is constant forever; None if unknown."""
+        return None
+
+    def tail_sum_bound(self, t: int) -> float:
+        """Upper bound on sum_{s >= t} q(s); inf when divergent or unknown."""
+        const = self.constant_from()
+        if const is None or const[1] != 0.0:
+            return math.inf
+        return sum((self.value_at(s) for s in range(t, const[0])), 0.0)
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Schedule):
     q: float
 
     def __post_init__(self):
@@ -40,12 +59,12 @@ class Constant:
     def value_at(self, t: int) -> float:
         return self.q
 
-    def sup_from(self, t0: int) -> float:
-        return self.q
+    def constant_from(self) -> tuple[int, float] | None:
+        return 0, self.q
 
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Schedule):
     """q(t) = (t + 1) ** -alpha, equal to 1 in the first round."""
 
     alpha: float
@@ -57,13 +76,20 @@ class PowerLaw:
     def value_at(self, t: int) -> float:
         return float(t + 1) ** (-self.alpha)
 
-    def sup_from(self, t0: int) -> float:
-        return self.value_at(max(t0, 0))
+    def tail_sum_bound(self, t: int) -> float:
+        """First term plus the integral of (x + 1)**-alpha from t on; inf for alpha <= 1."""
+        if self.alpha <= 1.0:
+            return math.inf
+        return (t + 1.0) ** (-self.alpha) + (t + 1.0) ** (1.0 - self.alpha) / (self.alpha - 1.0)
 
 
 @dataclass(frozen=True)
-class Additive:
-    """q(t) = max(1 - t * alpha, 0); hits exactly 0 for t >= ceil(1/alpha)."""
+class Additive(_Schedule):
+    """q(t) = max(1 - t * alpha, 0); exactly 0 from round ``constant_from()[0]`` on.
+
+    That round is ceil(1/alpha), or one later when 1 - ceil(1/alpha) * alpha
+    rounds to a positive float (e.g. alpha = 0.19999999999999998).
+    """
 
     alpha: float
 
@@ -74,12 +100,13 @@ class Additive:
     def value_at(self, t: int) -> float:
         return max(1.0 - t * self.alpha, 0.0)
 
-    def sup_from(self, t0: int) -> float:
-        return self.value_at(max(t0, 0))
+    def constant_from(self) -> tuple[int, float] | None:
+        start = math.ceil(1.0 / self.alpha)
+        return start + (self.value_at(start) > 0.0), 0.0
 
 
 @dataclass(frozen=True)
-class Multiplicative:
+class Multiplicative(_Schedule):
     """q(t) = (1 - alpha) ** t."""
 
     alpha: float
@@ -91,12 +118,13 @@ class Multiplicative:
     def value_at(self, t: int) -> float:
         return (1.0 - self.alpha) ** t
 
-    def sup_from(self, t0: int) -> float:
-        return self.value_at(max(t0, 0))
+    def tail_sum_bound(self, t: int) -> float:
+        """The geometric series (1 - alpha)**t / alpha."""
+        return (1.0 - self.alpha) ** t / self.alpha
 
 
 @dataclass(frozen=True)
-class Table:
+class Table(_Schedule):
     """Explicit per-round values; ``tail`` is used for rounds past the list.
 
     ``tail`` defaults to the last listed value. The schedule may be arbitrary,
@@ -126,8 +154,16 @@ class Table:
         listed = self.values[t0:] if t0 < len(self.values) else ()
         return max((*listed, self.tail))
 
+    def constant_from(self) -> tuple[int, float] | None:
+        return len(self.values), self.tail
+
 
 Credibility = Constant | PowerLaw | Additive | Multiplicative | Table
+
+
+# textual prefix -> family; every family but Table takes one float parameter
+_FAMILIES = {"const": Constant, "power": PowerLaw, "add": Additive, "mult": Multiplicative, "table": Table}
+_PREFIXES = {family: prefix for prefix, family in _FAMILIES.items()}
 
 
 def parse_credibility(text: str) -> Credibility:
@@ -136,39 +172,29 @@ def parse_credibility(text: str) -> Credibility:
     if not sep:
         raise RangeError(f"bad credibility spec {text!r}: missing ':'")
     head = head.lower()
+    if head not in _FAMILIES:
+        raise RangeError(f"unknown credibility family {head!r}")
     try:
-        if head == "const":
-            return Constant(float(rest))
-        if head == "power":
-            return PowerLaw(float(rest))
-        if head == "add":
-            return Additive(float(rest))
-        if head == "mult":
-            return Multiplicative(float(rest))
-        if head == "table":
-            body, _, tail_part = rest.partition(";")
-            values = tuple(float(v) for v in body.split(",") if v.strip())
-            tail = None
-            if tail_part:
-                key, _, val = tail_part.partition("=")
-                if key.strip() != "tail":
-                    raise RangeError(f"bad table option {tail_part!r}")
-                tail = float(val)
-            return Table(values, tail)
+        if head != "table":
+            return _FAMILIES[head](float(rest))
+        body, _, tail_part = rest.partition(";")
+        values = tuple(float(v) for v in body.split(",") if v.strip())
+        tail = None
+        if tail_part:
+            key, _, val = tail_part.partition("=")
+            if key.strip() != "tail":
+                raise RangeError(f"bad table option {tail_part!r}")
+            tail = float(val)
+        return Table(values, tail)
     except ValueError as exc:
         raise RangeError(f"bad credibility spec {text!r}: {exc}") from exc
-    raise RangeError(f"unknown credibility family {head!r}")
 
 
 def format_credibility(cred: Credibility) -> str:
     """Inverse of :func:`parse_credibility`."""
-    if isinstance(cred, Constant):
-        return f"const:{cred.q:g}"
-    if isinstance(cred, PowerLaw):
-        return f"power:{cred.alpha:g}"
-    if isinstance(cred, Additive):
-        return f"add:{cred.alpha:g}"
-    if isinstance(cred, Multiplicative):
-        return f"mult:{cred.alpha:g}"
-    body = ",".join(f"{v:g}" for v in cred.values)
-    return f"table:{body};tail={cred.tail:g}"
+    prefix = _PREFIXES[type(cred)]
+    if prefix == "table":
+        body = ",".join(f"{v:g}" for v in cred.values)
+        return f"table:{body};tail={cred.tail:g}"
+    (param,) = astuple(cred)
+    return f"{prefix}:{param:g}"

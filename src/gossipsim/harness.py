@@ -19,14 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .bounds import basic_growth_bounds, shrink_bounds
-from .credibility import (
-    Additive,
-    Constant,
-    Credibility,
-    Multiplicative,
-    PowerLaw,
-    format_credibility,
-)
+from .credibility import Constant, Credibility, format_credibility
 from .errors import DomainError, IoError, RangeError
 from .graphs import (
     CyclicGraphs,
@@ -42,13 +35,10 @@ from .graphs import (
 )
 from .predictor import (
     PredictorConfig,
-    additive_thresholds,
     fixed_q_runtime,
     harmonic_sum_check,
     multiplicative_product_check,
-    multiplicative_thresholds,
-    powerlaw_expectation_bound,
-    powerlaw_thresholds,
+    predictor_comparison,
     stirling_product_check,
     tau2_rounds,
     tau2_threshold,
@@ -74,7 +64,6 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "summarize",
-    "predictor_comparison",
     "export_records",
     "export_summary",
     "load_records_csv",
@@ -275,7 +264,7 @@ def summarize(spec: ExperimentSpec, records: list[TrialRecord]) -> ExperimentSum
         final_informed_mean=float(finals.mean()) if len(finals) else 0.0,
         final_informed_median=float(np.median(finals)) if len(finals) else 0.0,
         mean_informed_fraction_by_round=by_round,
-        predictor=predictor_comparison(spec),
+        predictor=predictor_comparison(spec.protocol, spec.credibility, n),
         config={
             "graph": _describe_graph(spec.graph),
             "n": n,
@@ -294,64 +283,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     """Run all trials (independent streams; any scheduling gives the same result)."""
     records = [run_trial(spec, i) for i in range(spec.trials)]
     return summarize(spec, records)
-
-
-def predictor_comparison(spec: ExperimentSpec, lam: float | None = None) -> dict | None:
-    """Theoretical reference values for the experiment's protocol/credibility pair.
-
-    Present exactly for the four named credibility families; None for Table
-    schedules. Conductance floors that need lambda are included only when a
-    measured lambda is supplied.
-    """
-    kind, cred, n = spec.protocol, spec.credibility, spec.graph.n
-    psi = 2.0 if kind is ProtocolKind.PUSH_PULL else 1.0
-
-    if isinstance(cred, Constant):
-        out: dict = {"family": "constant", "q": cred.q}
-        try:
-            out["fixed_q_runtime"] = fixed_q_runtime(kind, cred.q, n)
-        except (RangeError, DomainError):
-            out["fixed_q_runtime"] = None
-        return _jsonable(out)
-    if isinstance(cred, PowerLaw):
-        out = {"family": "power-law", "alpha": cred.alpha}
-        c_grow = 2.0 if kind is ProtocolKind.PUSH_PULL else 1.0
-        if cred.alpha > 1.0:
-            out["expectation_bound"] = powerlaw_expectation_bound(cred.alpha, c_grow)
-        else:
-            phi = None
-            if lam is not None:
-                floor = (1.0 - lam) / 2.0
-                factor = {ProtocolKind.PUSH: 0.5, ProtocolKind.PULL: 1.0, ProtocolKind.PUSH_PULL: 0.75}
-                phi = floor * factor[kind]
-            th = powerlaw_thresholds(cred.alpha, phi if phi else 1e-9, psi, n)
-            out["t1_max"] = th.t1_max
-            if phi:
-                out["t2_min"] = th.t2_min
-        return _jsonable(out)
-    if isinstance(cred, Additive):
-        out = {"family": "additive", "alpha": cred.alpha, "q_zero_round": math.ceil(1.0 / cred.alpha)}
-        # n >= 65 keeps the reference zeta = n^(-1/4) inside its valid window
-        if lam is not None and n >= 65 and kind in (ProtocolKind.PUSH, ProtocolKind.PULL):
-            gamma = (1.0 - lam) if kind is ProtocolKind.PULL else 1.0 - 7.0 * math.sqrt(lam + 1.0 / math.log(n))
-            if gamma > 0:
-                th = additive_thresholds(n, zeta=n ** -0.25, gamma_p=gamma)
-                out["alpha_upper_regime_at_quarter_zeta"] = th.alpha_upper_regime
-                out["alpha_lower_regime"] = th.alpha_lower_regime
-        return _jsonable(out)
-    if isinstance(cred, Multiplicative):
-        th = multiplicative_thresholds(n)
-        return _jsonable(
-            {
-                "family": "multiplicative",
-                "alpha": cred.alpha,
-                "alpha_few": th.alpha_few,
-                "alpha_most": th.alpha_most,
-                "t_most": th.t_most,
-                "regime": "few" if cred.alpha >= th.alpha_few else ("most" if cred.alpha <= th.alpha_most else "between"),
-            }
-        )
-    return None
 
 
 # -- persistence ---------------------------------------------------------------
@@ -400,6 +331,20 @@ def export_summary(summary: ExperimentSummary, path) -> None:
         raise IoError(str(exc)) from exc
 
 
+def _parse_rows(path, rows: list[list[str]], parse) -> list:
+    """``parse(*row)`` for each data row; a malformed row raises RangeError naming its line."""
+    width = len(rows[0])
+    parsed = []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            parsed.append(parse(*row))
+        except ValueError as exc:
+            raise RangeError(f"{path}, line {line}: {exc}") from exc
+    return parsed
+
+
 def load_records_csv(path) -> list[TrialRecord]:
     """Re-import an exported CSV (either row schema)."""
     try:
@@ -412,10 +357,15 @@ def load_records_csv(path) -> list[TrialRecord]:
     header = tuple(rows[0])
     if header == PER_ROUND_HEADER:
         by_trial: dict[int, list[tuple[int, int, float]]] = {}
-        for trial, rnd, informed, q_t in rows[1:]:
-            by_trial.setdefault(int(trial), []).append(
-                (int(rnd), int(informed), float(q_t) if q_t else 0.0)
-            )
+        parsed = _parse_rows(
+            path,
+            rows,
+            lambda trial, rnd, informed, q_t: (
+                int(trial), int(rnd), int(informed), float(q_t) if q_t else 0.0
+            ),
+        )
+        for trial, rnd, informed, q_t in parsed:
+            by_trial.setdefault(trial, []).append((rnd, informed, q_t))
         records = []
         for trial in sorted(by_trial):
             entries = sorted(by_trial[trial])
@@ -432,26 +382,34 @@ def load_records_csv(path) -> list[TrialRecord]:
             )
         return records
     if header == SUMMARY_HEADER:
-        records = []
-        for trial, completion, final in rows[1:]:
-            records.append(
-                TrialRecord(
-                    trial=int(trial),
-                    final_informed=int(final),
-                    completion_round=None if completion == "" else int(completion),
-                )
-            )
-        return records
+        return _parse_rows(
+            path,
+            rows,
+            lambda trial, completion, final: TrialRecord(
+                trial=int(trial),
+                final_informed=int(final),
+                completion_round=None if completion == "" else int(completion),
+            ),
+        )
     raise RangeError(f"{path}: unrecognized header {header}")
 
 
 def load_records_jsonl(path) -> list[TrialRecord]:
+    """Re-import an exported JSONL file; a malformed line raises RangeError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh if ln.strip()]
+            lines = list(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    return [TrialRecord(**json.loads(ln)) for ln in lines]
+    records = []
+    for line, text in enumerate(lines, start=1):
+        if not text.strip():
+            continue
+        try:
+            records.append(TrialRecord(**json.loads(text)))
+        except (TypeError, ValueError) as exc:
+            raise RangeError(f"{path}, line {line}: {exc}") from exc
+    return records
 
 
 # -- built-in verification suites ----------------------------------------------

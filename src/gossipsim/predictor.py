@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .credibility import Additive, Constant, Credibility, Multiplicative, PowerLaw, Table
+from .credibility import Additive, Constant, Credibility, Multiplicative, PowerLaw
 from .errors import (
     AlphaRange,
     DomainError,
@@ -60,6 +60,7 @@ __all__ = [
     "additive_thresholds",
     "MultiplicativeThresholds",
     "multiplicative_thresholds",
+    "predictor_comparison",
     "StirlingProductCheck",
     "stirling_product_check",
     "HarmonicSumCheck",
@@ -319,32 +320,6 @@ def phase_schedule(
 # -- scans over arbitrary credibility -----------------------------------------
 
 
-def _constant_phase(cred: Credibility) -> tuple[int, float] | None:
-    """(round, value) from which q(t) is constant forever, if known."""
-    if isinstance(cred, Constant):
-        return 0, cred.q
-    if isinstance(cred, Table):
-        return len(cred.values), cred.tail
-    if isinstance(cred, Additive):
-        return math.ceil(1.0 / cred.alpha), 0.0
-    return None
-
-
-def _tail_sum_bound(cred: Credibility, t: int) -> float:
-    """Upper bound on sum_{s >= t} q(s); inf when divergent or unknown."""
-    if isinstance(cred, Multiplicative):
-        return (1.0 - cred.alpha) ** t / cred.alpha
-    if isinstance(cred, PowerLaw) and cred.alpha > 1.0:
-        return (t + 1.0) ** (-cred.alpha) + (t + 1.0) ** (1.0 - cred.alpha) / (
-            cred.alpha - 1.0
-        )
-    const = _constant_phase(cred)
-    if const is not None and const[1] == 0.0:
-        listed = sum(cred.value_at(s) for s in range(t, const[0])) if t < const[0] else 0.0
-        return listed
-    return math.inf
-
-
 @dataclass(frozen=True)
 class GeneralStrongResult:
     """Crossing round for the expander growth certificate, plus precondition info."""
@@ -393,7 +368,7 @@ def general_strong_T(
     epsilon = 1.0 - q.sup_from(t0)
     epsilon_ok = epsilon >= 1.0 / log_n
 
-    const = _constant_phase(q)
+    const = q.constant_from()
     acc = 0.0
     t = 0
     while t <= cfg.round_cap:
@@ -405,13 +380,7 @@ def general_strong_T(
                 raise Unreached(cfg.round_cap, "credibility hit 0 before the threshold")
             else:
                 rounds = t + math.ceil((threshold - acc) / inc) - 1
-            return GeneralStrongResult(
-                rounds=max(rounds, 0),
-                threshold=threshold,
-                gamma=gamma,
-                epsilon=epsilon,
-                epsilon_ok=epsilon_ok,
-            )
+            break
         # increments are at most log 2, so without a constant tail (which
         # gets a closed-form jump above) an out-of-range threshold is
         # decidable up front
@@ -419,14 +388,16 @@ def general_strong_T(
             raise Unreached(cfg.round_cap, "threshold beyond reach of the round cap")
         acc += math.log1p(q.value_at(t))
         if acc >= threshold:
-            return GeneralStrongResult(
-                rounds=t, threshold=threshold, gamma=gamma, epsilon=epsilon,
-                epsilon_ok=epsilon_ok,
-            )
-        if acc + _tail_sum_bound(q, t + 1) < threshold:
+            rounds = t
+            break
+        if acc + q.tail_sum_bound(t + 1) < threshold:
             raise Unreached(cfg.round_cap, "log-growth series converges below the threshold")
         t += 1
-    raise Unreached(cfg.round_cap)
+    else:
+        raise Unreached(cfg.round_cap)
+    return GeneralStrongResult(
+        rounds=max(rounds, 0), threshold=threshold, gamma=gamma, epsilon=epsilon, epsilon_ok=epsilon_ok
+    )
 
 
 def general_lower_T(
@@ -449,7 +420,7 @@ def general_lower_T(
     target = math.log(n) + math.log(rho)
     if target < 0.0:
         return 0
-    const = _constant_phase(q)
+    const = q.constant_from()
     if const is None and math.log1p(psi) * (cfg.round_cap + 1) < target:
         return math.inf  # cannot cross within the scan cap
     acc = 0.0
@@ -464,7 +435,7 @@ def general_lower_T(
         if acc + inc > target:
             return t
         acc += inc
-        if psi * _tail_sum_bound(q, t + 1) <= target - acc:
+        if psi * q.tail_sum_bound(t + 1) <= target - acc:
             return math.inf
         t += 1
     return math.inf
@@ -610,6 +581,60 @@ def multiplicative_thresholds(n: int) -> MultiplicativeThresholds:
     return MultiplicativeThresholds(
         alpha_few=0.5 / log_n, alpha_most=0.125 / log_n, t_most=4.0 * log_n
     )
+
+
+def predictor_comparison(
+    kind: ProtocolKind, cred: Credibility, n: int, lam: float | None = None
+) -> dict | None:
+    """Theoretical reference values for a protocol/credibility pair on n vertices.
+
+    Present exactly for the four named credibility families; None for Table
+    schedules. Conductance floors that need lambda are included only when a
+    measured lambda is supplied. Values are raw floats (possibly inf).
+    """
+    psi = 2.0 if kind is ProtocolKind.PUSH_PULL else 1.0
+    if isinstance(cred, Constant):
+        try:
+            runtime = fixed_q_runtime(kind, cred.q, n)
+        except (RangeError, DomainError):
+            runtime = None
+        return {"family": "constant", "q": cred.q, "fixed_q_runtime": runtime}
+    if isinstance(cred, PowerLaw):
+        out: dict = {"family": "power-law", "alpha": cred.alpha}
+        if cred.alpha > 1.0:
+            out["expectation_bound"] = powerlaw_expectation_bound(cred.alpha, psi)
+            return out
+        phi = None
+        if lam is not None:
+            factor = {ProtocolKind.PUSH: 0.5, ProtocolKind.PULL: 1.0, ProtocolKind.PUSH_PULL: 0.75}
+            phi = (1.0 - lam) / 2.0 * factor[kind]
+        th = powerlaw_thresholds(cred.alpha, phi if phi else 1e-9, psi, n)
+        out["t1_max"] = th.t1_max
+        if phi:
+            out["t2_min"] = th.t2_min
+        return out
+    if isinstance(cred, Additive):
+        out = {"family": "additive", "alpha": cred.alpha, "q_zero_round": cred.constant_from()[0]}
+        # n >= 65 keeps the reference zeta = n^(-1/4) inside its valid window
+        if lam is not None and n >= 65 and kind in (ProtocolKind.PUSH, ProtocolKind.PULL):
+            gamma = (1.0 - lam) if kind is ProtocolKind.PULL else 1.0 - 7.0 * math.sqrt(lam + 1.0 / math.log(n))
+            if gamma > 0:
+                th = additive_thresholds(n, zeta=n ** -0.25, gamma_p=gamma)
+                out["alpha_upper_regime_at_quarter_zeta"] = th.alpha_upper_regime
+                out["alpha_lower_regime"] = th.alpha_lower_regime
+        return out
+    if isinstance(cred, Multiplicative):
+        th = multiplicative_thresholds(n)
+        regime = "few" if cred.alpha >= th.alpha_few else ("most" if cred.alpha <= th.alpha_most else "between")
+        return {
+            "family": "multiplicative",
+            "alpha": cred.alpha,
+            "alpha_few": th.alpha_few,
+            "alpha_most": th.alpha_most,
+            "t_most": th.t_most,
+            "regime": regime,
+        }
+    return None
 
 
 # -- numeric claim oracles ----------------------------------------------------

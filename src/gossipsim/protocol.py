@@ -161,11 +161,13 @@ def sample_delta_sizes(
     return np.bincount(unique // g.n, minlength=n_samples)
 
 
-def _informed_degrees_of_uninformed(g: GraphSnapshot, informed: np.ndarray) -> np.ndarray:
+def _proper_subset(g: GraphSnapshot, informed) -> tuple[np.ndarray, int]:
+    """Mask and size of the informed set, which must be a nonempty proper subset."""
+    informed = as_vertex_mask(g.n, informed)
     size = int(informed.sum())
     if not 1 <= size <= g.n - 1:
         raise SetRangeError(f"informed size {size} not in [1, {g.n - 1}]")
-    return g.marked_degrees(informed)[~informed]
+    return informed, size
 
 
 def exact_delta_expectation(kind: ProtocolKind, g: GraphSnapshot, informed, q: float) -> float:
@@ -176,8 +178,8 @@ def exact_delta_expectation(kind: ProtocolKind, g: GraphSnapshot, informed, q: f
     1 - (1 - q/d)**k * (1 - q*k/d) (push and pull failures are independent).
     """
     q = _check_q(q)
-    informed = as_vertex_mask(g.n, informed)
-    k = _informed_degrees_of_uninformed(g, informed).astype(np.float64)
+    informed, _ = _proper_subset(g, informed)
+    k = g.marked_degrees(informed)[~informed].astype(np.float64)
     d = float(g.d)
     if kind is ProtocolKind.PULL:
         return float(np.sum(q * k / d))
@@ -189,10 +191,7 @@ def exact_delta_expectation(kind: ProtocolKind, g: GraphSnapshot, informed, q: f
 
 def growth_factor(kind: ProtocolKind, g: GraphSnapshot, informed, q: float) -> float:
     """E[|Delta|] / min(|I|, |U|), the combined growth/shrink factor."""
-    informed = as_vertex_mask(g.n, informed)
-    size = int(informed.sum())
-    if not 1 <= size <= g.n - 1:
-        raise SetRangeError(f"informed size {size} not in [1, {g.n - 1}]")
+    informed, size = _proper_subset(g, informed)
     return exact_delta_expectation(kind, g, informed, q) / min(size, g.n - size)
 
 
@@ -287,6 +286,29 @@ def _transmission_count_law(kind, g, informed) -> tuple[np.ndarray, dict[tuple, 
     return uninformed, law
 
 
+def _informing_law(kind: ProtocolKind, g: GraphSnapshot, informed, q: float):
+    """The exact one-round law behind both tiny-instance oracles.
+
+    Returns the uninformed vertices, the slots some profile reaches, and per
+    transmission-count profile (probability, [1 - (1-q)**k per reachable
+    slot]). The 2**r subsets of the r reachable slots are guarded.
+    """
+    q = _check_q(q)
+    informed, _ = _proper_subset(g, informed)
+    uninformed, law = _transmission_count_law(kind, g, informed)
+    reachable = [
+        slot for slot in range(len(uninformed)) if any(kvec[slot] for kvec in law)
+    ]
+    if 2 ** len(reachable) > ENUMERATION_PROFILE_GUARD:
+        raise SizeGuardExceeded(
+            f"the subsets of {len(reachable)} reachable vertices exceed the guard"
+        )
+    entries = [
+        (p, [1.0 - (1.0 - q) ** kvec[slot] for slot in reachable]) for kvec, p in law.items()
+    ]
+    return uninformed, reachable, entries
+
+
 def enumerate_joint_distribution(
     kind: ProtocolKind, g: GraphSnapshot, informed, q: float
 ) -> DeltaDistribution:
@@ -296,25 +318,10 @@ def enumerate_joint_distribution(
     informed independently with probability 1 - (1-q)**k; the coins are never
     enumerated.
     """
-    q = _check_q(q)
-    informed = as_vertex_mask(g.n, informed)
-    size = int(informed.sum())
-    if not 1 <= size <= g.n - 1:
-        raise SetRangeError(f"informed size {size} not in [1, {g.n - 1}]")
-    uninformed, law = _transmission_count_law(kind, g, informed)
-
-    reachable = [
-        slot for slot in range(len(uninformed)) if any(kvec[slot] for kvec in law)
-    ]
-    if 2 ** len(reachable) > ENUMERATION_PROFILE_GUARD:
-        raise SizeGuardExceeded(
-            f"support over {len(reachable)} reachable vertices exceeds the guard"
-        )
-
+    uninformed, reachable, entries = _informing_law(kind, g, informed, q)
     marginals = {int(u): 0.0 for u in uninformed}
     support: dict[frozenset, float] = {}
-    for kvec, p in law.items():
-        inform_p = [1.0 - (1.0 - q) ** kvec[slot] for slot in reachable]
+    for p, inform_p in entries:
         for slot, pu in zip(reachable, inform_p):
             marginals[int(uninformed[slot])] += p * pu
         for bits in range(2 ** len(reachable)):
@@ -361,21 +368,7 @@ def verify_process_properties(
     Subsets containing an unreachable vertex hold with equality (both sides
     are 0), so only subsets of reachable vertices are enumerated.
     """
-    q = _check_q(q)
-    informed = as_vertex_mask(g.n, informed)
-    uninformed, law = _transmission_count_law(kind, g, informed)
-    reachable = [
-        slot for slot in range(len(uninformed)) if any(kvec[slot] for kvec in law)
-    ]
-    if 2 ** len(reachable) > ENUMERATION_PROFILE_GUARD:
-        raise SizeGuardExceeded(
-            f"checking all subsets of {len(reachable)} reachable vertices exceeds the guard"
-        )
-
-    entries = []  # (probability, per-slot informing probabilities)
-    for kvec, p in law.items():
-        entries.append((p, [1.0 - (1.0 - q) ** kvec[slot] for slot in reachable]))
-
+    _, reachable, entries = _informing_law(kind, g, informed, q)
     marginal = [sum(p * pu[j] for p, pu in entries) for j in range(len(reachable))]
     mean = sum(marginal)
     second = 0.0

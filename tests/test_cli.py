@@ -150,11 +150,41 @@ def test_plot_from_csv(tmp_path):
     assert root.tag.endswith("svg")
 
 
-def test_usage_errors_exit_two(capsys):
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("short_row.csv", "trial,round,informed,q_t\n0,0,1,1.0\n0,1,2\n"),
+        ("bad_int.csv", "trial,round,informed,q_t\n0,0,1,1.0\n0,one,2,1.0\n"),
+        ("bad_summary.csv", "trial,completion,final\n0,3,many\n"),
+        ("not_json.jsonl", '{"trial": 0, "final_informed": 1, "completion_round": null}\nnot json\n'),
+        ("unknown_key.jsonl", '{"trial": 0, "final_informed": 1, "completion_round": null, "x": 1}\n'),
+        ("missing_key.jsonl", '{"trial": 0}\n'),
+    ],
+)
+def test_plot_rejects_malformed_records(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["plot", "--in", str(path), "--out", str(tmp_path / "chart.svg")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line " in err
+
+
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["simulate", "--graph", "torus:9", "--protocol", "push",
                  "--cred", "const:1"]) == 2
     capsys.readouterr()
     assert main(["bounds", "--protocol", "smoke", "--q", "1", "--phi", "1"]) == 2
+    for n in ("0", "1", "2"):
+        for cred in ("power:2", "add:0.1", "power:0.5"):
+            assert main(["predict", "--protocol", "push", "--cred", cred, "--n", n]) == 2
+    sweep = ["sweep", "--graph", "complete:16", "--protocol", "push", "--trials", "1",
+             "--max-rounds", "5"]
+    assert main([*sweep, "--cred", "const:zebra", "--param", "alpha", "--values", "0.1"]) == 2
+    assert main([*sweep, "--cred", "const:0.5", "--param", "alpha", "--values", "0.1"]) == 2
+    for param in ("trials", "seed", "max-rounds"):
+        assert main([*sweep, "--cred", "const:0.5", "--param", param, "--values", "1.5"]) == 2
+    assert main([*sweep, "--cred", "const:0.5", "--param", "seed", "--values", "1",
+                 "--out", str(tmp_path / "missing" / "sweep.csv")]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--graph", "complete:16"])
     assert exc.value.code == 2

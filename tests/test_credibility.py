@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gossipsim.credibility import (
@@ -100,3 +100,44 @@ def test_parse_rejects_garbage():
     for text in ("const", "exp:0.5", "const:zebra", "table:1;tip=0.1"):
         with pytest.raises(RangeError):
             parse_credibility(text)
+
+
+def _check_tail_and_constant_phase(cred, t):
+    window = sum(cred.value_at(s) for s in range(t, t + 201))
+    # the relative slack absorbs rounding in the closed-form series
+    assert window <= cred.tail_sum_bound(t) * (1.0 + 1e-12)
+    const = cred.constant_from()
+    if const is not None:
+        start, value = const
+        assert all(cred.value_at(s) == value for s in range(start, start + 50))
+
+
+@given(st.floats(0.0, 1.0), st.integers(0, 1000))
+def test_constant_tail_and_constant_phase(q, t):
+    _check_tail_and_constant_phase(Constant(q), t)
+
+
+@given(st.floats(0.05, 20.0), st.integers(0, 10_000))
+def test_power_law_tail_and_constant_phase(alpha, t):
+    _check_tail_and_constant_phase(PowerLaw(alpha), t)
+
+
+@given(st.floats(0.001, 0.99), st.integers(0, 2000))
+@example(0.19999999999999998, 0)  # 1 - 5 * alpha rounds to 1.1e-16, not 0
+def test_additive_tail_and_constant_phase(alpha, t):
+    _check_tail_and_constant_phase(Additive(alpha), t)
+
+
+# t stays small enough that the leading term is a normal float
+@given(st.floats(0.001, 0.99), st.integers(0, 100))
+def test_multiplicative_tail_and_constant_phase(alpha, t):
+    _check_tail_and_constant_phase(Multiplicative(alpha), t)
+
+
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.integers(0, 400),
+)
+def test_table_tail_and_constant_phase(values, tail, t):
+    _check_tail_and_constant_phase(Table(tuple(values), tail), t)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gossipsim.credibility import Constant, Multiplicative, PowerLaw, Table
+from gossipsim.credibility import Constant, PowerLaw
 from gossipsim.errors import RangeError
 from gossipsim.graphs import StaticGraph, complete_graph, cycle_graph
 from gossipsim.harness import (
@@ -17,7 +17,6 @@ from gossipsim.harness import (
     export_summary,
     load_records_csv,
     load_records_jsonl,
-    predictor_comparison,
     resolved_max_rounds,
     run_experiment,
     run_trial,
@@ -141,29 +140,6 @@ class TestMaxRoundsDefault:
     def test_decaying_credibility_uses_log_budget(self):
         spec = small_spec(max_rounds=None, credibility=PowerLaw(2.0))
         assert resolved_max_rounds(spec) == math.ceil(100 * math.log(8))
-
-
-class TestPredictorComparison:
-    def test_present_for_named_families_only(self):
-        assert predictor_comparison(small_spec())["family"] == "constant"
-        assert predictor_comparison(small_spec(credibility=PowerLaw(2.0)))["family"] == "power-law"
-        assert predictor_comparison(small_spec(credibility=Table((0.5,)))) is None
-
-    def test_constant_contains_runtime(self):
-        out = predictor_comparison(small_spec(credibility=Constant(0.5)))
-        assert out["fixed_q_runtime"] == pytest.approx(
-            fixed_q_runtime(ProtocolKind.PUSH, 0.5, 8)
-        )
-
-    def test_pull_q1_runtime_is_none(self):
-        out = predictor_comparison(small_spec(protocol=ProtocolKind.PULL))
-        assert out["fixed_q_runtime"] is None
-
-    def test_multiplicative_regimes(self):
-        n = 8
-        few = 0.5 / math.log(n)
-        out = predictor_comparison(small_spec(credibility=Multiplicative(few)))
-        assert out["regime"] == "few"
 
 
 class TestExports:

@@ -30,6 +30,7 @@ from gossipsim.predictor import (
     phase_schedule,
     powerlaw_expectation_bound,
     powerlaw_thresholds,
+    predictor_comparison,
     stirling_product_check,
     tau2_rounds,
     tau2_threshold,
@@ -430,3 +431,26 @@ def test_table_credibility_supported_in_scans():
     assert general_lower_T(table, 1.0, 10**9, 0.9) == math.inf
     res = general_strong_T(Table((0.5,), tail=0.5), 0.0, 10**4, ProtocolKind.PULL)
     assert res.rounds > 0
+
+
+class TestPredictorComparison:
+    def test_present_for_named_families_only(self):
+        assert predictor_comparison(ProtocolKind.PUSH, Constant(1.0), 8)["family"] == "constant"
+        assert predictor_comparison(ProtocolKind.PUSH, PowerLaw(2.0), 8)["family"] == "power-law"
+        assert predictor_comparison(ProtocolKind.PUSH, Table((0.5,)), 8) is None
+
+    def test_constant_contains_runtime(self):
+        out = predictor_comparison(ProtocolKind.PUSH, Constant(0.5), 8)
+        assert out["fixed_q_runtime"] == pytest.approx(
+            fixed_q_runtime(ProtocolKind.PUSH, 0.5, 8)
+        )
+
+    def test_pull_q1_runtime_is_none(self):
+        out = predictor_comparison(ProtocolKind.PULL, Constant(1.0), 8)
+        assert out["fixed_q_runtime"] is None
+
+    def test_multiplicative_regimes(self):
+        n = 8
+        few = 0.5 / math.log(n)
+        out = predictor_comparison(ProtocolKind.PUSH, Multiplicative(few), n)
+        assert out["regime"] == "few"
