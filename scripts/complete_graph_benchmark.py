@@ -27,16 +27,15 @@ from gossipsim import (
     fixed_q_runtime,
     generate_random_regular,
 )
-from gossipsim.harness import run_trial
+from gossipsim.harness import run_experiment
 
 
 def completion_stats(spec: ExperimentSpec) -> tuple[float, float, float]:
-    comps = [run_trial(spec, i).completion_round for i in range(spec.trials)]
-    done = [c for c in comps if c is not None]
-    frac = len(done) / len(comps)
+    records, summary = run_experiment(spec)
+    done = [r.completion_round for r in records if r.completion_round is not None]
     if not done:
-        return frac, math.nan, math.nan
-    return frac, float(np.mean(done)), float(np.quantile(done, 0.95))
+        return summary.fraction_completed, math.nan, math.nan
+    return summary.fraction_completed, summary.completion_mean, float(np.quantile(done, 0.95))
 
 
 def main() -> int:

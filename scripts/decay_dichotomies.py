@@ -19,8 +19,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from gossipsim import (
     Additive,
     ExperimentSpec,
@@ -30,12 +28,12 @@ from gossipsim import (
     StaticGraph,
     complete_graph,
 )
-from gossipsim.harness import run_trial
+from gossipsim.harness import run_experiment
 
 
 def median_final_fraction(spec: ExperimentSpec) -> float:
-    finals = [run_trial(spec, i).final_informed for i in range(spec.trials)]
-    return float(np.median(finals)) / spec.graph.n
+    _, summary = run_experiment(spec)
+    return summary.final_informed_median / summary.n
 
 
 def main() -> int:

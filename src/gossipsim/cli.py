@@ -112,8 +112,7 @@ def _spec_from_args(args) -> harness.ExperimentSpec:
 
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    records = [harness.run_trial(spec, i) for i in range(spec.trials)]
-    summary = harness.summarize(spec, records)
+    records, summary = harness.run_experiment(spec)
     if args.out:
         harness.export_records(records, args.out, fmt=args.format)
     if args.summary_out:
@@ -238,7 +237,7 @@ def _cmd_sweep(args) -> int:
         point = copy.copy(args)
         for param, value in zip(args.param, combo):
             _apply_sweep_value(point, param, value)
-        summary = harness.run_experiment(_spec_from_args(point))
+        _, summary = harness.run_experiment(_spec_from_args(point))
         row = [
             *combo,
             str(summary.n),

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
     RetryExhausted,
     SizeGuardExceeded,
 )
-from .seeds import rng_for
+from .seeds import mix_seed, rng_for
 
 __all__ = [
     "GraphSnapshot",
@@ -549,7 +548,7 @@ class ResampledRegular:
     seed: int
 
     def snapshot(self, t: int) -> GraphSnapshot:
-        return _resampled_snapshot(self, t)
+        return generate_random_regular(self.n, self.d, seed=mix_seed(self.seed, t))
 
 
 @dataclass(frozen=True)
@@ -564,22 +563,8 @@ class MatchingSequence:
             raise ParityError(f"matching sequence needs even n, got {self.n}")
 
     def snapshot(self, t: int) -> GraphSnapshot:
-        return _matching_snapshot(self, t)
-
-
-@lru_cache(maxsize=128)
-def _resampled_snapshot(spec: ResampledRegular, t: int) -> GraphSnapshot:
-    from .seeds import mix_seed
-
-    return generate_random_regular(spec.n, spec.d, seed=mix_seed(spec.seed, t))
-
-
-@lru_cache(maxsize=128)
-def _matching_snapshot(spec: MatchingSequence, t: int) -> GraphSnapshot:
-    from .seeds import mix_seed
-
-    perm = rng_for(mix_seed(spec.seed, t)).permutation(spec.n)
-    return matching_graph(perm.reshape(-1, 2))
+        perm = rng_for(mix_seed(self.seed, t)).permutation(self.n)
+        return matching_graph(perm.reshape(-1, 2))
 
 
 DynamicGraphSpec = StaticGraph | CyclicGraphs | ResampledRegular | MatchingSequence

@@ -2,10 +2,10 @@
 
 An :class:`ExperimentSpec` pins everything a run depends on: the dynamic
 graph, protocol, credibility schedule, trial count, round budget and master
-seed. Trials are independent units: trial ``i`` draws all of its round
-randomness from streams ``(master_seed, i, t)``, so results are identical
-under any trial scheduling and two runs of the same spec agree byte for
-byte.
+seed. Trials run in lockstep, one round at a time, sharing each round's
+snapshot; trial ``i`` still draws all of its round randomness from streams
+``(master_seed, i, t)``, so a trial's record is the same alone or beside
+others and two runs of the same spec agree byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -147,40 +148,52 @@ class TrialRecord:
     exact_deltas: list[float] | None = None
 
 
-def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialRecord:
-    """Run one seeded trial until everyone is informed or the budget runs out."""
-    n = spec.graph.n
-    budget = resolved_max_rounds(spec)
-    state = initial_state(n, spec.initial_informed)
-    counts = [state.informed_count]
-    qs = [spec.credibility.value_at(0)]
-    deltas: list[float] = []
-    completion = 0 if state.informed_count == n else None
+def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialRecord]:
+    """Run ``trials`` round-major until each completes or the budget runs out.
 
-    for t in range(budget):
-        if state.informed_count == n:
+    Round t's snapshot and q(t) are fetched once for all live trials; trial i
+    still draws from stream ``(master_seed, i, t)``, so its record is the
+    same alone or beside others.
+    """
+    n = spec.graph.n
+    exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
+    states = [initial_state(n, spec.initial_informed)] * len(trials)
+    counts = [[spec.initial_informed] for _ in trials]
+    deltas: list[list[float]] = [[] for _ in trials]
+    q_values = [spec.credibility.value_at(0)]
+
+    for t in range(resolved_max_rounds(spec)):
+        live = [j for j, c in enumerate(counts) if c[-1] < n]
+        if not live:
             break
-        q_t = spec.credibility.value_at(t)
         g = spec.graph.snapshot(t)
-        if spec.record_level is RecordLevel.PER_ROUND_EXACT:
-            deltas.append(exact_delta_expectation(spec.protocol, g, state.informed, q_t))
-        state = step(spec.protocol, g, state, q_t, rng_for(spec.master_seed, trial_index, t))
-        counts.append(state.informed_count)
-        qs.append(spec.credibility.value_at(state.t))
-        if completion is None and state.informed_count == n:
-            completion = state.t
+        q_t = q_values[t]
+        q_values.append(spec.credibility.value_at(t + 1))
+        for j in live:
+            if exact:
+                deltas[j].append(exact_delta_expectation(spec.protocol, g, states[j].informed, q_t))
+            states[j] = step(spec.protocol, g, states[j], q_t, rng_for(spec.master_seed, trials[j], t))
+            counts[j].append(int(states[j].informed.sum()))
 
     per_round = spec.record_level is not RecordLevel.SUMMARY
-    return TrialRecord(
-        trial=trial_index,
-        seed=mix_seed(spec.master_seed, trial_index),
-        n=n,
-        final_informed=counts[-1],
-        completion_round=completion,
-        informed_counts=counts if per_round else None,
-        q_values=qs if per_round else None,
-        exact_deltas=deltas if spec.record_level is RecordLevel.PER_ROUND_EXACT else None,
-    )
+    return [
+        TrialRecord(
+            trial=i,
+            seed=mix_seed(spec.master_seed, i),
+            n=n,
+            final_informed=c[-1],
+            completion_round=len(c) - 1 if c[-1] == n else None,
+            informed_counts=c if per_round else None,
+            q_values=q_values[: len(c)] if per_round else None,
+            exact_deltas=d if exact else None,
+        )
+        for i, c, d in zip(trials, counts, deltas)
+    ]
+
+
+def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialRecord:
+    """Run one seeded trial until everyone is informed or the budget runs out."""
+    return _run_lockstep(spec, [trial_index])[0]
 
 
 @dataclass
@@ -279,24 +292,33 @@ def summarize(spec: ExperimentSpec, records: list[TrialRecord]) -> ExperimentSum
     )
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
-    """Run all trials (independent streams; any scheduling gives the same result)."""
-    records = [run_trial(spec, i) for i in range(spec.trials)]
-    return summarize(spec, records)
+def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialRecord], ExperimentSummary]:
+    """Run all trials in lockstep; return their records and the summary."""
+    records = _run_lockstep(spec, range(spec.trials))
+    return records, summarize(spec, records)
 
 
 # -- persistence ---------------------------------------------------------------
 
-PER_ROUND_HEADER = ("trial", "round", "informed", "q_t")
-SUMMARY_HEADER = ("trial", "completion", "final")
+PER_ROUND_HEADER = ("trial", "round", "informed", "q_t", "n")
+SUMMARY_HEADER = ("trial", "completion", "final", "n")
+
+
+def _cell(value: int | None):
+    """A CSV cell for an optional integer: empty when unknown."""
+    return "" if value is None else value
+
+
+def _optional_int(text: str) -> int | None:
+    return None if text == "" else int(text)
 
 
 def export_records(records: list[TrialRecord], path, fmt: str = "csv") -> None:
     """Write records as CSV or JSONL (UTF-8, LF newlines, headers present).
 
-    CSV uses per-round rows (trial, round, informed, q_t) when the records
-    carry trajectories, else summary rows (trial, completion, final). JSONL
-    writes one full record object per line.
+    CSV uses per-round rows (trial, round, informed, q_t, n) when the records
+    carry trajectories, else summary rows (trial, completion, final, n); an
+    unknown n is left empty. JSONL writes one full record object per line.
     """
     if fmt not in ("csv", "jsonl"):
         raise RangeError(f"unknown export format {fmt!r}")
@@ -313,12 +335,11 @@ def export_records(records: list[TrialRecord], path, fmt: str = "csv") -> None:
                 for r in records:
                     for t, informed in enumerate(r.informed_counts or ()):
                         q_t = r.q_values[t] if r.q_values else ""
-                        writer.writerow([r.trial, t, informed, q_t])
+                        writer.writerow([r.trial, t, informed, q_t, _cell(r.n)])
             else:
                 writer.writerow(SUMMARY_HEADER)
                 for r in records:
-                    completion = "" if r.completion_round is None else r.completion_round
-                    writer.writerow([r.trial, completion, r.final_informed])
+                    writer.writerow([r.trial, _cell(r.completion_round), r.final_informed, _cell(r.n)])
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
@@ -346,7 +367,11 @@ def _parse_rows(path, rows: list[list[str]], parse) -> list:
 
 
 def load_records_csv(path) -> list[TrialRecord]:
-    """Re-import an exported CSV (either row schema)."""
+    """Re-import an exported CSV (either row schema, with or without the n column).
+
+    A per-round trial's completion round is the first round whose informed
+    count reaches n; without n it stays None.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -355,40 +380,45 @@ def load_records_csv(path) -> list[TrialRecord]:
     if not rows:
         raise RangeError(f"{path}: missing header")
     header = tuple(rows[0])
-    if header == PER_ROUND_HEADER:
+    if header in (PER_ROUND_HEADER, PER_ROUND_HEADER[:-1]):
         by_trial: dict[int, list[tuple[int, int, float]]] = {}
+        n_of: dict[int, int | None] = {}
         parsed = _parse_rows(
             path,
             rows,
-            lambda trial, rnd, informed, q_t: (
-                int(trial), int(rnd), int(informed), float(q_t) if q_t else 0.0
+            lambda trial, rnd, informed, q_t, n="": (
+                int(trial), int(rnd), int(informed), float(q_t) if q_t else 0.0, _optional_int(n)
             ),
         )
-        for trial, rnd, informed, q_t in parsed:
+        for trial, rnd, informed, q_t, n in parsed:
             by_trial.setdefault(trial, []).append((rnd, informed, q_t))
+            n_of.setdefault(trial, n)
         records = []
         for trial in sorted(by_trial):
             entries = sorted(by_trial[trial])
+            n = n_of[trial]
             counts = [inf for _, inf, _ in entries]
             qs = [q for _, _, q in entries]
             records.append(
                 TrialRecord(
                     trial=trial,
+                    n=n,
                     final_informed=counts[-1],
-                    completion_round=None,
+                    completion_round=next((rnd for rnd, inf, _ in entries if inf == n), None),
                     informed_counts=counts,
                     q_values=qs,
                 )
             )
         return records
-    if header == SUMMARY_HEADER:
+    if header in (SUMMARY_HEADER, SUMMARY_HEADER[:-1]):
         return _parse_rows(
             path,
             rows,
-            lambda trial, completion, final: TrialRecord(
+            lambda trial, completion, final, n="": TrialRecord(
                 trial=int(trial),
+                n=_optional_int(n),
                 final_informed=int(final),
-                completion_round=None if completion == "" else int(completion),
+                completion_round=_optional_int(completion),
             ),
         )
     raise RangeError(f"{path}: unrecognized header {header}")

@@ -92,6 +92,27 @@ def _check_q(q: float) -> float:
     return float(q)
 
 
+def _round_halves(kind, g, informed, q, rng, draws: int = 1):
+    """The one-round law, sampled ``draws`` times independently from one state.
+
+    Yields the push half, then the pull half, as two ``(draws, m)`` arrays:
+    the vertex each of the half's m transmissions per round would inform, and
+    whether it does (it carries the rumor into U and its coin accepts it). Each
+    half draws its m * draws neighbor choices before its coins, so one draw
+    consumes the stream exactly as a single round does.
+    """
+    if kind.does_push:
+        pushers = np.flatnonzero(informed)
+        flat = pushers if draws == 1 else np.tile(pushers, draws)
+        targets = g.sample_neighbors(flat, rng).reshape(draws, len(pushers))
+        yield targets, (rng.random(targets.shape) < q) & ~informed[targets]
+    if kind.does_pull:
+        pullers = np.flatnonzero(~informed)
+        flat = pullers if draws == 1 else np.tile(pullers, draws)
+        sources = g.sample_neighbors(flat, rng).reshape(draws, len(pullers))
+        yield flat.reshape(sources.shape), informed[sources] & (rng.random(sources.shape) < q)
+
+
 def step(
     kind: ProtocolKind,
     g: GraphSnapshot,
@@ -107,19 +128,8 @@ def step(
     if not informed.any():
         raise SetRangeError("informed set must be nonempty")
     new = informed.copy()
-
-    if kind.does_push:
-        pushers = np.flatnonzero(informed)
-        targets = g.sample_neighbors(pushers, rng)
-        accepted = rng.random(len(targets)) < q
-        hits = targets[accepted & ~informed[targets]]
-        new[hits] = True
-    if kind.does_pull:
-        pullers = np.flatnonzero(~informed)
-        sources = g.sample_neighbors(pullers, rng)
-        accepted = rng.random(len(pullers)) < q
-        new[pullers[informed[sources] & accepted]] = True
-
+    for receivers, accepted in _round_halves(kind, g, informed, q, rng):
+        new[receivers[accepted]] = True
     return ProcessState(t=state.t + 1, informed=new)
 
 
@@ -133,30 +143,15 @@ def sample_delta_sizes(
 ) -> np.ndarray:
     """|Delta| for ``n_samples`` independent one-round draws from a fixed state.
 
-    Semantically equivalent to ``n_samples`` calls of :func:`step` from the
-    same state, but batched so Monte Carlo verification stays cheap.
+    The same round law as :func:`step`, drawn ``n_samples`` times at once: a
+    vertex informed by both halves or by several transmissions counts once.
     """
     q = _check_q(q)
     informed = as_vertex_mask(g.n, informed)
-    keys = []
-
-    if kind.does_push:
-        pushers = np.flatnonzero(informed)
-        flat = np.tile(pushers, n_samples)
-        targets = g.sample_neighbors(flat, rng).reshape(n_samples, len(pushers))
-        ok = (rng.random(targets.shape) < q) & ~informed[targets]
-        rows, _ = np.nonzero(ok)
-        keys.append(rows * g.n + targets[ok])
-    if kind.does_pull:
-        pullers = np.flatnonzero(~informed)
-        flat = np.tile(pullers, n_samples)
-        sources = g.sample_neighbors(flat, rng).reshape(n_samples, len(pullers))
-        ok = informed[sources] & (rng.random(sources.shape) < q)
-        rows, cols = np.nonzero(ok)
-        keys.append(rows * g.n + pullers[cols])
-
-    if not keys:
-        return np.zeros(n_samples, dtype=np.int64)
+    keys = [
+        np.nonzero(accepted)[0] * g.n + receivers[accepted]
+        for receivers, accepted in _round_halves(kind, g, informed, q, rng, n_samples)
+    ]
     unique = np.unique(np.concatenate(keys))
     return np.bincount(unique // g.n, minlength=n_samples)
 

@@ -25,7 +25,7 @@ def test_simulate_writes_records_and_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["trials"] == 3
     assert summary["fraction_completed"] == 1.0
-    assert out.read_text().startswith("trial,round,informed,q_t\n")
+    assert out.read_text().startswith("trial,round,informed,q_t,n\n")
 
 
 def test_simulate_jsonl_and_summary_out(tmp_path, capsys):

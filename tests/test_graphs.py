@@ -19,8 +19,6 @@ from gossipsim.graphs import (
     MatchingSequence,
     ResampledRegular,
     StaticGraph,
-    _matching_snapshot,
-    _resampled_snapshot,
     complete_graph,
     conductance,
     conductance_lower_bound,
@@ -277,18 +275,16 @@ class TestDynamicSpecs:
         with pytest.raises(RangeError):
             CyclicGraphs((cycle_graph(6), complete_graph(4)))
 
-    def test_resampled_deterministic_across_cache_resets(self):
+    def test_resampled_deterministic(self):
         spec = ResampledRegular(n=16, d=3, seed=5)
         first = spec.snapshot(7).adj.copy()
-        _resampled_snapshot.cache_clear()
-        assert np.array_equal(spec.snapshot(7).adj, first)
+        assert np.array_equal(ResampledRegular(n=16, d=3, seed=5).snapshot(7).adj, first)
         assert not np.array_equal(spec.snapshot(8).adj, first)
 
     def test_matching_sequence_deterministic(self):
         spec = MatchingSequence(n=10, seed=3)
         first = spec.snapshot(2).adj.copy()
-        _matching_snapshot.cache_clear()
-        assert np.array_equal(spec.snapshot(2).adj, first)
+        assert np.array_equal(MatchingSequence(n=10, seed=3).snapshot(2).adj, first)
         assert spec.snapshot(2).d == 1
 
     def test_matching_sequence_needs_even_n(self):

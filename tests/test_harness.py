@@ -8,7 +8,14 @@ import pytest
 
 from gossipsim.credibility import Constant, PowerLaw
 from gossipsim.errors import RangeError
-from gossipsim.graphs import StaticGraph, complete_graph, cycle_graph
+from gossipsim import graphs
+from gossipsim.graphs import (
+    MatchingSequence,
+    ResampledRegular,
+    StaticGraph,
+    complete_graph,
+    cycle_graph,
+)
 from gossipsim.harness import (
     ExperimentSpec,
     RecordLevel,
@@ -74,13 +81,13 @@ class TestRunTrial:
 
 class TestDeterminism:
     def test_identical_summaries_for_same_seed(self):
-        a = run_experiment(small_spec(credibility=Constant(0.6), trials=5))
-        b = run_experiment(small_spec(credibility=Constant(0.6), trials=5))
+        _, a = run_experiment(small_spec(credibility=Constant(0.6), trials=5))
+        _, b = run_experiment(small_spec(credibility=Constant(0.6), trials=5))
         assert a.to_json() == b.to_json()
 
     def test_different_seeds_differ(self):
-        a = run_experiment(small_spec(credibility=Constant(0.6), trials=5))
-        b = run_experiment(small_spec(credibility=Constant(0.6), trials=5, master_seed=12))
+        _, a = run_experiment(small_spec(credibility=Constant(0.6), trials=5))
+        _, b = run_experiment(small_spec(credibility=Constant(0.6), trials=5, master_seed=12))
         assert a.to_json() != b.to_json()
 
     def test_trials_are_independent_of_execution_order(self):
@@ -101,7 +108,7 @@ class TestSummaries:
         assert summary.fraction_completed == 1.0
 
     def test_quantiles_are_monotone(self):
-        summary = run_experiment(small_spec(trials=20, credibility=Constant(0.7)))
+        _, summary = run_experiment(small_spec(trials=20, credibility=Constant(0.7)))
         q = summary.completion_quantiles
         assert q["q10"] <= q["q25"] <= q["q75"] <= q["q90"]
         assert 0.0 <= summary.fraction_completed <= 1.0
@@ -121,10 +128,60 @@ class TestSummaries:
         assert recomputed == pytest.approx(summary.mean_informed_fraction_by_round)
 
     def test_config_echo(self):
-        summary = run_experiment(small_spec(trials=2))
+        _, summary = run_experiment(small_spec(trials=2))
         assert summary.config["protocol"] == "push"
         assert summary.config["credibility"] == "const:1"
         assert summary.config["n"] == 8
+
+
+class TestLockstep:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            small_spec(
+                graph=ResampledRegular(n=64, d=4, seed=2),
+                credibility=PowerLaw(2.0),
+                trials=2,
+                max_rounds=200,
+            ),
+            small_spec(
+                graph=MatchingSequence(n=32, seed=5),
+                protocol=ProtocolKind.PUSH_PULL,
+                credibility=Constant(0.5),
+                max_rounds=150,
+            ),
+            small_spec(
+                graph=StaticGraph(cycle_graph(12)),
+                credibility=Constant(0.5),
+                trials=4,
+                record_level=RecordLevel.PER_ROUND_EXACT,
+            ),
+        ],
+        ids=["resampled", "matching", "static-exact"],
+    )
+    def test_experiment_records_equal_solo_trials(self, spec):
+        records, summary = run_experiment(spec)
+        assert records == [run_trial(spec, i) for i in range(spec.trials)]
+        assert summary.to_json() == summarize(spec, records).to_json()
+
+    def test_dynamic_graph_is_built_once_per_round(self, monkeypatch):
+        built = []
+        original = graphs.generate_random_regular
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "generate_random_regular", counting)
+        spec = small_spec(
+            graph=ResampledRegular(n=64, d=4, seed=2),
+            credibility=PowerLaw(2.0),
+            trials=3,
+            max_rounds=200,
+        )
+        records, _ = run_experiment(spec)
+        assert [len(r.informed_counts) for r in records] == [201] * 3
+        assert len(built) == 200
 
 
 class TestMaxRoundsDefault:
@@ -149,7 +206,7 @@ class TestExports:
         path = tmp_path / "records.csv"
         export_records(records, path)
         text = path.read_text()
-        assert text.startswith("trial,round,informed,q_t\n")
+        assert text.startswith("trial,round,informed,q_t,n\n")
         assert "\r" not in text
         loaded = load_records_csv(path)
         for orig, back in zip(records, loaded):
@@ -176,14 +233,14 @@ class TestExports:
     def test_empty_records_give_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         export_records([], path)
-        assert path.read_text() == "trial,round,informed,q_t\n"
+        assert path.read_text() == "trial,round,informed,q_t,n\n"
 
     def test_summary_level_csv(self, tmp_path):
         spec = small_spec(trials=3, record_level=RecordLevel.SUMMARY)
         records = [run_trial(spec, i) for i in range(3)]
         path = tmp_path / "records.csv"
         export_records(records, path)
-        assert path.read_text().startswith("trial,completion,final\n")
+        assert path.read_text().startswith("trial,completion,final,n\n")
         loaded = load_records_csv(path)
         assert [r.completion_round for r in loaded] == [r.completion_round for r in records]
         assert [r.final_informed for r in loaded] == [r.final_informed for r in records]
@@ -196,12 +253,39 @@ class TestExports:
         loaded = load_records_jsonl(path)
         assert loaded == records
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("level", list(RecordLevel))
+    @pytest.mark.parametrize(
+        "credibility,n", [(Constant(1.0), 64), (PowerLaw(2.0), 1024)], ids=["completes", "stalls"]
+    )
+    def test_records_round_trip(self, tmp_path, fmt, level, credibility, n):
+        graph = StaticGraph(complete_graph(n))
+        spec = small_spec(graph=graph, credibility=credibility, record_level=level)
+        records = [run_trial(spec, i) for i in range(3)]
+        assert all((r.completion_round is not None) == (n == 64) for r in records)
+        path = tmp_path / f"records.{fmt}"
+        export_records(records, path, fmt=fmt)
+        loaded = load_records_csv(path) if fmt == "csv" else load_records_jsonl(path)
+        fields = ("trial", "n", "final_informed", "completion_round", "informed_counts", "q_values")
+        for field in fields:
+            assert [getattr(r, field) for r in loaded] == [getattr(r, field) for r in records]
+
+    def test_csv_without_n_column_still_loads(self, tmp_path):
+        per_round = tmp_path / "per_round.csv"
+        per_round.write_text("trial,round,informed,q_t\n0,0,1,1.0\n0,1,2,1.0\n")
+        [record] = load_records_csv(per_round)
+        assert (record.n, record.completion_round, record.informed_counts) == (None, None, [1, 2])
+        summary = tmp_path / "summary.csv"
+        summary.write_text("trial,completion,final\n0,3,8\n1,,5\n")
+        loaded = [(r.n, r.completion_round, r.final_informed) for r in load_records_csv(summary)]
+        assert loaded == [(None, 3, 8), (None, None, 5)]
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(RangeError):
             export_records([], tmp_path / "x.bin", fmt="parquet")
 
     def test_summary_export_is_valid_json(self, tmp_path):
-        summary = run_experiment(small_spec(trials=2))
+        _, summary = run_experiment(small_spec(trials=2))
         path = tmp_path / "summary.json"
         export_summary(summary, path)
         parsed = json.loads(path.read_text())
@@ -264,5 +348,5 @@ def test_cyclic_dynamic_graph_participates_in_runs():
         max_rounds=40,
         master_seed=2,
     )
-    summary = run_experiment(spec)
+    _, summary = run_experiment(spec)
     assert summary.fraction_completed == 1.0

@@ -7,7 +7,13 @@ import pytest
 from gossipsim.credibility import Constant
 from gossipsim.errors import EmptyData
 from gossipsim.graphs import StaticGraph, complete_graph
-from gossipsim.harness import ExperimentSpec, RecordLevel, run_trial
+from gossipsim.harness import (
+    ExperimentSpec,
+    RecordLevel,
+    export_records,
+    load_records_csv,
+    run_trial,
+)
 from gossipsim.plotting import plot_trajectories, render_trajectories_svg
 from gossipsim.predictor import phase_schedule
 from gossipsim.protocol import ProtocolKind
@@ -60,6 +66,14 @@ def test_deterministic_bytes(tmp_path):
     a = render_trajectories_svg(records_for(0.7))
     b = render_trajectories_svg(records_for(0.7))
     assert a == b
+
+
+def test_reloaded_csv_plots_like_the_run(tmp_path):
+    # without --n the chart scales by each record's n, which the CSV carries
+    path = tmp_path / "records.csv"
+    records = records_for(0.05)
+    export_records(records, path)
+    assert render_trajectories_svg(load_records_csv(path)) == render_trajectories_svg(records)
 
 
 def test_empty_data_rejected():

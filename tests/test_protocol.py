@@ -15,6 +15,7 @@ from gossipsim.graphs import (
     generate_random_regular,
     matching_graph,
 )
+from gossipsim.harness import iter_tiny_instances
 from gossipsim.protocol import (
     ProcessState,
     ProtocolKind,
@@ -240,3 +241,35 @@ class TestSampling:
         exact = exact_delta_expectation(ProtocolKind.PUSH_PULL, g, informed, 0.5)
         se = stepped.std(ddof=1) / math.sqrt(len(stepped))
         assert abs(stepped.mean() - exact) <= 5 * se
+
+
+class TestOneRoundLaw:
+    def test_sampler_matches_exact_size_law_on_tiny_corpus(self):
+        # Fixed before looking at results: N draws per instance from stream
+        # (2024, idx); each |Delta| bin within 6 standard errors plus 1/N.
+        n_draws = 4000
+        failures = []
+        for idx, (name, g, informed, q, kind) in enumerate(iter_tiny_instances()):
+            law = np.zeros(g.n + 1)
+            for members, p in enumerate_joint_distribution(kind, g, informed, q).support.items():
+                law[len(members)] += p
+            sizes = sample_delta_sizes(kind, g, informed, q, rng_for(2024, idx), n_draws)
+            freq = np.bincount(sizes, minlength=g.n + 1) / n_draws
+            se = np.sqrt(law * (1.0 - law) / n_draws)
+            if np.any(np.abs(freq - law) > 6 * se + 1.0 / n_draws):
+                failures.append((name, kind.value, q, informed.tolist()))
+        assert idx + 1 == 2160
+        assert failures == []
+
+    def test_step_and_sampler_share_one_engine(self):
+        cases = [(g, informed, q, kind) for _, g, informed, q, kind in iter_tiny_instances()]
+        rng = rng_for(13)
+        for g in (complete_graph(64), generate_random_regular(64, 10, seed=5)):
+            for _ in range(20):
+                informed = rng.random(g.n) < rng.random()
+                informed[rng.integers(g.n)] = True
+                cases += [(g, informed, q, kind) for q in (0.25, 0.5, 1.0) for kind in KINDS]
+        for idx, (g, informed, q, kind) in enumerate(cases):
+            stepped = step(kind, g, ProcessState(0, informed), q, rng_for(31, idx))
+            sampled = sample_delta_sizes(kind, g, informed, q, rng_for(31, idx), 1)
+            assert stepped.informed_count - int(informed.sum()) == sampled[0]

@@ -1,0 +1,44 @@
+"""Smoke runs of the experiment scripts at small sizes."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, tmp_path, *args: str) -> list[str]:
+    """Run ``scripts/<name>``; return the CSV lines it wrote after checking stdout echoes them."""
+    out = tmp_path / "out.csv"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert proc.stdout.splitlines() == lines[1:]
+    return lines
+
+
+def test_complete_graph_benchmark(tmp_path):
+    lines = run_script("complete_graph_benchmark.py", tmp_path, "--trials", "2")
+    assert lines[0] == "graph,protocol,q,predicted,mean_completion,p95_completion,fraction_completed"
+    assert len(lines) == 1 + 2 * 4
+    for line in lines[1:]:
+        assert 0.0 <= float(line.split(",")[-1]) <= 1.0
+
+
+def test_decay_dichotomies(tmp_path):
+    lines = run_script("decay_dichotomies.py", tmp_path, "--n", "1024", "--trials", "2")
+    assert lines[0] == "family,alpha,alpha_times_log_n,median_final_fraction"
+    families = [line.split(",")[0] for line in lines[1:]]
+    assert families == ["multiplicative"] * 8 + ["additive"] * 4
+    for line in lines[1:]:
+        assert 0.0 < float(line.split(",")[-1]) <= 1.0
