@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -207,33 +208,81 @@ def as_vertex_mask(n: int, s) -> np.ndarray:
 # -- constructors ----------------------------------------------------------
 
 
-def _snapshot_from_neighbor_lists(n: int, d: int, lists: list[list[int]]) -> GraphSnapshot:
-    adj = np.empty((n, d), dtype=np.int64)
-    for v, nbrs in enumerate(lists):
-        if len(nbrs) != d:
-            raise DegreeError(f"vertex {v} has degree {len(nbrs)}, expected {d}")
-        adj[v] = sorted(nbrs)
-    return GraphSnapshot(n=n, d=d, adj=adj)
+def _isin_sorted(sorted_keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of ``values`` present in the ascending array ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(values), dtype=bool)
+    at = np.searchsorted(sorted_keys, values)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == values
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``keys`` whose value did not occur earlier."""
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    first = np.ones(len(keys), dtype=bool)
+    if len(repeated):
+        # Narrow the candidates with a bit table on the low key bits first: a
+        # searchsorted of every key costs several times the sort above.
+        low_bits = (1 << len(keys).bit_length()) - 1
+        table = np.zeros(low_bits + 1, dtype=bool)
+        table[repeated & low_bits] = True
+        idx = np.flatnonzero(table[keys & low_bits])
+        idx = idx[_isin_sorted(repeated, keys[idx])]
+        first[idx] = False
+        # Filled back to front, so each key ends up with its earliest index.
+        earliest = dict(zip(keys[idx[::-1]].tolist(), idx[::-1].tolist()))
+        first[list(earliest.values())] = True
+    return first
+
+
+def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ascending arrays ``a`` and ``b`` merged into one ascending array."""
+    at = np.searchsorted(a, b) + np.arange(len(b))
+    out = np.empty(len(a) + len(b), dtype=np.int64)
+    rest = np.ones(len(out), dtype=bool)
+    rest[at] = False
+    out[at] = b
+    out[rest] = a
+    return out
+
+
+def _snapshot_from_keys(n: int, keys: np.ndarray) -> GraphSnapshot:
+    """Snapshot from distinct in-range edge keys ``u*n + v`` with ``u < v``.
+
+    Both directions of every edge are sorted together in one pass, so each
+    vertex's neighbors come out as a contiguous ascending run.
+    """
+    lo, hi = np.divmod(keys, n)
+    arcs = np.sort(np.concatenate([keys, hi * n + lo]))
+    rows, nbrs = np.divmod(arcs, n)
+    degrees = np.bincount(rows, minlength=n)
+    if len(degrees) == 0 or degrees.min() != degrees.max():
+        raise DegreeError(f"graph is not regular, degrees {np.unique(degrees).tolist()}")
+    d = int(degrees[0])
+    return GraphSnapshot(n=n, d=d, adj=nbrs.reshape(n, d))
 
 
 def from_edge_list(n: int, edges) -> GraphSnapshot:
-    """Build a snapshot from undirected edges, validating d-regularity."""
-    lists: list[list[int]] = [[] for _ in range(n)]
-    seen = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
+    """Build a snapshot from undirected edges, validating d-regularity.
+
+    Errors name the first offending edge in input order.
+    """
+    pairs = np.array([(int(u), int(v)) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+    outside = np.flatnonzero((pairs < 0).any(axis=1) | (pairs >= n).any(axis=1))
+    if len(outside):
+        u, v = pairs[outside[0]].tolist()
+        raise RangeError(f"edge ({u},{v}) out of range for n = {n}")
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    keys = lo * n + hi
+    bad = np.flatnonzero((lo == hi) | ~_first_occurrences(keys))
+    if len(bad):
+        i = bad[0]
+        if lo[i] == hi[i]:
+            u, v = pairs[i].tolist()
             raise RangeError(f"self-loop ({u},{v})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise RangeError(f"duplicate edge {key}")
-        seen.add(key)
-        lists[u].append(v)
-        lists[v].append(u)
-    degrees = {len(x) for x in lists}
-    if len(degrees) != 1:
-        raise DegreeError(f"graph is not regular, degrees {sorted(degrees)}")
-    return _snapshot_from_neighbor_lists(n, degrees.pop(), lists)
+        raise RangeError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
+    return _snapshot_from_keys(n, keys)
 
 
 def complete_graph(n: int) -> GraphSnapshot:
@@ -251,13 +300,54 @@ def cycle_graph(n: int) -> GraphSnapshot:
 
 def matching_graph(pairs) -> GraphSnapshot:
     """Perfect matching (d = 1) from a list of disjoint vertex pairs."""
-    pairs = [(int(u), int(v)) for u, v in pairs]
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n = 2 * len(pairs)
+    if n and (pairs.min() < 0 or pairs.max() >= n):
+        raise RangeError(f"matching vertex out of range for n = {n}")
     adj = np.full((n, 1), -1, dtype=np.int64)
-    for u, v in pairs:
-        adj[u, 0] = v
-        adj[v, 0] = u
+    adj[pairs[:, 0], 0] = pairs[:, 1]
+    adj[pairs[:, 1], 0] = pairs[:, 0]
     return GraphSnapshot(n=n, d=1, adj=adj)
+
+
+def _pair_stubs(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
+    """One stub-pairing attempt: sorted edge keys ``u*n + v`` (u < v), or None.
+
+    Each pass shuffles the remaining stubs and pairs neighbours in the
+    shuffled order. A pair is kept when it is no self-loop, not already an
+    edge and the first pair with its key in the pass, which is what checking
+    the pairs one at a time against a growing edge set keeps. The endpoints
+    of the other pairs (smaller end first) go to the next pass grouped by
+    vertex, in order of first appearance. The attempt fails when no two
+    distinct leftover vertices can still be joined.
+    """
+    keys = np.empty(0, dtype=np.int64)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    while len(stubs):
+        rng.shuffle(stubs)
+        lo = np.minimum(stubs[0::2], stubs[1::2])
+        hi = np.maximum(stubs[0::2], stubs[1::2])
+        pair_keys = lo * n + hi
+        keep = (lo != hi) & _first_occurrences(pair_keys) & ~_isin_sorted(keys, pair_keys)
+        keys = _merge_sorted(keys, np.sort(pair_keys[keep]))
+        rejected = ~keep
+        if not rejected.any():
+            break
+        # Smaller end first, counted in order of first appearance.
+        ends = zip(lo[rejected].tolist(), hi[rejected].tolist())
+        leftovers = Counter(itertools.chain.from_iterable(ends))
+        nodes = np.fromiter(leftovers, dtype=np.int64, count=len(leftovers))
+        # A leftover vertex still holds a stub, so it has at most d - 1 edges:
+        # more than d leftover vertices always include a non-adjacent pair.
+        # Keys hold the smaller end first, so each edge among m leftover
+        # vertices matches once in the m x m grid.
+        m = len(nodes)
+        if m <= d:
+            pairs = (nodes[:, None] * n + nodes).ravel()
+            if np.count_nonzero(_isin_sorted(keys, pairs)) == m * (m - 1) // 2:
+                return None
+        stubs = np.repeat(nodes, list(leftovers.values()))
+    return keys
 
 
 def generate_random_regular(
@@ -268,8 +358,9 @@ def generate_random_regular(
     Stubs are paired uniformly at random; pairs that would create a
     self-loop or multi-edge are thrown back and re-paired, and the whole
     graph is rejected and redrawn when no valid pairing of the leftover
-    stubs exists. Deterministic given ``seed``; raises
-    :class:`RetryExhausted` after ``max_retries`` whole-graph rejections.
+    stubs exists (Steger & Wormald 1999). Deterministic given ``seed``;
+    raises :class:`RetryExhausted` after ``max_retries`` whole-graph
+    rejections.
     """
     if (n * d) % 2 != 0:
         raise ParityError(f"n*d must be even, got n={n}, d={d}")
@@ -279,43 +370,10 @@ def generate_random_regular(
         raise DegreeError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
 
     rng = rng_for(seed)
-
-    def suitable(edges: set, leftovers: dict) -> bool:
-        if not leftovers:
-            return True
-        nodes = list(leftovers)
-        for u, v in itertools.combinations(nodes, 2):
-            if (min(u, v), max(u, v)) not in edges:
-                return True
-        return False
-
-    def try_pairing():
-        edges: set[tuple[int, int]] = set()
-        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-        while len(stubs):
-            leftovers: dict[int, int] = {}
-            rng.shuffle(stubs)
-            it = iter(stubs.tolist())
-            for u, v in zip(it, it):
-                if u > v:
-                    u, v = v, u
-                if u != v and (u, v) not in edges:
-                    edges.add((u, v))
-                else:
-                    leftovers[u] = leftovers.get(u, 0) + 1
-                    leftovers[v] = leftovers.get(v, 0) + 1
-            if not suitable(edges, leftovers):
-                return None
-            stubs = np.array(
-                [node for node, count in leftovers.items() for _ in range(count)],
-                dtype=np.int64,
-            )
-        return edges
-
     for _ in range(max_retries):
-        edges = try_pairing()
-        if edges is not None:
-            return from_edge_list(n, edges)
+        keys = _pair_stubs(n, d, rng)
+        if keys is not None:
+            return _snapshot_from_keys(n, keys)
     raise RetryExhausted(f"no simple {d}-regular graph found in {max_retries} attempts")
 
 

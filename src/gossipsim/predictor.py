@@ -69,7 +69,9 @@ __all__ = [
     "multiplicative_product_check",
 ]
 
-SERIES_INCREMENT_TOL = 1e-12
+# The zeta series is summed term by term below this index, then by its
+# Euler-Maclaurin tail (see powerlaw_expectation_bound).
+ZETA_EXACT_TERMS = 4096
 
 
 class ThresholdScaleWarning(UserWarning):
@@ -447,22 +449,26 @@ def general_lower_T(
 def powerlaw_expectation_bound(alpha: float, c_grow: float) -> float:
     """exp(c_grow * sum_t (t+1)**-alpha) for alpha > 1: a ceiling on E|I_T|.
 
-    The series is truncated once the per-term increment drops below 1e-12.
+    The sum is zeta(alpha): the terms below N are added exactly and the rest
+    by the Euler-Maclaurin tail N^(1-a)/(a-1) + N^-a/2 + a N^(-a-1)/12,
+    whose first omitted term is a(a+1)(a+2) N^(-a-3)/720. A ceiling beyond
+    float range comes back as inf.
     """
     if alpha <= 1.0:
         raise AlphaRange(f"needs alpha > 1, got {alpha}")
     if c_grow < 0:
         raise RangeError(f"c_grow must be >= 0, got {c_grow}")
-    total = 0.0
-    t = 1
-    chunk = 65536
-    while True:
-        terms = [k ** (-alpha) for k in range(t, t + chunk)]
-        total += math.fsum(terms)
-        t += chunk
-        if terms[-1] < SERIES_INCREMENT_TOL:
-            break
-    return math.exp(c_grow * total)
+    cut = ZETA_EXACT_TERMS
+    head = math.fsum(k ** (-alpha) for k in range(1, cut))
+    tail = (
+        cut ** (1.0 - alpha) / (alpha - 1.0)
+        + cut ** (-alpha) / 2.0
+        + alpha * cut ** (-alpha - 1.0) / 12.0
+    )
+    try:
+        return math.exp(c_grow * (head + tail))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipsim import graphs
 from gossipsim.errors import (
     DegreeError,
     EmptyOrFullSet,
     ParityError,
     RangeError,
+    RetryExhausted,
     SizeGuardExceeded,
 )
 from gossipsim.graphs import (
@@ -24,6 +27,7 @@ from gossipsim.graphs import (
     conductance_lower_bound,
     cycle_graph,
     edges_between,
+    from_edge_list,
     generate_random_regular,
     is_connected,
     load_graph,
@@ -35,8 +39,10 @@ from gossipsim.graphs import (
     save_graph,
     spectral_lambda,
 )
+from gossipsim.seeds import mix_seed
 
 from conftest import mask_from_bits, mask_of
+from reference_regular import reference_random_regular
 
 
 def assert_valid_regular(g):
@@ -100,6 +106,124 @@ class TestGenerator:
             n += 1
         g = generate_random_regular(n, d, seed=seed)
         assert_valid_regular(g)
+
+
+def _adj_digest(snapshots) -> str:
+    h = hashlib.sha256()
+    for g in snapshots:
+        h.update(g.adj.tobytes())
+    return h.hexdigest()
+
+
+def _regular(n, d, seeds):
+    return lambda: [generate_random_regular(n, d, seed=s) for s in seeds]
+
+
+def _rounds(spec, rounds):
+    return lambda: [spec.snapshot(t) for t in range(rounds)]
+
+
+# sha256 of adj.tobytes(), concatenated over a list of graphs, recorded from
+# the pure-Python pairing generator. Any change here changes every recorded
+# trajectory on a random regular or matching graph.
+GOLDEN_ADJ = [
+    pytest.param(
+        _regular(2, 1, [0]),
+        "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+        id="regular-2,1,0",
+    ),
+    pytest.param(
+        _regular(4, 3, [123]),
+        "fe1d4ffd17dd971fea790839de1fa9b39938f8474ce1637fb29344f94464d34e",
+        id="regular-4,3,123",
+    ),
+    pytest.param(
+        _regular(100, 3, [7]),
+        "1d56e348a3e7b2e1b107d3ff772d00f7ed571c9da0f98a2c13e4fbb21bb4bf90",
+        id="regular-100,3,7",
+    ),
+    pytest.param(
+        _regular(128, 16, [5]),
+        "d1417fc9f5b8c8545100e1ecdc139efb6f1efe54add4ff36e7ffb14a89abbc13",
+        id="regular-128,16,5",
+    ),
+    pytest.param(
+        _regular(6, 2, range(20)),
+        "a64058494a4d409e98e0eb3629a1526970870d3a183d18cd3903a5d0792efda2",
+        id="regular-6,2-seeds-0-19",
+    ),
+    pytest.param(
+        _regular(10, 9, range(20)),
+        "9b7a677baa7e938d614b4644a875db5b6e73ad0a99d5b9b30b6eb031f432caeb",
+        id="regular-10,9-seeds-0-19",
+    ),
+    pytest.param(
+        _rounds(ResampledRegular(512, 8, 3), 200),
+        "75a4eea6a3d8da6262ad8f3d99d4c349e813dca4b604b9130d50b862b9d03c3d",
+        id="dynamic-regular-512,8,3",
+    ),
+    pytest.param(
+        _regular(256, 16, [mix_seed(4, 256)]),
+        "decf0810c7bdcf6b561af6e7206a3b6f62176dabaeafd26c0f20abd0920e6c4b",
+        id="regular-256,16-verify-seed",
+    ),
+    pytest.param(
+        _regular(512, 16, [mix_seed(4, 512)]),
+        "dce1f9f4a8da0e2ba2f6727d2ed78970af256945e41a26c39aee52ddc64b0e6d",
+        id="regular-512,16-verify-seed",
+    ),
+    pytest.param(
+        _regular(4096, 32, [11]),
+        "eedea6bd38acad1fe1ea34db913df5469e04534d06769203f568ec2c82212929",
+        id="regular-4096,32,11",
+    ),
+    pytest.param(
+        _rounds(MatchingSequence(64, 5), 50),
+        "997a45b8c9d8b0556b702202f76a0c04a9b0ecc0c657020caed2a178bcdee3b3",
+        id="matching-64,5",
+    ),
+]
+
+
+class TestGeneratorIdentity:
+    """The generator and matching builder reproduce the recorded graphs."""
+
+    @pytest.mark.parametrize("build, digest", GOLDEN_ADJ)
+    def test_golden_adjacency(self, build, digest):
+        assert _adj_digest(build()) == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 12), st.integers(0, 2**63 - 1))
+    def test_matches_pure_python_pairing(self, n, d, seed):
+        d = min(d, n - 1)
+        if (n * d) % 2:
+            n += 1
+        expected = reference_random_regular(n, d, seed)
+        assert np.array_equal(generate_random_regular(n, d, seed=seed).adj, expected)
+
+    def test_single_attempt_rejection_raises(self):
+        # Seed 2 on (8, 3): the first pairing leaves only adjacent stubs.
+        with pytest.raises(RetryExhausted):
+            reference_random_regular(8, 3, 2, max_retries=1)
+        with pytest.raises(RetryExhausted):
+            generate_random_regular(8, 3, seed=2, max_retries=1)
+        expected = reference_random_regular(8, 3, 2, max_retries=2)
+        assert np.array_equal(generate_random_regular(8, 3, seed=2, max_retries=2).adj, expected)
+
+    def test_resampled_snapshot_calls_module_generator(self, monkeypatch):
+        # The benchmark tracer counts builds by patching this module global.
+        calls = []
+        original = graphs.generate_random_regular
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "generate_random_regular", counting)
+        spec = ResampledRegular(n=32, d=4, seed=9)
+        for t in range(5):
+            spec.snapshot(t)
+        assert len(calls) == 5
 
 
 class TestConductance:
@@ -287,6 +411,12 @@ class TestDynamicSpecs:
         assert np.array_equal(MatchingSequence(n=10, seed=3).snapshot(2).adj, first)
         assert spec.snapshot(2).d == 1
 
+    def test_matching_graph_rejects_bad_pairs(self):
+        assert matching_graph([(3, 0), (1, 2)]).adj.ravel().tolist() == [3, 2, 1, 0]
+        for pairs in ([(0, 1), (1, 2)], [(0, 0), (1, 2)], [(0, 1), (2, 4)], [(0, -1)]):
+            with pytest.raises(RangeError):
+                matching_graph(pairs)
+
     def test_matching_sequence_needs_even_n(self):
         with pytest.raises(ParityError):
             MatchingSequence(n=7, seed=0)
@@ -329,6 +459,22 @@ class TestGraphFile:
         path.write_text("2 2\n0 1\n")
         with pytest.raises(DegreeError):
             load_graph(path)
+
+
+    @pytest.mark.parametrize(
+        "n, edges, error, message",
+        [
+            (4, [(0, 1), (2, 2), (1, 0)], RangeError, "self-loop (2,2)"),
+            (4, [(0, 1), (3, 2), (1, 0), (2, 3)], RangeError, "duplicate edge (0, 1)"),
+            (4, [(0, 1), (2, 3), (1, 4)], RangeError, "edge (1,4) out of range"),
+            (4, [(0, 1), (1, 2), (2, 3)], DegreeError, "degrees [1, 2]"),
+            (4, [], DegreeError, "degree must be >= 1"),
+        ],
+    )
+    def test_edge_list_errors_name_first_offender(self, n, edges, error, message):
+        with pytest.raises(error) as info:
+            from_edge_list(n, edges)
+        assert message in str(info.value)
 
 
 class TestGraphSpecParsing:

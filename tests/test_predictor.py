@@ -299,8 +299,32 @@ class TestGeneralLowerT:
 
 class TestPowerLawCalculators:
     def test_expectation_bound_zeta2(self):
-        # exp(zeta(2)); reference from 60-digit evaluation, truncation-aware tol
-        assert powerlaw_expectation_bound(2.0, 1.0) == pytest.approx(5.1806683179, abs=2e-5)
+        expected = math.exp(math.pi**2 / 6)
+        assert powerlaw_expectation_bound(2.0, 1.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, zeta",
+        [
+            (2.0, math.pi**2 / 6),
+            (3.0, 1.2020569031595942854),  # Apery's constant
+            (4.0, math.pi**4 / 90),
+            (1.5, 2.612375348685488),
+        ],
+    )
+    @pytest.mark.parametrize("c_grow", [0.5, 2.0])
+    def test_expectation_bound_matches_zeta(self, alpha, zeta, c_grow):
+        expected = math.exp(c_grow * zeta)
+        assert powerlaw_expectation_bound(alpha, c_grow) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.2])
+    def test_expectation_bound_near_one_is_finite(self, alpha):
+        # zeta(alpha) ~ 1/(alpha - 1): the bound is large but must come back.
+        value = powerlaw_expectation_bound(alpha, 1.0)
+        assert math.isfinite(value)
+        assert value > math.exp(1.0 / (alpha - 1.0))
+
+    def test_expectation_bound_overflow_is_inf(self):
+        assert powerlaw_expectation_bound(1.001, 1.0) == math.inf
 
     def test_expectation_bound_zeta3(self):
         assert powerlaw_expectation_bound(3.0, 1.0) == pytest.approx(3.32695311, abs=1e-6)
