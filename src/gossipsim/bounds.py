@@ -17,11 +17,18 @@ from .protocol import ProtocolKind
 __all__ = [
     "BoundSet",
     "ProcessConstants",
+    "GROWTH_CONSTANT",
     "basic_growth_bounds",
+    "spectral_factor",
     "refined_spectral_lower",
+    "shrink_lower",
     "shrink_bounds",
+    "fixed_q_log_rates",
     "classify_process",
 ]
+
+# c_grow: PUSH and PULL are 1-growing, PUSH-PULL is 2-growing
+GROWTH_CONSTANT = {ProtocolKind.PUSH: 1.0, ProtocolKind.PULL: 1.0, ProtocolKind.PUSH_PULL: 2.0}
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,14 @@ def basic_growth_bounds(kind: ProtocolKind, q: float, phi: float) -> BoundSet:
     return BoundSet(1.5 * q * (1.0 - q / 2.0) * phi, 2.0 * q * phi, "basic/push-pull")
 
 
+def spectral_factor(kind: ProtocolKind, beta: float) -> float:
+    """Unclamped spectral factor: 1 - 7 sqrt(beta) (PUSH), 2 - 12 sqrt(beta) (PUSH-PULL)."""
+    root = math.sqrt(beta)
+    if kind is ProtocolKind.PUSH:
+        return 1.0 - 7.0 * root
+    return 2.0 - 12.0 * root
+
+
 def refined_spectral_lower(
     kind: ProtocolKind, q: float, lam: float, informed_fraction: float
 ) -> float:
@@ -92,11 +107,16 @@ def refined_spectral_lower(
     lam = _check_unit("lambda", lam)
     if not 0.0 <= informed_fraction <= 0.5:
         raise RangeError(f"informed fraction must be in [0, 1/2], got {informed_fraction}")
-    beta = lam + informed_fraction
-    root = math.sqrt(beta)
+    return max(0.0, q * spectral_factor(kind, lam + informed_fraction))
+
+
+def shrink_lower(kind: ProtocolKind, q: float, phi: float) -> float:
+    """Lower side of :func:`shrink_bounds`, which does not depend on d."""
+    if kind is ProtocolKind.PULL:
+        return q * phi
     if kind is ProtocolKind.PUSH:
-        return max(0.0, q * (1.0 - 7.0 * root))
-    return max(0.0, q * (2.0 - 12.0 * root))
+        return max(0.0, (1.0 - math.exp(-q)) * phi)
+    return max(0.0, (1.0 - math.exp(-q) * (1.0 - q)) * phi)
 
 
 def shrink_bounds(kind: ProtocolKind, q: float, phi: float, d: int) -> BoundSet:
@@ -114,10 +134,10 @@ def shrink_bounds(kind: ProtocolKind, q: float, phi: float, d: int) -> BoundSet:
     phi = _check_unit("phi", phi)
     if d < 1:
         raise RangeError(f"degree must be >= 1, got {d}")
+    lower = shrink_lower(kind, q, phi)
     if kind is ProtocolKind.PULL:
-        return BoundSet(q * phi, q * phi, "shrink/pull")
+        return BoundSet(lower, lower, "shrink/pull")
     if kind is ProtocolKind.PUSH:
-        lower = max(0.0, (1.0 - math.exp(-q)) * phi)
         upper = 1.0 - math.exp(-phi * q) * (1.0 - phi * q * q / d)
         return BoundSet(
             lower,
@@ -125,9 +145,21 @@ def shrink_bounds(kind: ProtocolKind, q: float, phi: float, d: int) -> BoundSet:
             "shrink/push (upper needs connected, d >= 2)",
             upper_requires_connected=True,
         )
-    lower = max(0.0, (1.0 - math.exp(-q) * (1.0 - q)) * phi)
     upper = 1.0 - (1.0 - q) ** phi * (1.0 - q * phi)
     return BoundSet(lower, max(lower, upper), "shrink/push-pull")
+
+
+def fixed_q_log_rates(kind: ProtocolKind, q: float) -> tuple[float, float]:
+    """Leading-order (log-growth, log-shrink) rates per round at constant q in (0, 1].
+
+    PULL at q = 1 has no shrink rate (log(1 - q) diverges); callers reject it.
+    """
+    grow = math.log1p(GROWTH_CONSTANT[kind] * q)
+    if kind is ProtocolKind.PUSH:
+        return grow, q
+    if kind is ProtocolKind.PULL:
+        return grow, -math.log1p(-q)
+    return grow, math.inf if q == 1.0 else q - math.log1p(-q)
 
 
 def classify_process(
@@ -159,9 +191,8 @@ def classify_process(
             raise InvalidEpsilon(
                 "PUSH needs epsilon > 0 or an always-connected graph sequence"
             )
-        return ProcessConstants(c_grow=1.0, c_shrink=min(candidates))
+        return ProcessConstants(c_grow=GROWTH_CONSTANT[kind], c_shrink=min(candidates))
     if epsilon <= 0:
         raise InvalidEpsilon(f"{kind.value} needs epsilon > 0 for a shrink certificate")
-    if kind is ProtocolKind.PULL:
-        return ProcessConstants(c_grow=1.0, c_shrink=1.0 - epsilon)
-    return ProcessConstants(c_grow=2.0, c_shrink=1.0 - epsilon * epsilon)
+    c_shrink = 1.0 - epsilon if kind is ProtocolKind.PULL else 1.0 - epsilon * epsilon
+    return ProcessConstants(c_grow=GROWTH_CONSTANT[kind], c_shrink=c_shrink)

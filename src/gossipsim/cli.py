@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import harness
-from .bounds import basic_growth_bounds, refined_spectral_lower, shrink_bounds
+from .bounds import GROWTH_CONSTANT, basic_growth_bounds, refined_spectral_lower, shrink_bounds
 from .credibility import Constant, parse_credibility
 from .errors import DomainError, GossipSimError, IoError, RangeError
 from .graphs import load_graph, parse_graph_spec, spectral_lambda
@@ -153,7 +153,7 @@ def _cmd_predict(args) -> int:
         except (DomainError, RangeError):
             out["phase_plan"] = None
     log_n = math.log(n)
-    out["tau2_threshold_main_phase"] = tau2_threshold(log_n, n / log_n, 2.0 if kind is ProtocolKind.PUSH_PULL else 1.0)
+    out["tau2_threshold_main_phase"] = tau2_threshold(log_n, n / log_n, GROWTH_CONSTANT[kind])
     out["tau3_threshold_main_phase"] = tau3_threshold(n / log_n, max(log_n, 0.75), 0.5)
     if lam is not None and kind in (ProtocolKind.PUSH, ProtocolKind.PULL):
         try:

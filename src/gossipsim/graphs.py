@@ -140,10 +140,11 @@ class GraphSnapshot:
     def edges(self):
         """Iterate undirected edges as (u, v) with u < v."""
         if self.adj is not None:
-            for u in range(self.n):
-                for v in self.adj[u]:
-                    if u < v:
-                        yield u, int(v)
+            # neighbour rows are ascending, so row-major order is (u, v) order
+            rows = np.repeat(np.arange(self.n), self.d)
+            cols = self.adj.ravel()
+            keep = rows < cols
+            yield from zip(rows[keep].tolist(), cols[keep].tolist())
         else:
             yield from itertools.combinations(range(self.n), 2)
 

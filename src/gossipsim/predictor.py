@@ -24,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .bounds import GROWTH_CONSTANT, basic_growth_bounds, fixed_q_log_rates, shrink_lower, spectral_factor
 from .credibility import Additive, Constant, Credibility, Multiplicative, PowerLaw
 from .errors import (
     AlphaRange,
@@ -202,15 +203,10 @@ def fixed_q_runtime(kind: ProtocolKind, q: float, n: int) -> float:
         raise RangeError(f"q must be in (0, 1], got {q}")
     if n < 2:
         raise RangeError(f"need n >= 2, got {n}")
-    log_n = math.log(n)
-    if kind is ProtocolKind.PUSH:
-        return (1.0 / math.log1p(q) + 1.0 / q) * log_n
-    if kind is ProtocolKind.PULL:
-        if q == 1.0:
-            raise DomainError("PULL runtime undefined at q = 1 (log(1-q) diverges)")
-        return (1.0 / math.log1p(q) - 1.0 / math.log1p(-q)) * log_n
-    tail = 0.0 if q == 1.0 else 1.0 / (q - math.log1p(-q))
-    return (1.0 / math.log1p(2.0 * q) + tail) * log_n
+    if kind is ProtocolKind.PULL and q == 1.0:
+        raise DomainError("PULL runtime undefined at q = 1 (log(1-q) diverges)")
+    grow, shrink = fixed_q_log_rates(kind, q)
+    return (1.0 / grow + 1.0 / shrink) * math.log(n)
 
 
 @dataclass(frozen=True)
@@ -249,22 +245,6 @@ class PhasePlan:
         return sum(p.duration_bound for p in self.phases if p.dominant)
 
 
-def _growth_nu(kind: ProtocolKind, q: float, floor: float) -> float:
-    if kind is ProtocolKind.PULL:
-        return q * floor
-    if kind is ProtocolKind.PUSH:
-        return q * (1.0 - q / 2.0) * floor
-    return 1.5 * q * (1.0 - q / 2.0) * floor
-
-
-def _shrink_nu(kind: ProtocolKind, q: float, floor: float) -> float:
-    if kind is ProtocolKind.PULL:
-        return q * floor
-    if kind is ProtocolKind.PUSH:
-        return (1.0 - math.exp(-q)) * floor
-    return (1.0 - math.exp(-q) * (1.0 - q)) * floor
-
-
 def phase_schedule(
     kind: ProtocolKind,
     q: float,
@@ -289,32 +269,24 @@ def phase_schedule(
 
     log_n = math.log(n)
     log_log_n = math.log(log_n)
-    grow_den = math.log1p(2.0 * q if kind is ProtocolKind.PUSH_PULL else q)
-    if kind is ProtocolKind.PUSH:
-        shrink_den = q
-    elif kind is ProtocolKind.PULL:
-        shrink_den = -math.log1p(-q)
-    else:
-        shrink_den = math.inf if q == 1.0 else q - math.log1p(-q)
+    grow_den, shrink_den = fixed_q_log_rates(kind, q)
 
-    spectral_slack = math.sqrt(lam + 1.0 / log_n)
-    if kind is ProtocolKind.PUSH:
-        nu2 = max(0.0, q * (1.0 - 7.0 * spectral_slack))
-    elif kind is ProtocolKind.PUSH_PULL:
-        nu2 = max(0.0, q * (2.0 - 12.0 * spectral_slack))
-    else:
+    # not refined_spectral_lower: its |I| <= n/2 guard rejects 1/log n for n <= 7
+    if kind is ProtocolKind.PULL:
         nu2 = q * (1.0 - lam) * (1.0 - 1.0 / log_n)
+    else:
+        nu2 = max(0.0, q * spectral_factor(kind, lam + 1.0 / log_n))
 
     half = 0.5
     half_gap = (1.0 - lam) / 2.0
     wide = (1.0 - lam) * (1.0 - 1.0 / log_n)
     phases = (
-        Phase(1.0, log_n, "growing", _growth_nu(kind, q, half), log_log_n / grow_den, False),
+        Phase(1.0, log_n, "growing", basic_growth_bounds(kind, q, half).lower, log_log_n / grow_den, False),
         Phase(log_n, n / log_n, "growing", nu2, log_n / grow_den, True),
-        Phase(n / log_n, n / 2.0, "growing", _growth_nu(kind, q, half_gap), log_log_n / grow_den, False),
-        Phase(n / 2.0, n / log_n, "shrinking", _shrink_nu(kind, q, half_gap), log_log_n / shrink_den, False),
-        Phase(n / log_n, log_n, "shrinking", _shrink_nu(kind, q, wide), log_n / shrink_den, True),
-        Phase(log_n, 0.75, "shrinking", _shrink_nu(kind, q, half), log_log_n / shrink_den, False),
+        Phase(n / log_n, n / 2.0, "growing", basic_growth_bounds(kind, q, half_gap).lower, log_log_n / grow_den, False),
+        Phase(n / 2.0, n / log_n, "shrinking", shrink_lower(kind, q, half_gap), log_log_n / shrink_den, False),
+        Phase(n / log_n, log_n, "shrinking", shrink_lower(kind, q, wide), log_n / shrink_den, True),
+        Phase(log_n, 0.75, "shrinking", shrink_lower(kind, q, half), log_log_n / shrink_den, False),
     )
     return PhasePlan(phases=phases, protocol=kind, q=q, n=n, lam=lam, c_shrink=c_shrink)
 
@@ -331,6 +303,11 @@ class GeneralStrongResult:
     gamma: float
     epsilon: float
     epsilon_ok: bool
+
+
+def _expander_threshold(log_n: float, gamma: float, xi: float) -> float:
+    """(1/gamma) (log n + 7 (log n)^(2/3)) / (1-(1-xi)(log n)^-xi)^2."""
+    return (log_n + 7.0 * log_n ** (2.0 / 3.0)) / growth_correction(log_n, xi) ** 2 / gamma
 
 
 def general_strong_T(
@@ -354,17 +331,10 @@ def general_strong_T(
     if n < 3:
         raise RangeError(f"need n >= 3, got {n}")
     log_n = math.log(n)
-    if kind is ProtocolKind.PULL:
-        gamma = 1.0 - lam
-    else:
-        gamma = 1.0 - 7.0 * math.sqrt(lam + 1.0 / log_n)
+    gamma = 1.0 - lam if kind is ProtocolKind.PULL else spectral_factor(kind, lam + 1.0 / log_n)
     if gamma <= 0.0:
         raise GammaNonpositive(f"gamma = {gamma} <= 0; spectral slack too large")
-    threshold = (
-        (log_n + 7.0 * log_n ** (2.0 / 3.0))
-        / growth_correction(log_n, cfg.xi) ** 2
-        / gamma
-    )
+    threshold = _expander_threshold(log_n, gamma, cfg.xi)
 
     t0 = math.ceil(log_n / (2.0 * math.log(2.0)))
     epsilon = 1.0 - q.sup_from(t0)
@@ -376,12 +346,12 @@ def general_strong_T(
     while t <= cfg.round_cap:
         if const is not None and t >= const[0]:
             inc = math.log1p(const[1])
-            if acc >= threshold:
-                rounds = t - 1
-            elif inc == 0.0:
+            if inc == 0.0:
                 raise Unreached(cfg.round_cap, "credibility hit 0 before the threshold")
-            else:
-                rounds = t + math.ceil((threshold - acc) / inc) - 1
+            jump = (threshold - acc) / inc
+            if jump == math.inf:
+                raise Unreached(cfg.round_cap, "constant credibility too small to reach the threshold")
+            rounds = t + math.ceil(jump) - 1
             break
         # increments are at most log 2, so without a constant tail (which
         # gets a closed-form jump above) an out-of-range threshold is
@@ -398,7 +368,7 @@ def general_strong_T(
     else:
         raise Unreached(cfg.round_cap)
     return GeneralStrongResult(
-        rounds=max(rounds, 0), threshold=threshold, gamma=gamma, epsilon=epsilon, epsilon_ok=epsilon_ok
+        rounds=rounds, threshold=threshold, gamma=gamma, epsilon=epsilon, epsilon_ok=epsilon_ok
     )
 
 
@@ -430,9 +400,8 @@ def general_lower_T(
     while t <= cfg.round_cap:
         if const is not None and t >= const[0]:
             inc = math.log1p(psi * const[1])
-            if inc == 0.0:
-                return math.inf
-            return t + math.floor((target - acc) / inc)
+            jump = (target - acc) / inc if inc else math.inf
+            return math.inf if jump == math.inf else t + math.floor(jump)
         inc = math.log1p(psi * q.value_at(t))
         if acc + inc > target:
             return t
@@ -562,7 +531,7 @@ def additive_thresholds(
     denominator = log_n + math.log(zeta)
     upper = log_ratio / denominator if denominator > 0.0 else math.inf
 
-    x = (log_n + 7.0 * log_n ** (2.0 / 3.0)) / growth_correction(log_n, xi) ** 2 / gamma_p
+    x = _expander_threshold(log_n, gamma_p, xi)
     lower = log_ratio / (x + math.log(2.0 * math.sqrt(2.0)))
     return AdditiveThresholds(alpha_upper_regime=upper, alpha_lower_regime=lower)
 
@@ -598,7 +567,7 @@ def predictor_comparison(
     schedules. Conductance floors that need lambda are included only when a
     measured lambda is supplied. Values are raw floats (possibly inf).
     """
-    psi = 2.0 if kind is ProtocolKind.PUSH_PULL else 1.0
+    psi = GROWTH_CONSTANT[kind]
     if isinstance(cred, Constant):
         try:
             runtime = fixed_q_runtime(kind, cred.q, n)
@@ -612,8 +581,7 @@ def predictor_comparison(
             return out
         phi = None
         if lam is not None:
-            factor = {ProtocolKind.PUSH: 0.5, ProtocolKind.PULL: 1.0, ProtocolKind.PUSH_PULL: 0.75}
-            phi = (1.0 - lam) / 2.0 * factor[kind]
+            phi = basic_growth_bounds(kind, 1.0, (1.0 - lam) / 2.0).lower
         th = powerlaw_thresholds(cred.alpha, phi if phi else 1e-9, psi, n)
         out["t1_max"] = th.t1_max
         if phi:
@@ -623,7 +591,7 @@ def predictor_comparison(
         out = {"family": "additive", "alpha": cred.alpha, "q_zero_round": cred.constant_from()[0]}
         # n >= 65 keeps the reference zeta = n^(-1/4) inside its valid window
         if lam is not None and n >= 65 and kind in (ProtocolKind.PUSH, ProtocolKind.PULL):
-            gamma = (1.0 - lam) if kind is ProtocolKind.PULL else 1.0 - 7.0 * math.sqrt(lam + 1.0 / math.log(n))
+            gamma = 1.0 - lam if kind is ProtocolKind.PULL else spectral_factor(kind, lam + 1.0 / math.log(n))
             if gamma > 0:
                 th = additive_thresholds(n, zeta=n ** -0.25, gamma_p=gamma)
                 out["alpha_upper_regime_at_quarter_zeta"] = th.alpha_upper_regime

@@ -208,11 +208,6 @@ class DeltaDistribution:
     def mean_size(self) -> float:
         return sum(p * len(s) for s, p in self.support.items())
 
-    def variance_size(self) -> float:
-        mean = self.mean_size()
-        second = sum(p * len(s) ** 2 for s, p in self.support.items())
-        return second - mean * mean
-
     def total_probability(self) -> float:
         return sum(self.support.values())
 

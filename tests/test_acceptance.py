@@ -25,7 +25,7 @@ from gossipsim.harness import (
     ExperimentSpec,
     RecordLevel,
     iter_tiny_instances,
-    run_trial,
+    run_experiment,
     tiny_corpus,
     verify_suite,
 )
@@ -59,11 +59,13 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _finals(spec: ExperimentSpec) -> np.ndarray:
-    return np.array([run_trial(spec, i).final_informed for i in range(spec.trials)], float)
+    records, _ = run_experiment(spec)
+    return np.array([r.final_informed for r in records], float)
 
 
 def _completions(spec: ExperimentSpec) -> list[int | None]:
-    return [run_trial(spec, i).completion_round for i in range(spec.trials)]
+    records, _ = run_experiment(spec)
+    return [r.completion_round for r in records]
 
 
 def test_criterion_1_oracle_equivalence():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -71,6 +72,47 @@ def test_predict_constant(capsys):
     assert len(out["phase_plan"]) == 6
     assert out["family"]["family"] == "constant"
     assert "general_strong_T" in out
+
+
+# sha256 prefixes of the concatenated stdout of the four (n, lambda) runs
+GOLDEN_PREDICT = {
+    ("push", "const:0.5"): "90f839794cb05387",
+    ("push", "const:1"): "a1859d14276c7853",
+    ("push", "power:0.5"): "003ad3555763059e",
+    ("push", "power:2"): "a1f6a0580cab02af",
+    ("push", "add:0.05"): "2a06e20887b1833f",
+    ("push", "mult:0.01"): "cbaf47e2728156f8",
+    ("pull", "const:0.5"): "d4c2894844e15183",
+    ("pull", "const:1"): "8e951ff0f5532e48",
+    ("pull", "power:0.5"): "c5eb0bfaa6230bb1",
+    ("pull", "power:2"): "45b3f8d1d9e20012",
+    ("pull", "add:0.05"): "e74d97168d319e72",
+    ("pull", "mult:0.01"): "2985c8d5976f3869",
+    ("push-pull", "const:0.5"): "dab2f69891a3c041",
+    ("push-pull", "const:1"): "5c50c8e5b99e9942",
+    ("push-pull", "power:0.5"): "316d19c53dc6dc3d",
+    ("push-pull", "power:2"): "bea28e949caf65d7",
+    ("push-pull", "add:0.05"): "fdec1ab31116c27a",
+    ("push-pull", "mult:0.01"): "e9fe2b2d32ebed88",
+}
+
+
+@pytest.mark.parametrize("protocol, cred", list(GOLDEN_PREDICT))
+def test_predict_golden(protocol, cred, capsys):
+    # n = 5 is the corner where 1/log n > 1/2
+    h = hashlib.sha256()
+    for n in ("5", "4096"):
+        for lam in ([], ["--lambda", "0.35"]):
+            assert main(["predict", "--protocol", protocol, "--cred", cred, "--n", n, *lam]) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest()[:16] == GOLDEN_PREDICT[protocol, cred]
+
+
+def test_predict_tiny_constant_reports_unreached(capsys):
+    argv = ["predict", "--protocol", "pull", "--cred", "const:1e-310", "--n", "4096", "--lambda", "0.1"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "error" in out["general_strong_T"]
 
 
 def test_predict_from_graph_file(tmp_path, capsys):

@@ -434,6 +434,14 @@ class TestGraphFile:
         loaded = load_graph(path)
         assert np.array_equal(loaded.adj, g.adj)
 
+    def test_save_graph_bytes_unchanged(self, tmp_path):
+        # digest recorded before edges() was vectorised: the edge order must not change
+        path = tmp_path / "g.txt"
+        save_graph(generate_random_regular(4096, 32, seed=11), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fc99615b94944ce78a7f9e770d65bf272c5b62a6d6bb619306944847746debb6"
+        )
+
     def test_roundtrip_of_implicit_complete_graph(self, tmp_path):
         g = complete_graph(6)
         path = tmp_path / "k6.txt"

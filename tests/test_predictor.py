@@ -4,6 +4,13 @@ import math
 
 import pytest
 
+from gossipsim.bounds import (
+    GROWTH_CONSTANT,
+    basic_growth_bounds,
+    refined_spectral_lower,
+    shrink_bounds,
+    spectral_factor,
+)
 from gossipsim.credibility import Additive, Constant, Multiplicative, PowerLaw, Table
 from gossipsim.errors import (
     AlphaRange,
@@ -38,6 +45,13 @@ from gossipsim.predictor import (
     tau3_threshold,
 )
 from gossipsim.protocol import ProtocolKind
+
+Q_GRID = (0.01, 0.3, 0.5, 0.999, 1.0)
+
+
+def _q_grid(kind: ProtocolKind):
+    """The q grid, less PULL at q = 1, where no shrink rate exists."""
+    return [q for q in Q_GRID if not (kind is ProtocolKind.PULL and q == 1.0)]
 
 
 class TestGrowthCorrection:
@@ -199,6 +213,13 @@ class TestFixedQRuntime:
         with pytest.raises(RangeError):
             fixed_q_runtime(ProtocolKind.PUSH, 0.0, 1024)
 
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_equals_dominant_phases(self, kind):
+        for q in _q_grid(kind):
+            for n in (5, 4096, 2**20):
+                plan = phase_schedule(kind, q, n)
+                assert fixed_q_runtime(kind, q, n) == pytest.approx(plan.dominant_rounds, rel=1e-12)
+
 
 class TestPhaseSchedule:
     def test_push_full_credibility_dominant_phases(self):
@@ -237,6 +258,27 @@ class TestPhaseSchedule:
         with pytest.raises(DomainError):
             phase_schedule(ProtocolKind.PULL, 1.0, 1024)
 
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    @pytest.mark.parametrize("n", [5, 8, 4096, 2**20])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.35, 1.0])
+    def test_rates_are_the_bounds_lower_sides(self, kind, n, lam):
+        log_n = math.log(n)
+        half_gap = (1.0 - lam) / 2.0
+        wide = (1.0 - lam) * (1.0 - 1.0 / log_n)
+        for q in _q_grid(kind):
+            nus = [p.nu for p in phase_schedule(kind, q, n, lam=lam).phases]
+            assert nus[0] == basic_growth_bounds(kind, q, 0.5).lower
+            assert nus[2] == basic_growth_bounds(kind, q, half_gap).lower
+            assert nus[3:] == [shrink_bounds(kind, q, phi, 2).lower for phi in (half_gap, wide, 0.5)]
+            if kind is ProtocolKind.PULL:
+                # same product, multiplied in another order
+                assert nus[1] == pytest.approx(basic_growth_bounds(kind, q, wide).lower, rel=1e-15, abs=0)
+            elif n >= 8:
+                assert nus[1] == refined_spectral_lower(kind, q, lam, 1.0 / log_n)
+            else:
+                # 1/log n > 1/2 is outside refined_spectral_lower's domain
+                assert nus[1] == max(0.0, q * spectral_factor(kind, lam + 1.0 / log_n))
+
 
 class TestGeneralStrongT:
     def test_constant_matches_closed_form_division(self):
@@ -250,6 +292,11 @@ class TestGeneralStrongT:
     def test_zero_credibility_unreached(self):
         with pytest.raises(Unreached):
             general_strong_T(Constant(0.0), 0.0, 10**6, ProtocolKind.PULL)
+
+    def test_tiny_constant_tail_unreached(self):
+        # threshold / log1p(1e-310) overflows to inf
+        with pytest.raises(Unreached):
+            general_strong_T(Constant(1e-310), 0.0, 10**6, ProtocolKind.PULL)
 
     def test_multiplicative_converging_series_unreached(self):
         # the series sum is ~ 1/alpha = 8 log n, far below the 1/xi^2-scale
@@ -284,6 +331,9 @@ class TestGeneralLowerT:
 
     def test_zero_credibility_sentinel(self):
         assert general_lower_T(Constant(0.0), 1.0, 1000, 0.5) == math.inf
+
+    def test_tiny_constant_tail_sentinel(self):
+        assert general_lower_T(Constant(1e-310), 1.0, 10**6, 0.5) == math.inf
 
     def test_target_below_zero_gives_zero(self):
         assert general_lower_T(Constant(1.0), 1.0, 100, 1e-3) == 0
@@ -468,6 +518,15 @@ class TestPredictorComparison:
         assert out["fixed_q_runtime"] == pytest.approx(
             fixed_q_runtime(ProtocolKind.PUSH, 0.5, 8)
         )
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    @pytest.mark.parametrize("lam", [0.0, 0.35, 0.9])
+    def test_powerlaw_floor_is_the_growth_lower_side(self, kind, lam):
+        n, alpha = 4096, 0.5
+        out = predictor_comparison(kind, PowerLaw(alpha), n, lam=lam)
+        phi = basic_growth_bounds(kind, 1.0, (1.0 - lam) / 2.0).lower
+        th = powerlaw_thresholds(alpha, phi, GROWTH_CONSTANT[kind], n)
+        assert (out["t1_max"], out["t2_min"]) == (th.t1_max, th.t2_min)
 
     def test_pull_q1_runtime_is_none(self):
         out = predictor_comparison(ProtocolKind.PULL, Constant(1.0), 8)
