@@ -24,7 +24,7 @@ class EmptyOrFullSet(GossipSimError):
 
 
 class SizeGuardExceeded(GossipSimError):
-    """Input is too large for an exact/dense computation path."""
+    """Input is too large for an exhaustive or memory-bound computation path."""
 
 
 class SetRangeError(GossipSimError):

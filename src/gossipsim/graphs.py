@@ -61,7 +61,18 @@ __all__ = [
     "parse_graph_spec",
 ]
 
-SPECTRAL_SIZE_GUARD = 8192
+# spectral_lambda holds (steps x n) floats of Krylov basis and, at a check,
+# ~5 steps^2 more for the eigh of the tridiagonal. It raises SizeGuardExceeded
+# rather than let the two pass LANCZOS_FLOATS (512 MiB). So a graph with
+# n <= 3345 may run to Krylov exhaustion, and a random 32-regular graph at
+# n = 10^5 (~640 steps) fits in 649. Above n = 2^17 fewer than 500 steps fit,
+# and n is refused up front.
+SPECTRAL_SIZE_GUARD = 1 << 17
+LANCZOS_FLOATS = 1 << 26
+SPECTRAL_SEED = 0x5EC7
+LANCZOS_BLOCK = 128
+LANCZOS_CHECK = 10
+LANCZOS_TOL = 1e-13
 PHI_K_SUBSET_GUARD = 10_000_000
 
 
@@ -148,28 +159,16 @@ class GraphSnapshot:
         else:
             yield from itertools.combinations(range(self.n), 2)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        if self.adj is not None:
-            rows = np.repeat(np.arange(self.n), self.d)
-            a[rows, self.adj.ravel()] = 1.0
-        else:
-            a[:] = 1.0
-            np.fill_diagonal(a, 0.0)
-        return a
-
 
 @dataclass(frozen=True)
 class SpectralReport:
     """Nontrivial spectral radius of the normalized adjacency matrix.
 
     ``lam`` is the largest magnitude among all eigenvalues except one copy
-    of the trivial top eigenvalue 1. ``eigenvalues`` is the full spectrum in
-    ascending order.
+    of the trivial top eigenvalue 1.
     """
 
     lam: float
-    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -351,6 +350,15 @@ def _pair_stubs(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
     return keys
 
 
+def _complement(n: int, keys: np.ndarray) -> GraphSnapshot:
+    """Snapshot of the pairs u < v on ``0..n-1`` that are not edge keys."""
+    absent = ~np.eye(n, dtype=bool)
+    lo, hi = np.divmod(keys, n)
+    absent[lo, hi] = absent[hi, lo] = False
+    _, nbrs = np.nonzero(absent)
+    return GraphSnapshot(n=n, d=len(nbrs) // n, adj=nbrs.reshape(n, -1))
+
+
 def generate_random_regular(
     n: int, d: int, seed: int, max_retries: int = 10_000
 ) -> GraphSnapshot:
@@ -359,7 +367,9 @@ def generate_random_regular(
     Stubs are paired uniformly at random; pairs that would create a
     self-loop or multi-edge are thrown back and re-paired, and the whole
     graph is rejected and redrawn when no valid pairing of the leftover
-    stubs exists (Steger & Wormald 1999). Deterministic given ``seed``;
+    stubs exists (Steger & Wormald 1999). For d > (n-1)/2, where almost
+    every pairing is rejected, the (n-1-d)-regular graph is paired from the
+    same stream and its complement returned. Deterministic given ``seed``;
     raises :class:`RetryExhausted` after ``max_retries`` whole-graph
     rejections.
     """
@@ -371,10 +381,11 @@ def generate_random_regular(
         raise DegreeError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
 
     rng = rng_for(seed)
+    complement = 2 * d > n - 1
     for _ in range(max_retries):
-        keys = _pair_stubs(n, d, rng)
+        keys = _pair_stubs(n, n - 1 - d if complement else d, rng)
         if keys is not None:
-            return _snapshot_from_keys(n, keys)
+            return _complement(n, keys) if complement else _snapshot_from_keys(n, keys)
     raise RetryExhausted(f"no simple {d}-regular graph found in {max_retries} attempts")
 
 
@@ -453,21 +464,74 @@ def conductance_lower_bound(lam: float, set_size: int, n: int) -> float:
 # -- spectra ---------------------------------------------------------------
 
 
-def spectral_lambda(g: GraphSnapshot, tol: float = 1e-9) -> SpectralReport:
-    """Eigenvalues of the normalized adjacency A/d via a dense symmetric solve."""
-    if g.n > SPECTRAL_SIZE_GUARD:
-        raise SizeGuardExceeded(f"n = {g.n} exceeds dense eigensolver guard {SPECTRAL_SIZE_GUARD}")
-    m = g.adjacency_matrix()
-    m /= g.d
-    eigenvalues = np.linalg.eigvalsh(m)
-    top = eigenvalues[-1]
-    if abs(top - 1.0) > max(tol, 1e-8):
-        raise RangeError(f"top normalized eigenvalue {top} is not 1; graph invalid?")
-    lam = float(np.max(np.abs(eigenvalues[:-1]))) if g.n > 1 else 0.0
-    lam = min(lam, 1.0) if lam <= 1.0 + tol else lam
-    if lam > 1.0:
-        raise RangeError(f"nontrivial eigenvalue magnitude {lam} > 1")
-    return SpectralReport(lam=lam, eigenvalues=eigenvalues)
+def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
+    """Spectral expansion of ``g`` by Lanczos on the deflated walk operator.
+
+    The operator ``x -> A x / d - mean(x)`` maps the all-ones vector to 0
+    and acts as A/d on its orthogonal complement, so its largest eigenvalue
+    magnitude is lambda: every eigenvalue of A/d except one copy of the
+    trivial 1 (disconnected and bipartite graphs give 1). No n x n matrix is
+    formed; a step is one neighbour gather. The Krylov basis is kept and
+    fully reorthogonalised, ``LANCZOS_BLOCK`` rows per array, so memory is
+    (steps x n) floats. The extreme Ritz values of the tridiagonal are
+    accepted once both residuals ``beta_k |s_k|`` are at most
+    ``LANCZOS_TOL`` (the operator norm is at most 1), or when the Krylov
+    space is exhausted. Checks come at steps 10, 20, ... and then a quarter
+    further each time. Raises :class:`SizeGuardExceeded` when neither has
+    happened before one more step would pass ``LANCZOS_FLOATS``.
+    The start vector comes from a fixed seed stream, so lambda is the same
+    float on every call.
+    """
+    n, d, adj = g.n, g.d, g.adj
+    if n > SPECTRAL_SIZE_GUARD:
+        raise SizeGuardExceeded(f"n = {n} exceeds the Lanczos basis guard {SPECTRAL_SIZE_GUARD}")
+    # The most steps with steps * n + 5 * steps^2 <= LANCZOS_FLOATS.
+    max_steps = min(n - 1, (math.isqrt(n * n + 20 * LANCZOS_FLOATS) - n) // 10)
+
+    # Summing the d gathered rows of adj.T beats summing n rows of length d.
+    cols = None if adj is None else np.ascontiguousarray(adj.T)
+
+    def walk(x):
+        total = x.sum()
+        gathered = total - x if cols is None else np.add.reduce(x[cols])
+        return gathered / d - total / n
+
+    q = rng_for(SPECTRAL_SEED).standard_normal(n)
+    q -= q.mean()
+    q /= np.linalg.norm(q)
+    prev, beta = q, 0.0
+    basis: list[np.ndarray] = []
+    alphas: list[float] = []
+    betas: list[float] = []
+    next_check = min(LANCZOS_CHECK, max_steps)
+    while True:
+        k = len(alphas)
+        if k % LANCZOS_BLOCK == 0:
+            basis.append(np.empty((min(LANCZOS_BLOCK, max_steps - k), n)))
+        basis[-1][k % LANCZOS_BLOCK] = q
+        w = walk(q) - beta * prev
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        for i, block in enumerate(basis):
+            rows = block[: k + 1 - i * LANCZOS_BLOCK]
+            w -= (rows @ w) @ rows
+        beta = math.sqrt(w @ w)
+        steps = k + 1
+        exhausted = beta <= LANCZOS_TOL or steps == n - 1
+        if exhausted or steps == next_check:
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            theta, s = np.linalg.eigh(t)
+            residual = beta * np.abs(s[-1, [0, -1]]).max()
+            if exhausted or residual <= LANCZOS_TOL:
+                return SpectralReport(lam=min(float(max(-theta[0], theta[-1])), 1.0))
+            if steps == max_steps:
+                raise SizeGuardExceeded(
+                    f"Lanczos on n = {n} has not converged in {steps} steps, and more "
+                    f"would pass its budget of {LANCZOS_FLOATS} floats"
+                )
+            next_check = min(steps + max(LANCZOS_CHECK, steps // 4), max_steps)
+        betas.append(beta)
+        prev, q = q, w / beta
 
 
 def mixing_lemma_check(g: GraphSnapshot, s, t, slack_tol: float = 1e-9) -> MixingCheck:

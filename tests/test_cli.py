@@ -130,6 +130,22 @@ def test_predict_from_graph_file(tmp_path, capsys):
     assert out["family"]["expectation_bound"] > 1.0
 
 
+def test_predict_from_a_16k_vertex_graph_file(tmp_path, capsys):
+    from gossipsim.graphs import generate_random_regular, save_graph
+
+    path = tmp_path / "g.txt"
+    save_graph(generate_random_regular(16_384, 8, seed=3), path)
+    code = main(
+        ["predict", "--protocol", "push", "--cred", "const:0.5", "--n", "16384",
+         "--graph-file", str(path)]
+    )
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    # Random 8-regular graphs sit near the Kesten-McKay edge 2 sqrt(7) / 8.
+    assert out["lambda"] == pytest.approx(2 * 7**0.5 / 8, abs=0.02)
+    assert out["phase_plan"] is not None
+
+
 def test_bounds_text_and_csv(capsys):
     code = main(["bounds", "--protocol", "push", "--q", "1", "--phi", "1", "--d", "2"])
     assert code == 0
@@ -219,6 +235,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for n in ("0", "1", "2"):
         for cred in ("power:2", "add:0.1", "power:0.5"):
             assert main(["predict", "--protocol", "push", "--cred", cred, "--n", n]) == 2
+    for lam in ("-0.5", "1.5"):
+        assert main(["predict", "--protocol", "push", "--cred", "add:0.05", "--n", "4096",
+                     "--lambda", lam]) == 2
     sweep = ["sweep", "--graph", "complete:16", "--protocol", "push", "--trials", "1",
              "--max-rounds", "5"]
     assert main([*sweep, "--cred", "const:zebra", "--param", "alpha", "--values", "0.1"]) == 2

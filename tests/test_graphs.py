@@ -185,6 +185,15 @@ GOLDEN_ADJ = [
 ]
 
 
+def _complement_adjacency(adj: np.ndarray) -> np.ndarray:
+    """Sorted adjacency of the complement of the graph with rows ``adj``."""
+    n = len(adj)
+    return np.array(
+        [[w for w in range(n) if w != v and w not in set(row.tolist())] for v, row in enumerate(adj)],
+        dtype=np.int64,
+    )
+
+
 class TestGeneratorIdentity:
     """The generator and matching builder reproduce the recorded graphs."""
 
@@ -198,8 +207,19 @@ class TestGeneratorIdentity:
         d = min(d, n - 1)
         if (n * d) % 2:
             n += 1
-        expected = reference_random_regular(n, d, seed)
+        if 2 * d > n - 1:
+            expected = _complement_adjacency(reference_random_regular(n, n - 1 - d, seed))
+        else:
+            expected = reference_random_regular(n, d, seed)
         assert np.array_equal(generate_random_regular(n, d, seed=seed).adj, expected)
+
+    @pytest.mark.parametrize("n, d, seed", [(4, 2, 0), (40, 36, 1), (64, 60, 1), (31, 16, 8)])
+    def test_near_complete_degrees_pair_the_complement(self, n, d, seed):
+        expected = _complement_adjacency(reference_random_regular(n, n - 1 - d, seed))
+        g = generate_random_regular(n, d, seed=seed)
+        assert np.array_equal(g.adj, expected)
+        assert_valid_regular(g)
+        assert is_connected(g)
 
     def test_single_attempt_rejection_raises(self):
         # Seed 2 on (8, 3): the first pairing leaves only adjacent stubs.
@@ -276,7 +296,48 @@ class TestConductance:
                 assert ordered_pairs_between(g, a, b) == expected_ordered
 
 
+def _dense_lambda(g) -> float:
+    """Reference lambda from a dense symmetric solve of A/d."""
+    a = np.zeros((g.n, g.n))
+    for v in range(g.n):
+        a[v, g.neighbors(v)] = 1.0
+    eigenvalues = np.linalg.eigvalsh(a / g.d)
+    assert eigenvalues[-1] == pytest.approx(1.0, abs=1e-9)
+    return float(max(-eigenvalues[0], eigenvalues[-2]))
+
+
+def _two_k4():
+    k4 = list(itertools.combinations(range(4), 2))
+    return from_edge_list(8, k4 + [(u + 4, v + 4) for u, v in k4])
+
+
+SPECTRAL_CASES = (
+    [pytest.param(lambda n=n: complete_graph(n), id=f"K{n}") for n in range(2, 65)]
+    + [pytest.param(lambda n=n: cycle_graph(n), id=f"C{n}") for n in range(3, 41)]
+    + [
+        pytest.param(lambda: matching_graph([(0, 1), (2, 3)]), id="M4"),
+        pytest.param(lambda: matching_graph([(0, 1), (2, 3), (4, 5)]), id="M6"),
+        pytest.param(_two_k4, id="2K4"),
+    ]
+    + [
+        pytest.param(lambda n=n, d=d, s=s: generate_random_regular(n, d, seed=s), id=f"regular-{n},{d},{s}")
+        for n, d, s in [
+            (8, 3, 2), (12, 4, 4), (16, 12, 1), (30, 4, 2), (40, 36, 1), (64, 60, 1),
+            (100, 3, 7), (128, 16, 5), (256, 16, mix_seed(4, 256)), (512, 16, mix_seed(4, 512)),
+            (1024, 8, 9), (2048, 32, 3),
+        ]
+    ]
+)
+
+
 class TestSpectral:
+    @pytest.mark.parametrize("build", SPECTRAL_CASES)
+    def test_matches_dense_reference(self, build):
+        g = build()
+        lam = spectral_lambda(g).lam
+        assert type(lam) is float
+        assert lam == pytest.approx(_dense_lambda(g), abs=1e-8)
+
     @pytest.mark.parametrize("n", [3, 8, 17, 33, 64])
     def test_complete_graph_lambda(self, n):
         assert spectral_lambda(complete_graph(n)).lam == pytest.approx(1 / (n - 1), abs=1e-9)
@@ -287,14 +348,27 @@ class TestSpectral:
     def test_c4_lambda_is_one(self):
         assert spectral_lambda(cycle_graph(4)).lam == pytest.approx(1.0, abs=1e-9)
 
-    def test_top_eigenvalue_is_one(self):
-        rep = spectral_lambda(generate_random_regular(30, 4, seed=2))
-        assert rep.eigenvalues[-1] == pytest.approx(1.0, abs=1e-9)
-        assert np.all(np.diff(rep.eigenvalues) >= -1e-12)
+    def test_criterion_5b_graph(self):
+        # The value the dense solver gave for this graph.
+        g = generate_random_regular(4096, 32, seed=11)
+        assert spectral_lambda(g).lam == pytest.approx(0.3468326749286823, abs=1e-10)
+
+    def test_repeat_calls_are_bit_identical(self):
+        g = generate_random_regular(512, 16, seed=mix_seed(4, 512))
+        first, second = spectral_lambda(g).lam, spectral_lambda(g).lam
+        assert np.float64(first).tobytes() == np.float64(second).tobytes()
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
-            spectral_lambda(complete_graph(8193))
+            spectral_lambda(complete_graph(graphs.SPECTRAL_SIZE_GUARD + 1))
+
+    def test_basis_budget_stops_a_slowly_mixing_graph(self, monkeypatch):
+        # C_20000's gap at the -1 end is ~5e-8, so Lanczos would run on to
+        # Krylov exhaustion with an n x n basis; the budget stops it after
+        # 51 steps (51 * 20000 + 5 * 51^2 <= 2^20).
+        monkeypatch.setattr(graphs, "LANCZOS_FLOATS", 1 << 20)
+        with pytest.raises(SizeGuardExceeded, match="51 steps"):
+            spectral_lambda(cycle_graph(20_000))
 
 
 class TestPhiK:
