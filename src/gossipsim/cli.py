@@ -24,7 +24,6 @@ from .errors import DomainError, GossipSimError, IoError, RangeError
 from .graphs import load_graph, parse_graph_spec, spectral_lambda
 from .plotting import plot_trajectories
 from .predictor import (
-    fixed_q_runtime,
     general_strong_T,
     phase_schedule,
     predictor_comparison,
@@ -131,7 +130,10 @@ def _cmd_predict(args) -> int:
     if lam is not None and not 0.0 <= lam <= 1.0:
         raise RangeError(f"lambda must be in [0, 1], got {lam}")
     if args.graph_file:
-        lam = spectral_lambda(load_graph(args.graph_file)).lam
+        g = load_graph(args.graph_file)
+        if g.n != n:
+            raise RangeError(f"{args.graph_file} has {g.n} vertices but --n is {n}")
+        lam = spectral_lambda(g).lam
 
     out: dict = {
         "protocol": kind.value,
@@ -144,10 +146,7 @@ def _cmd_predict(args) -> int:
 
     if isinstance(cred, Constant) and 0.0 < cred.q <= 1.0:
         q = cred.q
-        try:
-            out["fixed_q_runtime"] = fixed_q_runtime(kind, q, n)
-        except DomainError:
-            out["fixed_q_runtime"] = None
+        out["fixed_q_runtime"] = out["family"]["fixed_q_runtime"]
         try:
             plan = phase_schedule(kind, q, n, lam=lam or 0.0)
             out["phase_plan"] = [asdict(p) for p in plan.phases]

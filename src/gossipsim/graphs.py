@@ -138,8 +138,8 @@ class GraphSnapshot:
         if len(vertices) == 0:
             return np.empty(0, dtype=np.int64)
         if self.adj is not None:
-            return self.adj[vertices, rng.integers(0, self.d, size=len(vertices))]
-        draw = rng.integers(0, self.n - 1, size=len(vertices))
+            return self.adj[vertices, rng.integers(self.d, size=len(vertices))]
+        draw = rng.integers(self.n - 1, size=len(vertices))
         return draw + (draw >= vertices)
 
     def marked_degrees(self, mark: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ from .protocol import (
     step,
     verify_process_properties,
 )
-from .seeds import mix_seed, rng_for
+from .seeds import mix_seed, rng_for, round_states
 
 __all__ = [
     "RecordLevel",
@@ -148,12 +148,17 @@ class TrialRecord:
     exact_deltas: list[float] | None = None
 
 
+# Rounds whose stream states are derived in one batch.
+ROUND_BLOCK = 64
+
+
 def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialRecord]:
     """Run ``trials`` round-major until each completes or the budget runs out.
 
     Round t's snapshot and q(t) are fetched once for all live trials; trial i
     still draws from stream ``(master_seed, i, t)``, so its record is the
-    same alone or beside others.
+    same alone or beside others. One ``Generator`` serves every step: it is
+    reset to the stream's start state, derived a block of rounds at a time.
     """
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
@@ -161,19 +166,27 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
     counts = [[spec.initial_informed] for _ in trials]
     deltas: list[list[float]] = [[] for _ in trials]
     q_values = [spec.credibility.value_at(0)]
+    budget = resolved_max_rounds(spec)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
 
-    for t in range(resolved_max_rounds(spec)):
+    for t in range(budget):
         live = [j for j, c in enumerate(counts) if c[-1] < n]
         if not live:
             break
+        if t % ROUND_BLOCK == 0:
+            stop = min(t + ROUND_BLOCK, budget)
+            streams = dict(zip(live, round_states(spec.master_seed, [trials[j] for j in live], t, stop)))
         g = spec.graph.snapshot(t)
         q_t = q_values[t]
         q_values.append(spec.credibility.value_at(t + 1))
         for j in live:
             if exact:
                 deltas[j].append(exact_delta_expectation(spec.protocol, g, states[j].informed, q_t))
-            states[j] = step(spec.protocol, g, states[j], q_t, rng_for(spec.master_seed, trials[j], t))
-            counts[j].append(int(states[j].informed.sum()))
+            # the state rng_for(master_seed, trials[j], t) starts in
+            bit_generator.state = streams[j][t % ROUND_BLOCK]
+            states[j] = step(spec.protocol, g, states[j], q_t, rng)
+            counts[j].append(int(np.count_nonzero(states[j].informed)))
 
     per_round = spec.record_level is not RecordLevel.SUMMARY
     return [

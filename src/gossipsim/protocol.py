@@ -102,12 +102,12 @@ def _round_halves(kind, g, informed, q, rng, draws: int = 1):
     consumes the stream exactly as a single round does.
     """
     if kind.does_push:
-        pushers = np.flatnonzero(informed)
+        pushers = informed.nonzero()[0]
         flat = pushers if draws == 1 else np.tile(pushers, draws)
         targets = g.sample_neighbors(flat, rng).reshape(draws, len(pushers))
         yield targets, (rng.random(targets.shape) < q) & ~informed[targets]
     if kind.does_pull:
-        pullers = np.flatnonzero(~informed)
+        pullers = (~informed).nonzero()[0]
         flat = pullers if draws == 1 else np.tile(pullers, draws)
         sources = g.sample_neighbors(flat, rng).reshape(draws, len(pullers))
         yield flat.reshape(sources.shape), informed[sources] & (rng.random(sources.shape) < q)

@@ -238,6 +238,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for lam in ("-0.5", "1.5"):
         assert main(["predict", "--protocol", "push", "--cred", "add:0.05", "--n", "4096",
                      "--lambda", lam]) == 2
+    from gossipsim.graphs import generate_random_regular, save_graph
+
+    graph_file = tmp_path / "g32.txt"
+    save_graph(generate_random_regular(32, 4, seed=0), graph_file)
+    assert main(["predict", "--protocol", "push", "--cred", "const:0.5", "--n", "4096",
+                 "--graph-file", str(graph_file)]) == 2
+    assert "32 vertices" in capsys.readouterr().err
     sweep = ["sweep", "--graph", "complete:16", "--protocol", "push", "--trials", "1",
              "--max-rounds", "5"]
     assert main([*sweep, "--cred", "const:zebra", "--param", "alpha", "--values", "0.1"]) == 2

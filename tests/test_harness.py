@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from gossipsim.harness import (
     verify_suite,
 )
 from gossipsim.predictor import fixed_q_runtime
-from gossipsim.protocol import ProtocolKind
+from gossipsim.protocol import ProtocolKind, exact_delta_expectation, initial_state, step
+from gossipsim.seeds import mix_seed, rng_for
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -182,6 +184,112 @@ class TestLockstep:
         records, _ = run_experiment(spec)
         assert [len(r.informed_counts) for r in records] == [201] * 3
         assert len(built) == 200
+
+
+def reference_records(spec: ExperimentSpec, trials) -> list[TrialRecord]:
+    """The lockstep loop with a fresh ``rng_for(master_seed, i, t)`` Generator per
+    trial-round, the definition that the batched stream states must reproduce."""
+    n = spec.graph.n
+    exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
+    states = [initial_state(n, spec.initial_informed)] * len(trials)
+    counts = [[spec.initial_informed] for _ in trials]
+    deltas: list[list[float]] = [[] for _ in trials]
+    q_values = [spec.credibility.value_at(0)]
+    for t in range(resolved_max_rounds(spec)):
+        live = [j for j, c in enumerate(counts) if c[-1] < n]
+        if not live:
+            break
+        g = spec.graph.snapshot(t)
+        q_t = q_values[t]
+        q_values.append(spec.credibility.value_at(t + 1))
+        for j in live:
+            if exact:
+                deltas[j].append(exact_delta_expectation(spec.protocol, g, states[j].informed, q_t))
+            states[j] = step(spec.protocol, g, states[j], q_t, rng_for(spec.master_seed, trials[j], t))
+            counts[j].append(int(states[j].informed.sum()))
+    per_round = spec.record_level is not RecordLevel.SUMMARY
+    return [
+        TrialRecord(
+            trial=i,
+            seed=mix_seed(spec.master_seed, i),
+            n=n,
+            final_informed=c[-1],
+            completion_round=len(c) - 1 if c[-1] == n else None,
+            informed_counts=c if per_round else None,
+            q_values=q_values[: len(c)] if per_round else None,
+            exact_deltas=d if exact else None,
+        )
+        for i, c, d in zip(trials, counts, deltas)
+    ]
+
+
+def assert_same_records(records, expected):
+    """Equal field by field, with equal types down to the list elements."""
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        for field in fields(TrialRecord):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a == b, field.name
+            assert type(a) is type(b), field.name
+            if isinstance(a, list):
+                assert [type(x) for x in a] == [type(x) for x in b], field.name
+
+
+class TestBatchedStreams:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            small_spec(
+                graph=StaticGraph(complete_graph(1024)),
+                credibility=PowerLaw(2.0),
+                max_rounds=200,
+                master_seed=21,
+            ),
+            small_spec(
+                graph=StaticGraph(graphs.generate_random_regular(256, 8, seed=3)),
+                protocol=ProtocolKind.PULL,
+                credibility=Constant(0.5),
+                trials=4,
+                max_rounds=None,
+            ),
+            small_spec(
+                graph=StaticGraph(graphs.generate_random_regular(256, 8, seed=3)),
+                protocol=ProtocolKind.PUSH_PULL,
+                credibility=Constant(0.5),
+                trials=4,
+                max_rounds=None,
+            ),
+            small_spec(
+                graph=ResampledRegular(n=64, d=4, seed=2),
+                credibility=PowerLaw(1.0),
+                trials=2,
+                max_rounds=150,
+            ),
+            small_spec(
+                graph=MatchingSequence(n=32, seed=5),
+                protocol=ProtocolKind.PUSH_PULL,
+                credibility=Constant(0.5),
+                max_rounds=150,
+            ),
+            # trials finish on both sides of the first block edge (rounds 54-76)
+            small_spec(
+                graph=StaticGraph(cycle_graph(32)),
+                credibility=Constant(0.5),
+                trials=4,
+                max_rounds=None,
+                initial_informed=3,
+                master_seed=-7,
+                record_level=RecordLevel.PER_ROUND_EXACT,
+            ),
+        ],
+        ids=["complete1024-power2", "regular256-pull", "regular256-push-pull", "resampled", "matching",
+             "cycle32-exact-initial3-negative-seed"],
+    )
+    def test_records_equal_the_per_round_generator_loop(self, spec):
+        expected = reference_records(spec, range(spec.trials))
+        records, _ = run_experiment(spec)
+        assert_same_records(records, expected)
+        assert_same_records([run_trial(spec, i) for i in range(spec.trials)], expected)
 
 
 class TestMaxRoundsDefault:
