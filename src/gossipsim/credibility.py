@@ -190,11 +190,17 @@ def parse_credibility(text: str) -> Credibility:
         raise RangeError(f"bad credibility spec {text!r}: {exc}") from exc
 
 
+def _number(x: float) -> str:
+    """The short ``{:g}`` text when it reads back as ``x``, else ``repr``."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def format_credibility(cred: Credibility) -> str:
     """Inverse of :func:`parse_credibility`."""
     prefix = _PREFIXES[type(cred)]
     if prefix == "table":
-        body = ",".join(f"{v:g}" for v in cred.values)
-        return f"table:{body};tail={cred.tail:g}"
+        body = ",".join(_number(v) for v in cred.values)
+        return f"table:{body};tail={_number(cred.tail)}"
     (param,) = astuple(cred)
-    return f"{prefix}:{param:g}"
+    return f"{prefix}:{_number(param)}"

@@ -61,16 +61,14 @@ __all__ = [
     "parse_graph_spec",
 ]
 
-# spectral_lambda holds (steps x n) floats of Krylov basis and, at a check,
-# ~5 steps^2 more for the eigh of the tridiagonal. It raises SizeGuardExceeded
-# rather than let the two pass LANCZOS_FLOATS (512 MiB). So a graph with
-# n <= 3345 may run to Krylov exhaustion, and a random 32-regular graph at
-# n = 10^5 (~640 steps) fits in 649. Above n = 2^17 fewer than 500 steps fit,
-# and n is refused up front.
+# spectral_lambda keeps a few length-n vectors and the tridiagonal; its one
+# large allocation is a check's eigh of that tridiagonal, ~5 steps^2 floats.
+# It raises SizeGuardExceeded rather than let that pass LANCZOS_FLOATS
+# (512 MiB), so at most 3663 steps run. A random 32-regular graph at n = 10^5
+# converges in ~700; n above 2^17 is refused up front.
 SPECTRAL_SIZE_GUARD = 1 << 17
 LANCZOS_FLOATS = 1 << 26
 SPECTRAL_SEED = 0x5EC7
-LANCZOS_BLOCK = 128
 LANCZOS_CHECK = 10
 LANCZOS_TOL = 1e-13
 PHI_K_SUBSET_GUARD = 10_000_000
@@ -471,22 +469,23 @@ def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
     and acts as A/d on its orthogonal complement, so its largest eigenvalue
     magnitude is lambda: every eigenvalue of A/d except one copy of the
     trivial 1 (disconnected and bipartite graphs give 1). No n x n matrix is
-    formed; a step is one neighbour gather. The Krylov basis is kept and
-    fully reorthogonalised, ``LANCZOS_BLOCK`` rows per array, so memory is
-    (steps x n) floats. The extreme Ritz values of the tridiagonal are
+    formed; a step is one neighbour gather. Plain three-term Lanczos keeps
+    no Krylov basis, so memory is O(n) plus the tridiagonal: lost
+    orthogonality only adds ghost copies of Ritz values that have already
+    converged (Paige 1980). The extreme Ritz values of the tridiagonal are
     accepted once both residuals ``beta_k |s_k|`` are at most
     ``LANCZOS_TOL`` (the operator norm is at most 1), or when the Krylov
     space is exhausted. Checks come at steps 10, 20, ... and then a quarter
     further each time. Raises :class:`SizeGuardExceeded` when neither has
-    happened before one more step would pass ``LANCZOS_FLOATS``.
+    happened before one more check's ``eigh`` would pass ``LANCZOS_FLOATS``.
     The start vector comes from a fixed seed stream, so lambda is the same
     float on every call.
     """
     n, d, adj = g.n, g.d, g.adj
     if n > SPECTRAL_SIZE_GUARD:
-        raise SizeGuardExceeded(f"n = {n} exceeds the Lanczos basis guard {SPECTRAL_SIZE_GUARD}")
-    # The most steps with steps * n + 5 * steps^2 <= LANCZOS_FLOATS.
-    max_steps = min(n - 1, (math.isqrt(n * n + 20 * LANCZOS_FLOATS) - n) // 10)
+        raise SizeGuardExceeded(f"n = {n} exceeds the Lanczos size guard {SPECTRAL_SIZE_GUARD}")
+    # The most steps with 5 * steps^2 <= LANCZOS_FLOATS.
+    max_steps = min(n - 1, math.isqrt(LANCZOS_FLOATS // 5))
 
     # Summing the d gathered rows of adj.T beats summing n rows of length d.
     cols = None if adj is None else np.ascontiguousarray(adj.T)
@@ -500,23 +499,15 @@ def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
     q -= q.mean()
     q /= np.linalg.norm(q)
     prev, beta = q, 0.0
-    basis: list[np.ndarray] = []
     alphas: list[float] = []
     betas: list[float] = []
     next_check = min(LANCZOS_CHECK, max_steps)
     while True:
-        k = len(alphas)
-        if k % LANCZOS_BLOCK == 0:
-            basis.append(np.empty((min(LANCZOS_BLOCK, max_steps - k), n)))
-        basis[-1][k % LANCZOS_BLOCK] = q
         w = walk(q) - beta * prev
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
-        for i, block in enumerate(basis):
-            rows = block[: k + 1 - i * LANCZOS_BLOCK]
-            w -= (rows @ w) @ rows
         beta = math.sqrt(w @ w)
-        steps = k + 1
+        steps = len(alphas)
         exhausted = beta <= LANCZOS_TOL or steps == n - 1
         if exhausted or steps == next_check:
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
@@ -534,7 +525,7 @@ def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
         prev, q = q, w / beta
 
 
-def mixing_lemma_check(g: GraphSnapshot, s, t, slack_tol: float = 1e-9) -> MixingCheck:
+def mixing_lemma_check(g: GraphSnapshot, s, t) -> MixingCheck:
     """Check the weak/strong mixing inequalities and the cut corollary.
 
     Weak: |e(S,T) - d|S||T|/n| <= lambda * d * sqrt(|S||T|).
@@ -558,6 +549,7 @@ def mixing_lemma_check(g: GraphSnapshot, s, t, slack_tol: float = 1e-9) -> Mixin
     expected_cut = (d / n) * ns * (n - ns)
     cor_lower = cut - (1.0 - lam) * expected_cut
     cor_upper = (1.0 + lam) * expected_cut - cut
+    slack_tol = 1e-9
 
     return MixingCheck(
         weak_ok=deviation <= weak_bound + slack_tol,

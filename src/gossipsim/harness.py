@@ -518,13 +518,14 @@ def _verify_tiny_exhaustive() -> VerifyReport:
     return VerifyReport("tiny_exhaustive", all(c["ok"] for c in checks.values()), checks)
 
 
-def _verify_bound_sandwich(samples: int = 1000, seed: int = 20_240_601) -> VerifyReport:
+def _verify_bound_sandwich() -> VerifyReport:
+    seed = 20_240_601
     rng = rng_for(seed)
     tol = 1e-9
     violations = 0
     worst = math.inf
     checked = 0
-    for i in range(samples):
+    for i in range(1000):
         d = int(rng.integers(2, 17))
         n = int(rng.integers(max(d + 1, 8), 129))
         if (n * d) % 2:

@@ -13,16 +13,16 @@ representable float); starting phases at A = log n, as the phase schedule
 does, is the practical path.
 
 Point predictions (fixed-q runtimes, phase durations) are leading-order:
-the vanishing correction factors are dropped, and every such object is
-flagged ``leading_order`` so experiments compare against an explicit
-multiplicative tolerance rather than a hidden asymptotic.
+the vanishing correction factors are dropped, so experiments compare them
+against an explicit multiplicative tolerance rather than a hidden
+asymptotic.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import GROWTH_CONSTANT, basic_growth_bounds, fixed_q_log_rates, shrink_lower, spectral_factor
 from .credibility import Additive, Constant, Credibility, Multiplicative, PowerLaw
@@ -229,12 +229,6 @@ class Phase:
 @dataclass(frozen=True)
 class PhasePlan:
     phases: tuple[Phase, ...]
-    protocol: ProtocolKind
-    q: float
-    n: int
-    lam: float
-    c_shrink: float | None
-    leading_order: bool = field(default=True)
 
     @property
     def total_rounds(self) -> float:
@@ -245,13 +239,7 @@ class PhasePlan:
         return sum(p.duration_bound for p in self.phases if p.dominant)
 
 
-def phase_schedule(
-    kind: ProtocolKind,
-    q: float,
-    n: int,
-    lam: float = 0.0,
-    c_shrink: float | None = None,
-) -> PhasePlan:
+def phase_schedule(kind: ProtocolKind, q: float, n: int, lam: float = 0.0) -> PhasePlan:
     """Six-phase decomposition 1 -> log n -> n/log n -> n/2 (informed), then
     n/2 -> n/log n -> log n -> 3/4 (uninformed), with per-phase rate floors.
 
@@ -288,7 +276,7 @@ def phase_schedule(
         Phase(n / log_n, log_n, "shrinking", shrink_lower(kind, q, wide), log_n / shrink_den, True),
         Phase(log_n, 0.75, "shrinking", shrink_lower(kind, q, half), log_log_n / shrink_den, False),
     )
-    return PhasePlan(phases=phases, protocol=kind, q=q, n=n, lam=lam, c_shrink=c_shrink)
+    return PhasePlan(phases)
 
 
 # -- scans over arbitrary credibility -----------------------------------------

@@ -350,9 +350,7 @@ class ProcessPropertyReport:
     exact_mean: float
 
 
-def verify_process_properties(
-    kind: ProtocolKind, g: GraphSnapshot, informed, q: float, tol: float = 1e-12
-) -> ProcessPropertyReport:
+def verify_process_properties(kind: ProtocolKind, g: GraphSnapshot, informed, q: float) -> ProcessPropertyReport:
     """Check Pr[S in Delta] <= prod of marginals for every S, and Var <= E.
 
     Subsets containing an unreachable vertex hold with equality (both sides
@@ -380,8 +378,8 @@ def verify_process_properties(
         worst = 0.0
 
     return ProcessPropertyReport(
-        neg_corr_ok=worst <= tol,
-        var_ok=variance <= mean + tol,
+        neg_corr_ok=worst <= 1e-12,
+        var_ok=variance <= mean + 1e-12,
         worst_slack=worst,
         var_margin=mean - variance,
         subsets_checked=checked,

@@ -88,6 +88,11 @@ def test_validation():
         ("add:0.01", Additive(0.01)),
         ("mult:0.02", Multiplicative(0.02)),
         ("table:1,0.9,0.5;tail=0.1", Table((1.0, 0.9, 0.5), tail=0.1)),
+        # values that the 6-digit {:g} text would round
+        ("mult:0.045084220027780106", Multiplicative(0.5 / math.log(65536))),
+        ("const:0.123456789", Constant(0.123456789)),
+        ("table:0.9999999,0.5;tail=1e-7", Table((0.9999999, 0.5), tail=1e-7)),
+        ("add:0.19999999999999998", Additive(0.19999999999999998)),
     ],
 )
 def test_parse_and_format_roundtrip(text, expected):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ class TestSpectral:
         g = build()
         lam = spectral_lambda(g).lam
         assert type(lam) is float
-        assert lam == pytest.approx(_dense_lambda(g), abs=1e-8)
+        assert lam == pytest.approx(_dense_lambda(g), abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 8, 17, 33, 64])
     def test_complete_graph_lambda(self, n):
@@ -363,12 +364,24 @@ class TestSpectral:
             spectral_lambda(complete_graph(graphs.SPECTRAL_SIZE_GUARD + 1))
 
     def test_basis_budget_stops_a_slowly_mixing_graph(self, monkeypatch):
-        # C_20000's gap at the -1 end is ~5e-8, so Lanczos would run on to
-        # Krylov exhaustion with an n x n basis; the budget stops it after
-        # 51 steps (51 * 20000 + 5 * 51^2 <= 2^20).
+        # C_20000's gap at the -1 end is ~5e-8, so Lanczos would run on for
+        # thousands of steps; the budget on the check's eigh stops it after
+        # 457 steps (5 * 457^2 <= 2^20).
         monkeypatch.setattr(graphs, "LANCZOS_FLOATS", 1 << 20)
-        with pytest.raises(SizeGuardExceeded, match="51 steps"):
+        with pytest.raises(SizeGuardExceeded, match="457 steps"):
             spectral_lambda(cycle_graph(20_000))
+
+    def test_working_memory_is_linear_in_n(self):
+        # 363 steps on 16384 vertices: a stored Krylov basis alone would be
+        # ~48 MB; the adjacency is 1 MB.
+        g = generate_random_regular(16384, 8, seed=1)
+        tracemalloc.start()
+        try:
+            spectral_lambda(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPhiK:
