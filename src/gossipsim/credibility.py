@@ -70,7 +70,7 @@ class PowerLaw(_Schedule):
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise RangeError(f"power-law exponent must be positive, got {self.alpha}")
 
     def value_at(self, t: int) -> float:

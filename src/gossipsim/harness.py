@@ -5,7 +5,9 @@ graph, protocol, credibility schedule, trial count, round budget and master
 seed. Trials run in lockstep, one round at a time, sharing each round's
 snapshot; trial ``i`` still draws all of its round randomness from streams
 ``(master_seed, i, t)``, so a trial's record is the same alone or beside
-others and two runs of the same spec agree byte for byte.
+others and two runs of the same spec agree byte for byte. A stalled trial's
+rounds that its own streams' draws prove quiet are recorded without running
+``step``; every round that changes a state still runs it, and no draw moves.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .protocol import (
     exact_delta_expectation,
     growth_factor,
     initial_state,
+    quiet_rounds,
     step,
     verify_process_properties,
 )
@@ -151,6 +154,12 @@ class TrialRecord:
 # Rounds whose stream states are derived in one batch.
 ROUND_BLOCK = 64
 
+# A stalled trial's rounds are proven quiet from their draws (see
+# _run_lockstep) only while a round makes at most this many transmissions,
+# each one neighbour draw and one coin; past it, emulating a block of rounds
+# costs more than stepping them.
+QUIET_PROOF_DRAWS = 256
+
 
 def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialRecord]:
     """Run ``trials`` round-major until each completes or the budget runs out.
@@ -159,34 +168,69 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
     still draws from stream ``(master_seed, i, t)``, so its record is the
     same alone or beside others. One ``Generator`` serves every step: it is
     reset to the stream's start state, derived a block of rounds at a time.
+
+    A trial whose last round informed nobody on a static graph keeps its
+    state until a round informs someone. So once such a round has run, the
+    rest of the block's rounds are read off their own streams' draws at once
+    (:func:`protocol.quiet_rounds`), and each round proven quiet is recorded
+    without ``step``. The first round not proven quiet runs ``step`` as
+    usual; no draw changes. Every q(t) up to the block's end is then fetched
+    ahead of its round, so ``value_at`` must not depend on call order.
     """
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
     states = [initial_state(n, spec.initial_informed)] * len(trials)
     counts = [[spec.initial_informed] for _ in trials]
     deltas: list[list[float]] = [[] for _ in trials]
-    q_values = [spec.credibility.value_at(0)]
+    q_values: list[float] = []
     budget = resolved_max_rounds(spec)
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
+    static = isinstance(spec.graph, StaticGraph)
+    quiet = [False] * len(trials)  # the trial's last round informed nobody
 
+    def q_through(stop: int) -> None:
+        while len(q_values) < stop:
+            q_values.append(spec.credibility.value_at(len(q_values)))
+
+    q_through(1)
     for t in range(budget):
         live = [j for j, c in enumerate(counts) if c[-1] < n]
         if not live:
             break
         if t % ROUND_BLOCK == 0:
-            stop = min(t + ROUND_BLOCK, budget)
-            streams = dict(zip(live, round_states(spec.master_seed, [trials[j] for j in live], t, stop)))
+            start, stop = t, min(t + ROUND_BLOCK, budget)
+            block = round_states(spec.master_seed, [trials[j] for j in live], start, stop)
+            row = {j: r for r, j in enumerate(live)}
+            # per trial, the block's rounds proven quiet for its current state
+            proven: dict[int, np.ndarray] = {}
         g = spec.graph.snapshot(t)
         q_t = q_values[t]
-        q_values.append(spec.credibility.value_at(t + 1))
+        if len(q_values) < t + 2:
+            q_through(t + 2)
+        col = t - start
         for j in live:
             if exact:
                 deltas[j].append(exact_delta_expectation(spec.protocol, g, states[j].informed, q_t))
+            if quiet[j] and static and j not in proven:
+                proven[j] = np.zeros(stop - start, dtype=bool)
+                draws = spec.protocol.does_push * counts[j][-1] + spec.protocol.does_pull * (n - counts[j][-1])
+                if draws <= QUIET_PROOF_DRAWS:
+                    q_through(stop)
+                    proven[j][col:] = quiet_rounds(
+                        spec.protocol, g, states[j].informed, np.array(q_values[t:stop]), block.streams(row[j], col)
+                    )
+            if j in proven and proven[j][col]:
+                counts[j].append(counts[j][-1])
+                continue
             # the state rng_for(master_seed, trials[j], t) starts in
-            bit_generator.state = streams[j][t % ROUND_BLOCK]
+            bit_generator.state = block.bit_generator_state(row[j], col)
             states[j] = step(spec.protocol, g, states[j], q_t, rng)
-            counts[j].append(int(np.count_nonzero(states[j].informed)))
+            count = int(np.count_nonzero(states[j].informed))
+            quiet[j] = count == counts[j][-1]
+            if not quiet[j]:
+                proven.pop(j, None)
+            counts[j].append(count)
 
     per_round = spec.record_level is not RecordLevel.SUMMARY
     return [

@@ -107,6 +107,12 @@ def test_parse_rejects_garbage():
             parse_credibility(text)
 
 
+@pytest.mark.parametrize("text", ["const:nan", "power:nan", "add:nan", "mult:nan", "table:nan", "table:0.5;tail=nan"])
+def test_parse_rejects_nan_parameters(text):
+    with pytest.raises(RangeError, match="must be"):
+        parse_credibility(text)
+
+
 def _check_tail_and_constant_phase(cred, t):
     window = sum(cred.value_at(s) for s in range(t, t + 201))
     # the relative slack absorbs rounding in the closed-form series

@@ -2,22 +2,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 from gossipsim.credibility import Constant, PowerLaw
 from gossipsim.errors import RangeError
-from gossipsim import graphs
+from gossipsim import graphs, harness
 from gossipsim.graphs import (
     MatchingSequence,
     ResampledRegular,
     StaticGraph,
     complete_graph,
     cycle_graph,
+    matching_graph,
 )
 from gossipsim.harness import (
+    ROUND_BLOCK,
     ExperimentSpec,
     RecordLevel,
     TrialRecord,
@@ -290,6 +292,161 @@ class TestBatchedStreams:
         records, _ = run_experiment(spec)
         assert_same_records(records, expected)
         assert_same_records([run_trial(spec, i) for i in range(spec.trials)], expected)
+
+
+def count_steps(monkeypatch) -> list[int]:
+    """Count the harness's calls to ``step`` from here on."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "step", counting)
+    return calls
+
+
+def trial_rounds(spec: ExperimentSpec, records) -> int:
+    budget = resolved_max_rounds(spec)
+    return sum(budget if r.completion_round is None else r.completion_round for r in records)
+
+
+CRITERION_6 = ExperimentSpec(
+    graph=StaticGraph(complete_graph(1024)),
+    protocol=ProtocolKind.PUSH,
+    credibility=PowerLaw(2.0),
+    trials=500,
+    max_rounds=500,
+    master_seed=21,
+    record_level=RecordLevel.SUMMARY,
+)
+
+
+@dataclass(frozen=True)
+class SpikeAt100:
+    """power:2, except an out-of-range q at round 100."""
+
+    spike: float
+
+    def value_at(self, t: int) -> float:
+        return self.spike if t == 100 else PowerLaw(2.0).value_at(t)
+
+
+class TestQuietSkip:
+    """Rounds proven quiet from their own draws are recorded without ``step``."""
+
+    SPECS = [
+        small_spec(
+            graph=StaticGraph(complete_graph(1024)),
+            credibility=PowerLaw(2.0),
+            trials=8,
+            max_rounds=500,
+            master_seed=21,
+        ),
+        small_spec(
+            graph=StaticGraph(cycle_graph(32)),
+            protocol=ProtocolKind.PULL,
+            credibility=Constant(0.05),
+            trials=4,
+            max_rounds=None,
+            initial_informed=30,
+        ),
+        small_spec(
+            graph=StaticGraph(complete_graph(16)),
+            protocol=ProtocolKind.PUSH_PULL,
+            credibility=PowerLaw(2.0),
+            trials=4,
+            max_rounds=200,
+        ),
+        small_spec(
+            graph=StaticGraph(matching_graph([(0, 1), (2, 3), (4, 5), (6, 7)])),
+            protocol=ProtocolKind.PUSH_PULL,
+            credibility=PowerLaw(1.0),
+            trials=4,
+            max_rounds=150,
+            initial_informed=3,
+        ),
+        small_spec(
+            graph=StaticGraph(complete_graph(2)),
+            protocol=ProtocolKind.PULL,
+            credibility=Constant(0.1),
+            trials=6,
+            max_rounds=150,
+        ),
+        small_spec(
+            graph=StaticGraph(graphs.generate_random_regular(64, 6, seed=4)),
+            credibility=PowerLaw(1.5),
+            trials=3,
+            max_rounds=150,
+            master_seed=-3,
+            record_level=RecordLevel.PER_ROUND_EXACT,
+        ),
+        small_spec(
+            graph=StaticGraph(complete_graph(256)),
+            credibility=PowerLaw(2.0),
+            trials=4,
+            max_rounds=2 * ROUND_BLOCK + 1,
+            master_seed=5,
+            record_level=RecordLevel.SUMMARY,
+        ),
+    ]
+    IDS = ["complete1024-push", "cycle32-pull", "complete16-push-pull", "matching-d1", "complete2",
+           "regular64-exact", "complete256-summary"]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_records_equal_the_per_round_generator_loop(self, spec, monkeypatch):
+        expected = reference_records(spec, range(spec.trials))
+        steps = count_steps(monkeypatch)
+        records, _ = run_experiment(spec)
+        assert_same_records(records, expected)
+        # the skip path ran: some trial-rounds were recorded without a step
+        assert steps[0] < trial_rounds(spec, records)
+        assert_same_records([run_trial(spec, i) for i in range(spec.trials)], expected)
+
+    def test_a_quiet_stretch_crosses_a_block_edge(self):
+        spec = small_spec(
+            graph=StaticGraph(complete_graph(256)), credibility=PowerLaw(2.0), trials=4, max_rounds=2 * ROUND_BLOCK + 1
+        )
+        records, _ = run_experiment(spec)
+        assert_same_records(records, reference_records(spec, range(spec.trials)))
+        edge = slice(ROUND_BLOCK - 3, ROUND_BLOCK + 4)
+        assert any(len(set(r.informed_counts[edge])) == 1 for r in records)
+
+    def test_criterion_6_steps_at_most_5_percent_of_trial_rounds(self, monkeypatch):
+        steps = count_steps(monkeypatch)
+        records, _ = run_experiment(CRITERION_6)
+        assert steps[0] <= 0.05 * trial_rounds(CRITERION_6, records)
+
+    @pytest.mark.parametrize("budget", [0, 10**6])
+    def test_records_do_not_depend_on_the_draw_budget(self, budget, monkeypatch):
+        specs = self.SPECS[1:6] + [
+            small_spec(
+                graph=StaticGraph(graphs.generate_random_regular(256, 8, seed=3)),
+                protocol=ProtocolKind.PUSH_PULL,
+                credibility=Constant(0.5),
+                trials=4,
+                max_rounds=None,
+            )
+        ]
+        expected = [run_experiment(spec)[0] for spec in specs]
+        monkeypatch.setattr(harness, "QUIET_PROOF_DRAWS", budget)
+        for spec, want in zip(specs, expected):
+            assert_same_records(run_experiment(spec)[0], want)
+            assert_same_records([run_trial(spec, i) for i in range(spec.trials)], want)
+
+    # at q = -0.5 every coin rejects, so only the range check keeps round 100
+    # from being proven quiet
+    @pytest.mark.parametrize("spike", [1.5, -0.5])
+    def test_out_of_range_credibility_raises_as_the_reference_does(self, spike):
+        spec = small_spec(
+            graph=StaticGraph(complete_graph(1024)), credibility=SpikeAt100(spike), trials=3, max_rounds=200
+        )
+        with pytest.raises(RangeError) as want:
+            reference_records(spec, range(spec.trials))
+        for run in (lambda: run_experiment(spec), lambda: run_trial(spec, 1)):
+            with pytest.raises(RangeError) as got:
+                run()
+            assert str(got.value) == str(want.value) == f"credibility must be in [0, 1], got {spike}"
 
 
 class TestMaxRoundsDefault:

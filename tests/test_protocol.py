@@ -23,11 +23,12 @@ from gossipsim.protocol import (
     exact_delta_expectation,
     growth_factor,
     initial_state,
+    quiet_rounds,
     sample_delta_sizes,
     step,
     verify_process_properties,
 )
-from gossipsim.seeds import rng_for
+from gossipsim.seeds import rng_for, round_states
 
 from conftest import mask_from_bits, mask_of
 
@@ -273,3 +274,45 @@ class TestOneRoundLaw:
             stepped = step(kind, g, ProcessState(0, informed), q, rng_for(31, idx))
             sampled = sample_delta_sizes(kind, g, informed, q, rng_for(31, idx), 1)
             assert stepped.informed_count - int(informed.sum()) == sampled[0]
+
+
+class TestQuietRounds:
+    """``quiet_rounds`` reads each round off its stream's draws; ``step`` runs it."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "graph,informed,q",
+        [
+            (complete_graph(1024), range(5), 0.01),
+            (complete_graph(64), range(3), 0.2),
+            (cycle_graph(32), range(2, 31), 0.05),
+            (generate_random_regular(256, 8, seed=3), [0, 9, 40, 77], 0.1),
+            (generate_random_regular(64, 10, seed=5), range(1, 64, 2), 0.02),
+            (matching_graph([(0, 1), (2, 3), (4, 5)]), [0, 2, 3], 0.3),
+            (complete_graph(2), [1], 0.4),
+        ],
+        ids=["K1024", "K64", "C32", "regular256", "regular64-odd-half", "matching", "K2"],
+    )
+    def test_quiet_exactly_when_step_informs_nobody(self, kind, graph, informed, q):
+        informed = mask_of(graph.n, informed)
+        states = round_states(5, [0, 7], 0, 64)
+        rng = np.random.Generator(np.random.PCG64(0))
+        proven = 0
+        for row in range(2):
+            streams = states.streams(row, 0)
+            quiet = quiet_rounds(kind, graph, informed, np.full(64, q), streams)
+            proven += quiet.sum()
+            for t in range(64):
+                rng.bit_generator.state = states.bit_generator_state(row, t)
+                informs = step(kind, graph, ProcessState(t, informed), q, rng).informed_count > informed.sum()
+                assert not (quiet[t] and informs)
+                assert quiet[t] or informs or streams.redrawn[t]
+        # both outcomes occur, so neither assertion holds vacuously
+        assert 0 < proven < 128
+
+    def test_credibility_step_rejects_is_never_quiet(self):
+        g = complete_graph(64)
+        informed = mask_of(64, [0])
+        q = np.array([0.0, 1.5, -0.1, np.nan, 0.0])
+        quiet = quiet_rounds(ProtocolKind.PUSH, g, informed, q, round_states(1, [0], 0, 5).streams(0, 0))
+        assert quiet.tolist() == [True, False, False, False, True]
