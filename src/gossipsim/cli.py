@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--csv", action="store_true")
 
     ver = sub.add_parser("verify", help="run a built-in verification suite")
-    ver.add_argument("--scope", required=True, choices=("tiny", "sandwich", "claims"))
+    ver.add_argument("--scope", required=True, choices=("tiny", "sandwich", "claims", "complete"))
 
     swp = sub.add_parser("sweep", help="cartesian parameter sweep, one summary row per point")
     _add_simulate_args(swp)
@@ -196,7 +196,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scope = {"tiny": "tiny_exhaustive", "sandwich": "bound_sandwich", "claims": "predictor_claims"}[args.scope]
+    scope = {
+        "tiny": "tiny_exhaustive",
+        "sandwich": "bound_sandwich",
+        "claims": "predictor_claims",
+        "complete": "complete_law",
+    }[args.scope]
     report = harness.verify_suite(scope)
     for line in report.lines():
         print(line)

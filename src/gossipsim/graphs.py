@@ -72,6 +72,7 @@ SPECTRAL_SEED = 0x5EC7
 LANCZOS_CHECK = 10
 LANCZOS_TOL = 1e-13
 PHI_K_SUBSET_GUARD = 10_000_000
+COMPLEMENT_BLOCK = 1 << 22
 
 
 @dataclass(eq=False)
@@ -245,8 +246,28 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _snapshot_from_keys(n: int, keys: np.ndarray) -> GraphSnapshot:
-    """Snapshot from distinct in-range edge keys ``u*n + v`` with ``u < v``.
+def _complement_rows(n: int, adj: np.ndarray) -> np.ndarray:
+    """Row v: the vertices other than v missing from ``adj[v]``, ascending.
+
+    Built ``COMPLEMENT_BLOCK // n`` rows at a time, so memory is the result
+    plus one block, never n x n.
+    """
+    width = n - 1 - adj.shape[1]
+    out = np.empty((n, width), dtype=np.int64)
+    block = max(1, COMPLEMENT_BLOCK // n)
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
+        local = np.arange(len(rows))
+        absent = np.ones((len(rows), n), dtype=bool)
+        absent[local[:, None], adj[rows]] = False
+        absent[local, rows] = False
+        out[rows] = np.nonzero(absent)[1].reshape(len(rows), width)
+    return out
+
+
+def _snapshot_from_keys(n: int, keys: np.ndarray, complement: bool = False) -> GraphSnapshot:
+    """Snapshot from distinct in-range edge keys ``u*n + v`` with ``u < v``, or of
+    the complement of that graph.
 
     Both directions of every edge are sorted together in one pass, so each
     vertex's neighbors come out as a contiguous ascending run.
@@ -257,8 +278,10 @@ def _snapshot_from_keys(n: int, keys: np.ndarray) -> GraphSnapshot:
     degrees = np.bincount(rows, minlength=n)
     if len(degrees) == 0 or degrees.min() != degrees.max():
         raise DegreeError(f"graph is not regular, degrees {np.unique(degrees).tolist()}")
-    d = int(degrees[0])
-    return GraphSnapshot(n=n, d=d, adj=nbrs.reshape(n, d))
+    adj = nbrs.reshape(n, int(degrees[0]))
+    if complement:
+        adj = _complement_rows(n, adj)
+    return GraphSnapshot(n=n, d=adj.shape[1], adj=adj)
 
 
 def from_edge_list(n: int, edges) -> GraphSnapshot:
@@ -348,15 +371,6 @@ def _pair_stubs(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
     return keys
 
 
-def _complement(n: int, keys: np.ndarray) -> GraphSnapshot:
-    """Snapshot of the pairs u < v on ``0..n-1`` that are not edge keys."""
-    absent = ~np.eye(n, dtype=bool)
-    lo, hi = np.divmod(keys, n)
-    absent[lo, hi] = absent[hi, lo] = False
-    _, nbrs = np.nonzero(absent)
-    return GraphSnapshot(n=n, d=len(nbrs) // n, adj=nbrs.reshape(n, -1))
-
-
 def generate_random_regular(
     n: int, d: int, seed: int, max_retries: int = 10_000
 ) -> GraphSnapshot:
@@ -383,7 +397,7 @@ def generate_random_regular(
     for _ in range(max_retries):
         keys = _pair_stubs(n, n - 1 - d if complement else d, rng)
         if keys is not None:
-            return _complement(n, keys) if complement else _snapshot_from_keys(n, keys)
+            return _snapshot_from_keys(n, keys, complement)
     raise RetryExhausted(f"no simple {d}-regular graph found in {max_retries} attempts")
 
 
@@ -469,8 +483,10 @@ def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
     and acts as A/d on its orthogonal complement, so its largest eigenvalue
     magnitude is lambda: every eigenvalue of A/d except one copy of the
     trivial 1 (disconnected and bipartite graphs give 1). No n x n matrix is
-    formed; a step is one neighbour gather. Plain three-term Lanczos keeps
-    no Krylov basis, so memory is O(n) plus the tridiagonal: lost
+    formed; a step is one gather of each vertex's d neighbours, or of its
+    n-1-d non-neighbours when that is fewer. Plain three-term Lanczos keeps
+    no Krylov basis, so besides those rows memory is O(n) plus the
+    tridiagonal: lost
     orthogonality only adds ghost copies of Ritz values that have already
     converged (Paige 1980). The extreme Ritz values of the tridiagonal are
     accepted once both residuals ``beta_k |s_k|`` are at most
@@ -488,11 +504,18 @@ def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
     max_steps = min(n - 1, math.isqrt(LANCZOS_FLOATS // 5))
 
     # Summing the d gathered rows of adj.T beats summing n rows of length d.
-    cols = None if adj is None else np.ascontiguousarray(adj.T)
+    # Past d = (n-1)/2 the complement's rows are fewer: A x = sum(x) - x - A_c x.
+    complement = 2 * d > n - 1
+    if adj is None:
+        cols = np.empty((0, n), dtype=np.int64)
+    else:
+        cols = np.ascontiguousarray((_complement_rows(n, adj) if complement else adj).T)
 
     def walk(x):
         total = x.sum()
-        gathered = total - x if cols is None else np.add.reduce(x[cols])
+        gathered = np.add.reduce(x[cols])
+        if complement:
+            gathered = total - x - gathered
         return gathered / d - total / n
 
     q = rng_for(SPECTRAL_SEED).standard_normal(n)

@@ -8,6 +8,8 @@ snapshot; trial ``i`` still draws all of its round randomness from streams
 others and two runs of the same spec agree byte for byte. A stalled trial's
 rounds that its own streams' draws prove quiet are recorded without running
 ``step``; every round that changes a state still runs it, and no draw moves.
+On the implicit complete graph only |I| matters: trial ``i`` runs the
+event-driven count chain on the one stream ``(master_seed, i)``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .bounds import basic_growth_bounds, shrink_bounds
-from .credibility import Constant, Credibility, format_credibility
+from .credibility import Constant, Credibility, PowerLaw, format_credibility
 from .errors import DomainError, IoError, RangeError
 from .graphs import (
     CyclicGraphs,
@@ -50,6 +52,11 @@ from .predictor import (
 )
 from .protocol import (
     ProtocolKind,
+    complete_chain,
+    complete_delta_expectation,
+    complete_final_law,
+    complete_size_law,
+    enumerate_joint_distribution,
     exact_delta_expectation,
     growth_factor,
     initial_state,
@@ -162,12 +169,64 @@ QUIET_PROOF_DRAWS = 256
 
 
 def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialRecord]:
-    """Run ``trials`` round-major until each completes or the budget runs out.
+    """Run ``trials`` until each completes or the budget runs out.
+
+    On the implicit K_n (a :class:`StaticGraph` of ``complete_graph(n)``)
+    only |I| matters: trial i runs :func:`protocol.complete_chain` from its
+    own stream ``rng_for(master_seed, i)``, whose seed is the record's. Every
+    other graph runs the mask engine round-major (:func:`_run_masks`). Either
+    way a trial's record is the same alone or beside others.
+    """
+    n = spec.graph.n
+    exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
+    budget = resolved_max_rounds(spec)
+    q_values: list[float] = []
+
+    def q_through(stop: int) -> None:
+        while len(q_values) < stop:
+            q_values.append(spec.credibility.value_at(len(q_values)))
+
+    def q_block(start: int, stop: int) -> np.ndarray:
+        q_through(stop)
+        return np.array(q_values[start:stop], dtype=np.float64)
+
+    q_through(1)
+    if isinstance(spec.graph, StaticGraph) and spec.graph.graph.is_complete:
+        counts = [
+            complete_chain(spec.protocol, n, spec.initial_informed, q_block, budget, rng_for(spec.master_seed, i))
+            for i in trials
+        ]
+        q_through(max(map(len, counts), default=1))
+        deltas = [
+            complete_delta_expectation(spec.protocol, n, c[:-1], q_block(0, len(c) - 1)).tolist() if exact else []
+            for c in counts
+        ]
+    else:
+        counts, deltas = _run_masks(spec, trials, budget, q_values, q_through)
+
+    per_round = spec.record_level is not RecordLevel.SUMMARY
+    return [
+        TrialRecord(
+            trial=i,
+            seed=mix_seed(spec.master_seed, i),
+            n=n,
+            final_informed=c[-1],
+            completion_round=len(c) - 1 if c[-1] == n else None,
+            informed_counts=c if per_round else None,
+            q_values=q_values[: len(c)] if per_round else None,
+            exact_deltas=d if exact else None,
+        )
+        for i, c, d in zip(trials, counts, deltas)
+    ]
+
+
+def _run_masks(spec, trials, budget, q_values, q_through):
+    """Per-trial counts and exact deltas of the mask engine, run round-major.
 
     Round t's snapshot and q(t) are fetched once for all live trials; trial i
-    still draws from stream ``(master_seed, i, t)``, so its record is the
-    same alone or beside others. One ``Generator`` serves every step: it is
-    reset to the stream's start state, derived a block of rounds at a time.
+    still draws from stream ``(master_seed, i, t)``. One ``Generator`` serves
+    every step: it is reset to the stream's start state, derived a block of
+    rounds at a time.
 
     A trial whose last round informed nobody on a static graph keeps its
     state until a round informs someone. So once such a round has run, the
@@ -182,18 +241,11 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
     states = [initial_state(n, spec.initial_informed)] * len(trials)
     counts = [[spec.initial_informed] for _ in trials]
     deltas: list[list[float]] = [[] for _ in trials]
-    q_values: list[float] = []
-    budget = resolved_max_rounds(spec)
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     static = isinstance(spec.graph, StaticGraph)
     quiet = [False] * len(trials)  # the trial's last round informed nobody
 
-    def q_through(stop: int) -> None:
-        while len(q_values) < stop:
-            q_values.append(spec.credibility.value_at(len(q_values)))
-
-    q_through(1)
     for t in range(budget):
         live = [j for j, c in enumerate(counts) if c[-1] < n]
         if not live:
@@ -231,21 +283,7 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
             if not quiet[j]:
                 proven.pop(j, None)
             counts[j].append(count)
-
-    per_round = spec.record_level is not RecordLevel.SUMMARY
-    return [
-        TrialRecord(
-            trial=i,
-            seed=mix_seed(spec.master_seed, i),
-            n=n,
-            final_informed=c[-1],
-            completion_round=len(c) - 1 if c[-1] == n else None,
-            informed_counts=c if per_round else None,
-            q_values=q_values[: len(c)] if per_round else None,
-            exact_deltas=d if exact else None,
-        )
-        for i, c, d in zip(trials, counts, deltas)
-    ]
+    return counts, deltas
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialRecord:
@@ -651,6 +689,34 @@ def _verify_predictor_claims() -> VerifyReport:
     return VerifyReport("predictor_claims", ok, checks)
 
 
+def _verify_complete_law() -> VerifyReport:
+    worst = worst_mass = 0.0
+    instances = 0
+    for name, g, informed, q, kind in iter_tiny_instances():
+        if not g.is_complete:
+            continue
+        law = complete_size_law(kind, g.n, int(informed.sum()), q)
+        enumerated = np.zeros(g.n + 1)
+        for members, p in enumerate_joint_distribution(kind, g, informed, q).support.items():
+            enumerated[len(members)] += p
+        worst = max(worst, np.abs(enumerated[: len(law)] - law).max(), enumerated[len(law) :].sum())
+        worst_mass = max(worst_mass, abs(law.sum() - 1.0))
+        instances += 1
+    # acceptance criterion 6: |I_500| of PUSH on K_1024 under power:2
+    law, dropped = complete_final_law(ProtocolKind.PUSH, 1024, [PowerLaw(2.0).value_at(t) for t in range(500)])
+    lost = abs(law.sum() + dropped - 1.0)
+    checks = {
+        "size_law_vs_enumeration": {"ok": worst <= 1e-12, "worst_abs_err": worst, "instances": instances},
+        "size_law_mass": {"ok": worst_mass <= 1e-12, "worst_abs_err": worst_mass},
+        "criterion_6_forward_pass": {
+            "ok": lost <= 1e-12,
+            "exact_mean_final": f"{law @ np.arange(len(law)):.6f}",
+            "dropped_mass": dropped,
+        },
+    }
+    return VerifyReport("complete_law", all(c["ok"] for c in checks.values()), checks)
+
+
 def verify_suite(scope: str) -> VerifyReport:
     """Run one built-in verification suite.
 
@@ -658,7 +724,9 @@ def verify_suite(scope: str) -> VerifyReport:
     oracle mean agreement over every tiny-corpus instance;
     ``bound_sandwich`` samples 1000 random (graph, set, q) triples and checks
     the growth/shrink brackets; ``predictor_claims`` runs the numeric claim
-    oracles and the stopping-time closed forms.
+    oracles and the stopping-time closed forms; ``complete_law`` checks the
+    exact K_n size law against enumeration on K2-K5 and reports criterion 6's
+    exact E[final] from the forward pass.
     """
     if scope == "tiny_exhaustive":
         return _verify_tiny_exhaustive()
@@ -666,4 +734,6 @@ def verify_suite(scope: str) -> VerifyReport:
         return _verify_bound_sandwich()
     if scope == "predictor_claims":
         return _verify_predictor_claims()
+    if scope == "complete_law":
+        return _verify_complete_law()
     raise RangeError(f"unknown verify scope {scope!r}")

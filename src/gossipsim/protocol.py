@@ -13,7 +13,9 @@ Besides the sampler (:func:`step`), this module computes the exact one-round
 law: closed-form expected |Delta| per state, and for tiny instances the full
 joint distribution of the newly informed set, obtained by enumerating
 neighbor choices only (acceptance coins are folded analytically, which cuts
-the state space from (2d)**k to at most d**k profiles).
+the state space from (2d)**k to at most d**k profiles). On K_n, where only
+|I| matters, it also gives the exact law of |Delta| for any n, its forward
+pass through q(t), and the event-driven count chain that samples it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ __all__ = [
     "growth_factor",
     "enumerate_joint_distribution",
     "verify_process_properties",
+    "complete_delta_expectation",
+    "complete_size_law",
+    "complete_final_law",
+    "complete_chain",
 ]
 
 ENUMERATION_PROFILE_GUARD = 1_000_000
@@ -192,19 +198,216 @@ def exact_delta_expectation(kind: ProtocolKind, g: GraphSnapshot, informed, q: f
     q = _check_q(q)
     informed, _ = _proper_subset(g, informed)
     k = g.marked_degrees(informed)[~informed].astype(np.float64)
-    d = float(g.d)
+    return float(np.sum(_inform_probability(kind, q, k, float(g.d))))
+
+
+def _inform_probability(kind: ProtocolKind, q, k, d: float):
+    """P(an uninformed vertex with k informed neighbors is informed this round)."""
     if kind is ProtocolKind.PULL:
-        return float(np.sum(q * k / d))
+        return q * k / d
     push_miss = np.power(1.0 - q / d, k)
     if kind is ProtocolKind.PUSH:
-        return float(np.sum(1.0 - push_miss))
-    return float(np.sum(1.0 - push_miss * (1.0 - q * k / d)))
+        return 1.0 - push_miss
+    return 1.0 - push_miss * (1.0 - q * k / d)
 
 
 def growth_factor(kind: ProtocolKind, g: GraphSnapshot, informed, q: float) -> float:
     """E[|Delta|] / min(|I|, |U|), the combined growth/shrink factor."""
     informed, size = _proper_subset(g, informed)
     return exact_delta_expectation(kind, g, informed, q) / min(size, g.n - size)
+
+
+# -- complete graphs: the count chain and its exact law ----------------------
+#
+# On K_n only |I| matters. With i informed and u = n - i uninformed, a push
+# lands in U with probability u/(n-1), uniformly there, and a pull succeeds
+# with probability i/(n-1); every transmission is accepted with probability q.
+
+
+def complete_delta_expectation(kind: ProtocolKind, n: int, informed_count, q):
+    """:func:`exact_delta_expectation` on K_n, elementwise over counts and q.
+
+    Every uninformed vertex has k = i informed neighbors, so the per-vertex
+    probability is taken u times instead of summed over u.
+    """
+    i = np.asarray(informed_count, dtype=np.float64)
+    return (n - i) * _inform_probability(kind, q, i, n - 1.0)
+
+
+def _add_trials(law: np.ndarray, steps: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Row r of ``law`` (a count's pmf) after ``steps[r]`` more trials in turn.
+
+    A trial raises the count from j to j + 1 with probability ``hit[r, j]``.
+    Rows are sorted by steps, so the rows still stepping are a prefix. The
+    last column's mass never moves: the caller sizes ``law`` so that it can't.
+    """
+    order = np.argsort(-steps, kind="stable")
+    law, steps, hit = law[order], steps[order], hit[order]
+    stay = 1.0 - hit
+    top = int(np.flatnonzero(law.any(axis=0))[-1])
+    for k in range(int(steps.max(initial=0))):
+        rows = int(np.count_nonzero(steps > k))
+        top = min(top + 1, law.shape[1] - 1)
+        moved = law[:rows, :top] * hit[:rows, :top]
+        law[:rows, :top] *= stay[:rows, :top]
+        law[:rows, 1 : top + 1] += moved
+    out = np.empty_like(law)
+    out[order] = law
+    return out
+
+
+def _complete_size_laws(kind: ProtocolKind, n: int, counts: np.ndarray, q: float) -> np.ndarray:
+    """Row r: the pmf of |Delta| on K_n from ``counts[r]`` informed, over 0..max u."""
+    u = n - counts
+    j = np.arange(u.max() + 1)
+    law = np.zeros((len(counts), len(j)))
+    law[:, 0] = 1.0
+    # Pulls first: each uninformed vertex succeeds on its own. Then each
+    # pusher informs a new vertex with probability q (u - j)/(n - 1), where j
+    # counts the vertices of U informed so far, pulled ones included.
+    if kind.does_pull:
+        law = _add_trials(law, u, np.broadcast_to((q * counts / (n - 1))[:, None], law.shape))
+    if kind.does_push:
+        law = _add_trials(law, counts, q * np.maximum(u[:, None] - j, 0) / (n - 1))
+    return law
+
+
+def complete_size_law(kind: ProtocolKind, n: int, informed_count: int, q: float) -> np.ndarray:
+    """Exact pmf of |Delta| for one round on K_n from ``informed_count`` informed.
+
+    Entry k is P(|Delta| = k), k = 0..n - informed_count. PULL gives a
+    Binomial(u, q i/(n-1)); PUSH the pusher-by-pusher law (with j vertices hit
+    so far, a pusher informs a new one with probability q (u - j)/(n-1));
+    PUSH-PULL that law run on from the pull binomial.
+    """
+    q = _check_q(q)
+    if not 1 <= informed_count <= n - 1:
+        raise SetRangeError(f"informed size {informed_count} not in [1, {n - 1}]")
+    return _complete_size_laws(kind, n, np.array([informed_count]), q)[0]
+
+
+FORWARD_PRUNE = 1e-16
+
+
+def complete_final_law(kind: ProtocolKind, n: int, q_values, initial_informed: int = 1) -> tuple[np.ndarray, float]:
+    """Exact law of |I_T| on K_n after T = len(q_values) rounds, and the mass dropped.
+
+    Round t uses credibility ``q_values[t]``. Each round pushes the law of
+    |I_t| through :func:`complete_size_law` for every live count at once;
+    counts whose probability falls below ``FORWARD_PRUNE`` are dropped, and
+    their total is returned with the law (entry m is P(|I_T| = m)).
+    """
+    law = np.zeros(n + 1)
+    law[initial_informed] = 1.0
+    dropped = 0.0
+    for q in q_values:
+        live = np.flatnonzero(law[:n])
+        small = law[live] < FORWARD_PRUNE
+        dropped += law[live[small]].sum()
+        law[live[small]] = 0.0
+        live = live[~small]
+        if not len(live):
+            break
+        rows = _complete_size_laws(kind, n, live, _check_q(q))
+        weights = law[live, None] * rows
+        law[live] = 0.0
+        targets = np.minimum(live[:, None] + np.arange(rows.shape[1]), n)
+        law += np.bincount(targets.ravel(), weights=weights.ravel(), minlength=n + 1)
+    return law, float(dropped)
+
+
+def _log_miss(p: float) -> float:
+    return math.log1p(-p) if p < 1.0 else -math.inf
+
+
+def _binomial_at_least_one(rng: np.random.Generator, trials: int, p: float) -> int:
+    """Binomial(trials, p) conditioned on at least one success, without rejection.
+
+    The first success's index is a geometric truncated to 1..trials, drawn by
+    inversion; the trials after it are an unconditioned binomial.
+    """
+    log_miss = _log_miss(p)
+    if log_miss == -math.inf:
+        return trials
+    mass = -math.expm1(trials * log_miss)
+    first = min(1 + int(math.log1p(-rng.random() * mass) / log_miss), trials)
+    return 1 + int(rng.binomial(trials - first, p))
+
+
+def _distinct(rng: np.random.Generator, balls: int, bins: int, scratch: np.ndarray) -> int:
+    """Number of distinct bins that ``balls`` uniform draws into ``bins`` hit.
+
+    Each hit bin keeps one of the indices written to it, so the count needs
+    no sort and ``scratch`` (at least ``bins`` long) no reset.
+    """
+    targets = rng.integers(bins, size=balls)
+    index = np.arange(balls)
+    scratch[targets] = index
+    return int(np.count_nonzero(scratch[targets] == index))
+
+
+def _informative_delta(kind, n, i, q, rng, scratch) -> int:
+    """|Delta| at a round on K_n, conditioned on the round informing someone."""
+    u = n - i
+    push, pull = q * (u / (n - 1)), q * (i / (n - 1))
+    if kind is ProtocolKind.PULL:
+        return _binomial_at_least_one(rng, u, pull)
+    if kind is ProtocolKind.PUSH:
+        return _distinct(rng, _binomial_at_least_one(rng, i, push), u, scratch)
+    # P(some push is accepted | the round informs someone)
+    push_log, pull_log = i * _log_miss(push), u * _log_miss(pull)
+    if rng.random() < math.expm1(push_log) / math.expm1(push_log + pull_log):
+        occupied = _distinct(rng, _binomial_at_least_one(rng, i, push), u, scratch)
+        return occupied + int(rng.binomial(u - occupied, pull))
+    return _binomial_at_least_one(rng, u, pull)
+
+
+def _quiet_hazards(kind: ProtocolKind, n: int, i: int, q: np.ndarray) -> np.ndarray:
+    """-log P(a round on K_n from i informed informs nobody), per q."""
+    u = n - i
+    hazard = np.zeros(len(q))
+    with np.errstate(divide="ignore"):
+        if kind.does_push:
+            hazard -= i * np.log1p(-q * (u / (n - 1)))
+        if kind.does_pull:
+            hazard -= u * np.log1p(-q * (i / (n - 1)))
+    return hazard
+
+
+def complete_chain(kind: ProtocolKind, n: int, informed_count: int, q_block, budget: int, rng) -> list[int]:
+    """|I_0|, |I_1|, ... of one trial on K_n until it completes or ``budget`` rounds pass.
+
+    Event-driven: one Exp(1) draw against the cumulative hazard of quiet
+    rounds finds the next round that informs someone, the rounds before it
+    repeat the count, and that round's |Delta| is drawn from its law
+    conditioned on being positive. ``q_block(start, stop)`` returns the
+    credibilities of rounds start..stop-1. A q outside [0, 1] at a round the
+    trial reaches raises :class:`RangeError`, as :func:`step` does.
+    """
+    counts = [informed_count]
+    scratch = np.empty(n, dtype=np.int64)
+    i, t = informed_count, 0
+    threshold = rng.standard_exponential()
+    while i < n and t < budget:
+        stop = min(budget, 2 * t + 64)
+        q = q_block(t, stop)
+        valid = (q >= 0.0) & (q <= 1.0)
+        reached = len(q) if valid.all() else int(np.argmin(valid))
+        cumulative = np.cumsum(_quiet_hazards(kind, n, i, q[:reached]))
+        event = int(np.searchsorted(cumulative, threshold, side="right"))
+        if event < reached:
+            counts.extend([i] * event)
+            i += _informative_delta(kind, n, i, float(q[event]), rng, scratch)
+            counts.append(i)
+            t += event + 1
+            threshold = rng.standard_exponential()
+        elif reached < len(q):
+            _check_q(float(q[reached]))
+        else:
+            counts.extend([i] * len(q))
+            t = stop
+            threshold -= cumulative[-1]
+    return counts
 
 
 # -- exact joint distribution (tiny instances) -------------------------------

@@ -44,6 +44,7 @@ from gossipsim.predictor import (
 )
 from gossipsim.protocol import (
     ProtocolKind,
+    complete_final_law,
     enumerate_joint_distribution,
     exact_delta_expectation,
     sample_delta_sizes,
@@ -201,8 +202,11 @@ def test_criterion_6_powerlaw_expectation_ceiling():
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     ceiling = math.exp(math.pi**2 / 6)
     ok = finals.mean() <= ceiling + 3 * se
+    law, _ = complete_final_law(
+        spec.protocol, 1024, [spec.credibility.value_at(t) for t in range(spec.max_rounds)]
+    )
     _report(6, ok, f"mean final informed {finals.mean():.3f} + 3SE ({3 * se:.3f}) "
-                   f"vs ceiling {ceiling:.3f}")
+                   f"vs ceiling {ceiling:.3f}; exact E[final] {law @ np.arange(len(law)):.6f}")
     assert ok
 
 

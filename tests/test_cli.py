@@ -165,6 +165,10 @@ def test_bounds_text_and_csv(capsys):
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--scope", "tiny"]) == 0
     capsys.readouterr()
+    assert main(["verify", "--scope", "complete"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] complete_law/size_law_vs_enumeration" in out and "instances=468" in out
+    assert "exact_mean_final=3.664736" in out
     # the claims scope includes the known-false product inequality, so the
     # suite reports failure
     assert main(["verify", "--scope", "claims"]) == 1

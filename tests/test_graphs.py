@@ -359,6 +359,13 @@ class TestSpectral:
         first, second = spectral_lambda(g).lam, spectral_lambda(g).lam
         assert np.float64(first).tobytes() == np.float64(second).tobytes()
 
+    def test_complement_rows_built_in_uneven_blocks(self, monkeypatch):
+        # 7 rows per block: ten blocks, the last one short
+        monkeypatch.setattr(graphs, "COMPLEMENT_BLOCK", 7 * 64)
+        g = generate_random_regular(64, 60, seed=1)
+        assert np.array_equal(g.adj, _complement_adjacency(reference_random_regular(64, 3, 1)))
+        assert spectral_lambda(g).lam == pytest.approx(_dense_lambda(g), abs=1e-12)
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
             spectral_lambda(complete_graph(graphs.SPECTRAL_SIZE_GUARD + 1))

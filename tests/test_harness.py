@@ -34,8 +34,25 @@ from gossipsim.harness import (
     verify_suite,
 )
 from gossipsim.predictor import fixed_q_runtime
-from gossipsim.protocol import ProtocolKind, exact_delta_expectation, initial_state, step
+from gossipsim.protocol import (
+    ProtocolKind,
+    complete_final_law,
+    complete_size_law,
+    exact_delta_expectation,
+    initial_state,
+    step,
+)
 from gossipsim.seeds import mix_seed, rng_for
+
+
+def explicit_complete(n: int) -> graphs.GraphSnapshot:
+    """K_n with explicit adjacency, so it runs on the mask engine. Its draws are
+    the implicit K_n's: row v is ``np.delete(arange(n), v)``, so adj[v, j] = j + (j >= v)."""
+    ids = np.arange(n)
+    return graphs.GraphSnapshot(n=n, d=n - 1, adj=np.array([np.delete(ids, v) for v in range(n)]))
+
+
+EXPLICIT_K1024 = explicit_complete(1024)
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -242,7 +259,7 @@ class TestBatchedStreams:
         "spec",
         [
             small_spec(
-                graph=StaticGraph(complete_graph(1024)),
+                graph=StaticGraph(EXPLICIT_K1024),
                 credibility=PowerLaw(2.0),
                 max_rounds=200,
                 master_seed=21,
@@ -312,7 +329,7 @@ def trial_rounds(spec: ExperimentSpec, records) -> int:
 
 
 CRITERION_6 = ExperimentSpec(
-    graph=StaticGraph(complete_graph(1024)),
+    graph=StaticGraph(EXPLICIT_K1024),
     protocol=ProtocolKind.PUSH,
     credibility=PowerLaw(2.0),
     trials=500,
@@ -332,12 +349,22 @@ class SpikeAt100:
         return self.spike if t == 100 else PowerLaw(2.0).value_at(t)
 
 
+@dataclass(frozen=True)
+class OneUntilNan:
+    """q = 1 before round ``at``, NaN from then on."""
+
+    at: int
+
+    def value_at(self, t: int) -> float:
+        return 1.0 if t < self.at else math.nan
+
+
 class TestQuietSkip:
     """Rounds proven quiet from their own draws are recorded without ``step``."""
 
     SPECS = [
         small_spec(
-            graph=StaticGraph(complete_graph(1024)),
+            graph=StaticGraph(EXPLICIT_K1024),
             credibility=PowerLaw(2.0),
             trials=8,
             max_rounds=500,
@@ -352,7 +379,7 @@ class TestQuietSkip:
             initial_informed=30,
         ),
         small_spec(
-            graph=StaticGraph(complete_graph(16)),
+            graph=StaticGraph(explicit_complete(16)),
             protocol=ProtocolKind.PUSH_PULL,
             credibility=PowerLaw(2.0),
             trials=4,
@@ -367,7 +394,7 @@ class TestQuietSkip:
             initial_informed=3,
         ),
         small_spec(
-            graph=StaticGraph(complete_graph(2)),
+            graph=StaticGraph(explicit_complete(2)),
             protocol=ProtocolKind.PULL,
             credibility=Constant(0.1),
             trials=6,
@@ -382,7 +409,7 @@ class TestQuietSkip:
             record_level=RecordLevel.PER_ROUND_EXACT,
         ),
         small_spec(
-            graph=StaticGraph(complete_graph(256)),
+            graph=StaticGraph(explicit_complete(256)),
             credibility=PowerLaw(2.0),
             trials=4,
             max_rounds=2 * ROUND_BLOCK + 1,
@@ -405,7 +432,7 @@ class TestQuietSkip:
 
     def test_a_quiet_stretch_crosses_a_block_edge(self):
         spec = small_spec(
-            graph=StaticGraph(complete_graph(256)), credibility=PowerLaw(2.0), trials=4, max_rounds=2 * ROUND_BLOCK + 1
+            graph=StaticGraph(explicit_complete(256)), credibility=PowerLaw(2.0), trials=4, max_rounds=2 * ROUND_BLOCK + 1
         )
         records, _ = run_experiment(spec)
         assert_same_records(records, reference_records(spec, range(spec.trials)))
@@ -447,6 +474,109 @@ class TestQuietSkip:
             with pytest.raises(RangeError) as got:
                 run()
             assert str(got.value) == str(want.value) == f"credibility must be in [0, 1], got {spike}"
+
+
+def assert_law_fits(samples: np.ndarray, law: np.ndarray) -> None:
+    """Every bin within 6 standard errors plus 1/N of the exact law (N fixed before the run)."""
+    freq = np.bincount(samples, minlength=len(law)) / len(samples)
+    assert len(freq) == len(law)
+    se = np.sqrt(law * (1.0 - law) / len(samples))
+    assert np.all(np.abs(freq - law) <= 6 * se + 1.0 / len(samples))
+
+
+class TestCompleteChain:
+    """Trials on the implicit K_n run on the count chain; its law is the exact K_n law."""
+
+    @pytest.mark.parametrize(
+        "n,informed,q",
+        [(64, 1, 1.0), (64, 20, 0.5), (64, 63, 0.25), (1024, 3, 0.25), (1024, 512, 1.0), (1024, 1000, 0.05)],
+    )
+    @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+    def test_one_round_law_is_the_size_law(self, kind, n, informed, q):
+        spec = small_spec(
+            graph=StaticGraph(complete_graph(n)),
+            protocol=kind,
+            credibility=Constant(q),
+            initial_informed=informed,
+            trials=2000,
+            max_rounds=1,
+            record_level=RecordLevel.SUMMARY,
+        )
+        finals = np.array([r.final_informed for r in run_experiment(spec)[0]])
+        assert_law_fits(finals - informed, complete_size_law(kind, n, informed, q))
+
+    @pytest.mark.parametrize("engine", ["chain", "masks"])
+    @pytest.mark.parametrize(
+        "credibility,rounds", [(Constant(0.5), 4), (PowerLaw(2.0), 20)], ids=["const0.5", "power2"]
+    )
+    @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+    def test_final_count_law_is_the_forward_pass(self, kind, credibility, rounds, engine):
+        graph = complete_graph(64) if engine == "chain" else explicit_complete(64)
+        spec = small_spec(
+            graph=StaticGraph(graph),
+            protocol=kind,
+            credibility=credibility,
+            trials=600,
+            max_rounds=rounds,
+            record_level=RecordLevel.SUMMARY,
+        )
+        law, dropped = complete_final_law(kind, 64, [credibility.value_at(t) for t in range(rounds)])
+        assert dropped <= 1e-12
+        assert_law_fits(np.array([r.final_informed for r in run_experiment(spec)[0]]), law)
+
+    SPECS = [
+        small_spec(record_level=RecordLevel.PER_ROUND_EXACT, credibility=Constant(0.3), trials=4),
+        small_spec(
+            graph=StaticGraph(complete_graph(1024)),
+            protocol=ProtocolKind.PUSH_PULL,
+            credibility=PowerLaw(1.0),
+            trials=4,
+            max_rounds=300,
+            master_seed=-4,
+            record_level=RecordLevel.PER_ROUND_EXACT,
+        ),
+        small_spec(
+            graph=StaticGraph(complete_graph(4096)),
+            protocol=ProtocolKind.PULL,
+            credibility=Constant(0.5),
+            initial_informed=40,
+            max_rounds=None,
+            record_level=RecordLevel.SUMMARY,
+        ),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["K8-exact", "K1024-push-pull-exact", "K4096-pull-summary"])
+    def test_records_are_per_trial_and_deterministic(self, spec):
+        records, _ = run_experiment(spec)
+        assert_same_records([run_trial(spec, i) for i in range(spec.trials)], records)
+        assert_same_records(harness._run_lockstep(spec, [2, 0]), [records[2], records[0]])
+        assert_same_records(run_experiment(spec)[0], records)
+        assert [r.seed for r in records] == [mix_seed(spec.master_seed, i) for i in range(spec.trials)]
+
+    @pytest.mark.parametrize("spec", SPECS[:2], ids=["K8-exact", "K1024-push-pull-exact"])
+    def test_exact_deltas_are_the_oracle(self, spec):
+        g = spec.graph.graph
+        for r in run_experiment(spec)[0]:
+            assert len(r.exact_deltas) == len(r.informed_counts) - 1
+            for i, q, delta in zip(r.informed_counts, r.q_values, r.exact_deltas):
+                informed = np.arange(g.n) < i
+                assert delta == pytest.approx(exact_delta_expectation(spec.protocol, g, informed, q), rel=1e-12)
+
+    def test_everyone_informed_completes_at_round_0(self):
+        spec = small_spec(initial_informed=8, record_level=RecordLevel.PER_ROUND_EXACT)
+        for r in run_experiment(spec)[0]:
+            assert (r.completion_round, r.informed_counts, r.exact_deltas) == (0, [8], [])
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+    def test_nan_credibility_at_a_reached_round_raises(self, kind):
+        spec = small_spec(
+            graph=StaticGraph(complete_graph(1024)), protocol=kind, credibility=SpikeAt100(math.nan), max_rounds=200
+        )
+        with pytest.raises(RangeError, match=r"credibility must be in \[0, 1\], got nan"):
+            run_experiment(spec)
+        # a trial that completes before round 100 never reaches it
+        done = small_spec(protocol=kind, credibility=OneUntilNan(100), max_rounds=200)
+        assert all(run_trial(done, i).completion_round < 100 for i in range(done.trials))
 
 
 class TestMaxRoundsDefault:

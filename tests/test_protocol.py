@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipsim.errors import SetRangeError, SizeGuardExceeded
+from gossipsim.errors import RangeError, SetRangeError, SizeGuardExceeded
 from gossipsim.graphs import (
     complete_graph,
     cycle_graph,
@@ -19,6 +19,9 @@ from gossipsim.harness import iter_tiny_instances
 from gossipsim.protocol import (
     ProcessState,
     ProtocolKind,
+    complete_delta_expectation,
+    complete_final_law,
+    complete_size_law,
     enumerate_joint_distribution,
     exact_delta_expectation,
     growth_factor,
@@ -274,6 +277,55 @@ class TestOneRoundLaw:
             stepped = step(kind, g, ProcessState(0, informed), q, rng_for(31, idx))
             sampled = sample_delta_sizes(kind, g, informed, q, rng_for(31, idx), 1)
             assert stepped.informed_count - int(informed.sum()) == sampled[0]
+
+
+class TestCompleteSizeLaw:
+    """The exact one-round law of |Delta| on K_n, which gates the count chain."""
+
+    def test_equals_enumeration_on_tiny_complete_graphs(self):
+        checked = 0
+        for name, g, informed, q, kind in iter_tiny_instances():
+            if not g.is_complete:
+                continue
+            law = complete_size_law(kind, g.n, int(informed.sum()), q)
+            enumerated = np.zeros(g.n + 1)
+            for members, p in enumerate_joint_distribution(kind, g, informed, q).support.items():
+                enumerated[len(members)] += p
+            assert len(law) == g.n - int(informed.sum()) + 1
+            assert np.abs(law - enumerated[: len(law)]).max() <= 1e-12, (name, kind, q, informed)
+            assert enumerated[len(law) :].sum() <= 1e-12
+            assert abs(law.sum() - 1.0) <= 1e-12
+            checked += 1
+        assert checked == 468
+
+    @pytest.mark.parametrize(
+        "n,counts",
+        [(64, range(1, 64)), (1024, [1, 2, 3, 10, 100, 511, 512, 513, 1000, 1023])],
+        ids=["K64", "K1024"],
+    )
+    def test_mean_equals_exact_expectation(self, n, counts):
+        g = complete_graph(n)
+        for i in counts:
+            informed = mask_of(n, range(i))
+            for kind in KINDS:
+                for q in (0.05, 0.5, 1.0):
+                    law = complete_size_law(kind, n, i, q)
+                    exact = exact_delta_expectation(kind, g, informed, q)
+                    assert law @ np.arange(len(law)) == pytest.approx(exact, rel=1e-12, abs=0)
+                    assert abs(law.sum() - 1.0) <= 1e-12
+                    assert complete_delta_expectation(kind, n, i, q) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_forward_pass_of_one_round_is_the_size_law(self):
+        for kind in KINDS:
+            law, dropped = complete_final_law(kind, 64, [0.5], initial_informed=5)
+            assert dropped == 0.0
+            assert np.array_equal(law[5:], complete_size_law(kind, 64, 5, 0.5))
+
+    def test_rejects_what_the_oracles_reject(self):
+        with pytest.raises(SetRangeError):
+            complete_size_law(ProtocolKind.PUSH, 8, 8, 0.5)
+        with pytest.raises(RangeError):
+            complete_size_law(ProtocolKind.PULL, 8, 3, float("nan"))
 
 
 class TestQuietRounds:
