@@ -5,11 +5,10 @@ graph, protocol, credibility schedule, trial count, round budget and master
 seed. Trials run in lockstep, one round at a time, sharing each round's
 snapshot; trial ``i`` still draws all of its round randomness from streams
 ``(master_seed, i, t)``, so a trial's record is the same alone or beside
-others and two runs of the same spec agree byte for byte. A stalled trial's
-rounds that its own streams' draws prove quiet are recorded without running
-``step``; every round that changes a state still runs it, and no draw moves.
-On the implicit complete graph only |I| matters: trial ``i`` runs the
-event-driven count chain on the one stream ``(master_seed, i)``.
+others and two runs of the same spec agree byte for byte. Every live
+trial-round runs ``step``, a stalled one included. On the implicit
+complete graph only |I| matters: trial ``i`` runs the event-driven count
+chain on the one stream ``(master_seed, i)``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .protocol import (
     exact_delta_expectation,
     growth_factor,
     initial_state,
-    quiet_rounds,
     step,
     verify_process_properties,
 )
@@ -161,12 +159,6 @@ class TrialRecord:
 # Rounds whose stream states are derived in one batch.
 ROUND_BLOCK = 64
 
-# A stalled trial's rounds are proven quiet from their draws (see
-# _run_lockstep) only while a round makes at most this many transmissions,
-# each one neighbour draw and one coin; past it, emulating a block of rounds
-# costs more than stepping them.
-QUIET_PROOF_DRAWS = 256
-
 
 def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialRecord]:
     """Run ``trials`` until each completes or the budget runs out.
@@ -202,7 +194,7 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
             for c in counts
         ]
     else:
-        counts, deltas = _run_masks(spec, trials, budget, q_values, q_through)
+        counts, deltas = _run_masks(spec, trials, budget, q_values)
 
     per_round = spec.record_level is not RecordLevel.SUMMARY
     return [
@@ -220,21 +212,14 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
     ]
 
 
-def _run_masks(spec, trials, budget, q_values, q_through):
+def _run_masks(spec, trials, budget, q_values):
     """Per-trial counts and exact deltas of the mask engine, run round-major.
 
-    Round t's snapshot and q(t) are fetched once for all live trials; trial i
-    still draws from stream ``(master_seed, i, t)``. One ``Generator`` serves
-    every step: it is reset to the stream's start state, derived a block of
-    rounds at a time.
-
-    A trial whose last round informed nobody on a static graph keeps its
-    state until a round informs someone. So once such a round has run, the
-    rest of the block's rounds are read off their own streams' draws at once
-    (:func:`protocol.quiet_rounds`), and each round proven quiet is recorded
-    without ``step``. The first round not proven quiet runs ``step`` as
-    usual; no draw changes. Every q(t) up to the block's end is then fetched
-    ahead of its round, so ``value_at`` must not depend on call order.
+    Round t's snapshot and q(t) are fetched once for all live trials, and
+    q(t + 1) is appended to ``q_values`` for the records; trial i still draws
+    from stream ``(master_seed, i, t)``. One ``Generator`` serves every step:
+    it is reset to the stream's start state, derived a block of rounds at a
+    time.
     """
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
@@ -243,46 +228,24 @@ def _run_masks(spec, trials, budget, q_values, q_through):
     deltas: list[list[float]] = [[] for _ in trials]
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    static = isinstance(spec.graph, StaticGraph)
-    quiet = [False] * len(trials)  # the trial's last round informed nobody
 
     for t in range(budget):
         live = [j for j, c in enumerate(counts) if c[-1] < n]
         if not live:
             break
         if t % ROUND_BLOCK == 0:
-            start, stop = t, min(t + ROUND_BLOCK, budget)
-            block = round_states(spec.master_seed, [trials[j] for j in live], start, stop)
-            row = {j: r for r, j in enumerate(live)}
-            # per trial, the block's rounds proven quiet for its current state
-            proven: dict[int, np.ndarray] = {}
+            stop = min(t + ROUND_BLOCK, budget)
+            streams = dict(zip(live, round_states(spec.master_seed, [trials[j] for j in live], t, stop)))
         g = spec.graph.snapshot(t)
         q_t = q_values[t]
-        if len(q_values) < t + 2:
-            q_through(t + 2)
-        col = t - start
+        q_values.append(spec.credibility.value_at(t + 1))
         for j in live:
             if exact:
                 deltas[j].append(exact_delta_expectation(spec.protocol, g, states[j].informed, q_t))
-            if quiet[j] and static and j not in proven:
-                proven[j] = np.zeros(stop - start, dtype=bool)
-                draws = spec.protocol.does_push * counts[j][-1] + spec.protocol.does_pull * (n - counts[j][-1])
-                if draws <= QUIET_PROOF_DRAWS:
-                    q_through(stop)
-                    proven[j][col:] = quiet_rounds(
-                        spec.protocol, g, states[j].informed, np.array(q_values[t:stop]), block.streams(row[j], col)
-                    )
-            if j in proven and proven[j][col]:
-                counts[j].append(counts[j][-1])
-                continue
             # the state rng_for(master_seed, trials[j], t) starts in
-            bit_generator.state = block.bit_generator_state(row[j], col)
+            bit_generator.state = streams[j][t % ROUND_BLOCK]
             states[j] = step(spec.protocol, g, states[j], q_t, rng)
-            count = int(np.count_nonzero(states[j].informed))
-            quiet[j] = count == counts[j][-1]
-            if not quiet[j]:
-                proven.pop(j, None)
-            counts[j].append(count)
+            counts[j].append(int(np.count_nonzero(states[j].informed)))
     return counts, deltas
 
 
@@ -465,7 +428,9 @@ def load_records_csv(path) -> list[TrialRecord]:
     """Re-import an exported CSV (either row schema, with or without the n column).
 
     A per-round trial's completion round is the first round whose informed
-    count reaches n; without n it stays None.
+    count reaches n; without n it stays None. A trial whose q_t cells are all
+    blank loads with ``q_values=None``; a blank cell among filled ones raises
+    RangeError naming its line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -476,32 +441,33 @@ def load_records_csv(path) -> list[TrialRecord]:
         raise RangeError(f"{path}: missing header")
     header = tuple(rows[0])
     if header in (PER_ROUND_HEADER, PER_ROUND_HEADER[:-1]):
-        by_trial: dict[int, list[tuple[int, int, float]]] = {}
+        by_trial: dict[int, list[tuple[int, int, float | None, int]]] = {}
         n_of: dict[int, int | None] = {}
         parsed = _parse_rows(
             path,
             rows,
             lambda trial, rnd, informed, q_t, n="": (
-                int(trial), int(rnd), int(informed), float(q_t) if q_t else 0.0, _optional_int(n)
+                int(trial), int(rnd), int(informed), float(q_t) if q_t else None, _optional_int(n)
             ),
         )
-        for trial, rnd, informed, q_t, n in parsed:
-            by_trial.setdefault(trial, []).append((rnd, informed, q_t))
+        for line, (trial, rnd, informed, q_t, n) in enumerate(parsed, start=2):
+            by_trial.setdefault(trial, []).append((rnd, informed, q_t, line))
             n_of.setdefault(trial, n)
         records = []
         for trial in sorted(by_trial):
-            entries = sorted(by_trial[trial])
+            entries = sorted(by_trial[trial], key=lambda e: e[:2])
             n = n_of[trial]
-            counts = [inf for _, inf, _ in entries]
-            qs = [q for _, _, q in entries]
+            blank = [line for _, _, q, line in entries if q is None]
+            if 0 < len(blank) < len(entries):
+                raise RangeError(f"{path}, line {blank[0]}: blank q_t, but trial {trial} has q_t in other rounds")
             records.append(
                 TrialRecord(
                     trial=trial,
                     n=n,
-                    final_informed=counts[-1],
-                    completion_round=next((rnd for rnd, inf, _ in entries if inf == n), None),
-                    informed_counts=counts,
-                    q_values=qs,
+                    final_informed=entries[-1][1],
+                    completion_round=next((rnd for rnd, inf, _, _ in entries if inf == n), None),
+                    informed_counts=[inf for _, inf, _, _ in entries],
+                    q_values=None if blank else [q for _, _, q, _ in entries],
                 )
             )
         return records

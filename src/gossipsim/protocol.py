@@ -37,7 +37,6 @@ __all__ = [
     "ProcessPropertyReport",
     "initial_state",
     "step",
-    "quiet_rounds",
     "sample_delta_sizes",
     "exact_delta_expectation",
     "growth_factor",
@@ -118,22 +117,6 @@ def _round_halves(kind, g, informed, q, rng, draws: int = 1):
         flat = pullers if draws == 1 else np.tile(pullers, draws)
         sources = g.sample_neighbors(flat, rng).reshape(draws, len(pullers))
         yield flat.reshape(sources.shape), informed[sources] & (rng.random(sources.shape) < q)
-
-
-def quiet_rounds(kind: ProtocolKind, g: GraphSnapshot, informed: np.ndarray, q: np.ndarray, streams) -> np.ndarray:
-    """Which of R rounds from ``informed`` provably inform nobody.
-
-    Round r has credibility ``q[r]`` and draws from stream r of ``streams``
-    (a :class:`~gossipsim.seeds.StreamBatch`), so it is the round :func:`step`
-    would run with a ``Generator`` reset to that stream. The R rounds are
-    :func:`_round_halves`' independent draws, so the round law has one home.
-    A round counts only when it is certain: a stream on which numpy would
-    redraw a bounded integer, or a q that :func:`step` rejects, proves nothing.
-    """
-    quiet = (q >= 0.0) & (q <= 1.0)
-    for _, accepted in _round_halves(kind, g, informed, q[:, None], streams, streams.rows):
-        quiet &= ~accepted.any(axis=1)
-    return quiet & ~streams.redrawn
 
 
 def step(

@@ -9,23 +9,17 @@ be handed to concurrent trials without coordination.
 Building a ``Generator`` costs far more than a stalled round's draws, so the
 trial loop does not call :func:`rng_for` per round. :func:`round_states`
 derives, for a block of rounds at once, the exact PCG64 state that
-``rng_for(master_seed, i, t)`` starts in, as 128-bit integers held in uint64
-limbs. The loop resets one reused ``Generator`` to such a state before each
-round it steps. For the rounds of a stalled trial, :class:`StreamBatch` goes
-further: it computes the first outputs of many round streams at once by PCG64
-jump-ahead and maps them to the draws ``Generator.integers`` and
-``Generator.random`` would make, so a round can be read off its draws without
-running it. Every draw is the same as from a fresh :func:`rng_for`;
-``tests/test_seeds.py`` compares the two, so a numpy change to SeedSequence,
-PCG64 seeding or its bounded-integer sampler fails there rather than shifting
+``rng_for(master_seed, i, t)`` starts in, and the loop resets one reused
+``Generator`` to it before each round. Only the seeding is restated; the
+draws are numpy's own, so they are the same as from a fresh :func:`rng_for`.
+``tests/test_seeds.py`` compares the states with :func:`rng_for`'s, so a numpy
+change to SeedSequence or PCG64 seeding fails there rather than shifting
 records.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,151 +102,18 @@ def _seed_sequence_words(seed: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
-# -- 128-bit PCG64 arithmetic on limbs -----------------------------------------
-#
-# A 128-bit integer is a (hi, lo) pair of uint64 arrays; uint64 products wrap,
-# so these are exact mod 2^128 under numpy broadcasting.
-
-
-def _add128(a, b):
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]), lo
-
-
-def _mul128(a, b):
-    """(a * b) mod 2^128: the full 64 x 64 product of the low limbs from
-    32-bit halves, plus the cross terms, which only reach the high limb."""
-    a0, a1 = a[1] & 0xFFFFFFFF, a[1] >> 32
-    b0, b1 = b[1] & 0xFFFFFFFF, b[1] >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a[0] * b[1] + a[1] * b[0]
-    return hi, a[1] * b[1]
-
-
-def _limbs(values) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array([v >> 64 for v in values], dtype=np.uint64),
-        np.array([v & _MASK64 for v in values], dtype=np.uint64),
-    )
-
-
-@functools.cache
-def _jumps(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row 0: M^j, row 1: M^(j-1) + ... + M + 1, for j = 1..count, as limbs.
-    The j-th PCG64 state after s is M^j s + (M^(j-1) + ... + 1) inc."""
-    mult, offset = [], []
-    m, c = 1, 0
-    for _ in range(count):
-        m, c = m * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        mult.append(m)
-        offset.append(c)
-    hi, lo = _limbs(mult + offset)
-    hi.flags.writeable = lo.flags.writeable = False  # shared by every caller
-    return hi.reshape(2, 1, count), lo.reshape(2, 1, count)
-
-
-@dataclass(frozen=True)
-class RoundStates:
-    """PCG64 start states of round streams: row = trial, column = round.
-
-    ``limbs`` has shape (trials, rounds, 4): the 128-bit state and increment
-    as uint64 limbs (state hi, state lo, inc hi, inc lo).
-    """
-
-    limbs: np.ndarray
-
-    def bit_generator_state(self, row: int, col: int) -> dict:
-        """The ``bit_generator.state`` that stream (row, col) starts in."""
-        s_hi, s_lo, i_hi, i_lo = self.limbs[row, col].tolist()
-        return {
-            "bit_generator": "PCG64",
-            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def streams(self, row: int, start: int) -> StreamBatch:
-        """Row ``row``'s streams from column ``start`` on, drawn in lockstep."""
-        return StreamBatch(self.limbs[row, start:])
-
-
-def round_states(master_seed: int, trials: Sequence[int], start: int, stop: int) -> RoundStates:
-    """The states ``rng_for(master_seed, i, t)`` starts in, for each i in
-    ``trials`` (rows) and each round t in ``[start, stop)`` (columns).
+def round_states(master_seed: int, trials: Sequence[int], start: int, stop: int) -> list[list[dict]]:
+    """``rng_for(master_seed, i, t).bit_generator.state`` for each i in ``trials``
+    (rows) and each round t in ``[start, stop)`` (columns).
     """
     prefix = np.array([[mix_seed(master_seed, i)] for i in trials], dtype=np.uint64)
     seed = _splitmix64_array(prefix ^ np.arange(start, stop, dtype=np.uint64))
-    words = _seed_sequence_words(seed.ravel()).reshape(seed.shape + (4,))
-    initstate, initseq = (words[..., 0], words[..., 1]), (words[..., 2], words[..., 3])
-    # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1, then two LCG steps from 0
-    inc = (initseq[0] << 1 | initseq[1] >> 63, initseq[1] << 1 | 1)
-    state = _add128(_mul128(_add128(initstate, inc), _limbs([_PCG_MULT])), inc)
-    return RoundStates(np.stack([*state, *inc], axis=-1))
-
-
-class StreamBatch:
-    """R PCG64 streams drawn in lockstep, each as a ``Generator`` reset to its
-    start state would draw it.
-
-    It stands in for the ``Generator`` that R independent draws of one round
-    take their randomness from: a request for ``size`` values takes
-    ``size / R`` of them from each stream, and stream r's values fill the r-th
-    block of the result in C order. Draws are computed, not sampled: the j-th
-    64-bit output is the XSL-RR output of the j-th state, reached by jump-ahead.
-
-    ``integers`` follows numpy's 32-bit Lemire path: each 64-bit output gives
-    its low half, then its high half, and a half left over waits for the next
-    ``integers`` call (``random`` does not consume it). Where the sampler would
-    reject a draw and redraw, the stream's ``redrawn`` flag is set and its
-    later values are not the ``Generator``'s. Ranges of 2^32 or more are not
-    emulated; they flag every stream.
-    """
-
-    def __init__(self, limbs: np.ndarray):
-        # from (R, 4) rows of RoundStates.limbs: hi and lo limbs of shape
-        # (2, R, 1), the start states in row 0 and the increments in row 1
-        self._start = (limbs[:, 0::2].T[:, :, None], limbs[:, 1::2].T[:, :, None])
-        self.rows = len(limbs)
-        self.redrawn = np.zeros(self.rows, dtype=bool)
-        self._used = 0
-        self._half: np.ndarray | None = None
-
-    def _per_stream(self, size) -> int:
-        return int(np.prod(size)) // self.rows
-
-    def random_raw(self, count: int) -> np.ndarray:
-        """The next ``count`` 64-bit outputs of every stream, shape (R, count)."""
-        stop = self._used + count
-        # a power-of-two table length keeps the cache to a few entries
-        jump = _jumps(1 << max(stop - 1, 0).bit_length())
-        terms = _mul128(self._start, tuple(limb[..., self._used : stop] for limb in jump))
-        hi, lo = _add128((terms[0][0], terms[1][0]), (terms[0][1], terms[1][1]))
-        self._used = stop
-        # XSL-RR: hi ^ lo rotated right by the state's top six bits
-        x, rot = hi ^ lo, hi >> 58
-        return x >> rot | x << (-rot & 63)
-
-    def integers(self, m: int, size) -> np.ndarray:
-        """``Generator.integers(m, size=size)`` for each stream."""
-        k = self._per_stream(size)
-        if m == 1 or k == 0:
-            return np.zeros(size, dtype=np.int64)  # numpy draws nothing here
-        if m > 0xFFFFFFFF:
-            self.redrawn[:] = True
-            return np.zeros(size, dtype=np.int64)
-        carried = [] if self._half is None else [self._half[:, None]]
-        fresh = k - len(carried)
-        raw = self.random_raw((fresh + 1) // 2)
-        halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(self.rows, -1)
-        self._half = halves[:, -1] if fresh % 2 else None
-        words = np.concatenate(carried + [halves[:, :fresh]], axis=1)
-        scaled = words * np.uint64(m)
-        # numpy redraws while the low word is below (2^32 - m) mod m
-        self.redrawn |= ((scaled & 0xFFFFFFFF) < (1 << 32) % m).any(axis=1)
-        return (scaled >> 32).astype(np.int64).reshape(size)
-
-    def random(self, size) -> np.ndarray:
-        """``Generator.random(size)`` for each stream."""
-        raw = self.random_raw(self._per_stream(size))
-        return ((raw >> 11) * (1.0 / 9007199254740992.0)).reshape(size)
+    words = _seed_sequence_words(seed.ravel()).tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in words:
+        # pcg_setseq_128_srandom_r: two LCG steps from state 0
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    width = stop - start
+    return [states[r * width : (r + 1) * width] for r in range(len(trials))]
