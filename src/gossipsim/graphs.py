@@ -72,6 +72,8 @@ SPECTRAL_SEED = 0x5EC7
 LANCZOS_CHECK = 10
 LANCZOS_TOL = 1e-13
 PHI_K_SUBSET_GUARD = 10_000_000
+# Cells in one row block of a boolean (rows, n) scratch array: the complement
+# rows here and protocol.sample_delta_sizes' receiver mask.
 COMPLEMENT_BLOCK = 1 << 22
 
 
@@ -117,8 +119,9 @@ class GraphSnapshot:
             raise RangeError("self-loop in adjacency")
         if self.d > 1 and not np.all(adj[:, 1:] > adj[:, :-1]):
             raise RangeError("neighbor rows must be strictly ascending (sorted, no duplicates)")
+        # rows ascend, so the forward arc keys are already sorted
         rows = np.repeat(ids, self.d)
-        forward = np.sort(rows * self.n + adj.ravel())
+        forward = rows * self.n + adj.ravel()
         backward = np.sort(adj.ravel() * self.n + rows)
         if not np.array_equal(forward, backward):
             raise RangeError("adjacency is not symmetric")
@@ -591,13 +594,13 @@ def is_connected(g: GraphSnapshot) -> bool:
     if g.is_complete:
         return True
     visited = np.zeros(g.n, dtype=bool)
+    reached = np.zeros(g.n, dtype=bool)
     frontier = np.array([0], dtype=np.int64)
     visited[0] = True
     while len(frontier):
-        nxt = np.unique(g.adj[frontier].ravel())
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        frontier = nxt
+        reached[g.adj[frontier]] = True
+        frontier = np.flatnonzero(reached & ~visited)
+        visited[frontier] = True
     return bool(visited.all())
 
 

@@ -573,6 +573,7 @@ def _verify_bound_sandwich() -> VerifyReport:
     violations = 0
     worst = math.inf
     checked = 0
+    q_grid = np.linspace(0.1, 1.0, 10)
     for i in range(1000):
         d = int(rng.integers(2, 17))
         n = int(rng.integers(max(d + 1, 8), 129))
@@ -583,7 +584,7 @@ def _verify_bound_sandwich() -> VerifyReport:
         size = int(rng.integers(1, n))
         informed = np.zeros(n, dtype=bool)
         informed[rng.choice(n, size=size, replace=False)] = True
-        q = float(rng.choice(np.linspace(0.1, 1.0, 10)))
+        q = float(rng.choice(q_grid))
         phi = conductance(g, informed)
         for kind in ProtocolKind:
             gf = growth_factor(kind, g, informed, q)

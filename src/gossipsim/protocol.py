@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import RangeError, SetRangeError, SizeGuardExceeded
-from .graphs import GraphSnapshot, as_vertex_mask
+from .graphs import COMPLEMENT_BLOCK, GraphSnapshot, as_vertex_mask
 
 __all__ = [
     "ProtocolKind",
@@ -149,17 +149,29 @@ def sample_delta_sizes(
 ) -> np.ndarray:
     """|Delta| for ``n_samples`` independent one-round draws from a fixed state.
 
-    The same round law as :func:`step`, drawn ``n_samples`` times at once: a
-    vertex informed by both halves or by several transmissions counts once.
+    The same round law as :func:`step`, drawn ``n_samples`` times at once.
+    Draw r marks its receivers on row r of a boolean vertex mask, as ``step``
+    marks its one row, so a vertex informed by both halves or by several
+    transmissions counts once, and |Delta| is the row's count. A draw thus
+    costs O(n) plus its transmissions, as a ``step`` does. One mask of at
+    most ``COMPLEMENT_BLOCK // n`` rows is cleared and reused block after
+    block, so large graphs never get an ``(n_samples, n)`` array.
     """
     q = _check_q(q)
     informed = as_vertex_mask(g.n, informed)
-    keys = [
-        np.nonzero(accepted)[0] * g.n + receivers[accepted]
-        for receivers, accepted in _round_halves(kind, g, informed, q, rng, n_samples)
-    ]
-    unique = np.unique(np.concatenate(keys))
-    return np.bincount(unique // g.n, minlength=n_samples)
+    halves = list(_round_halves(kind, g, informed, q, rng, n_samples))
+    block = max(1, COMPLEMENT_BLOCK // g.n)
+    hit = np.empty((min(block, n_samples), g.n), dtype=bool)
+    sizes = np.empty(n_samples, dtype=np.int64)
+    for start in range(0, n_samples, block):
+        stop = min(start + block, n_samples)
+        mask = hit[: stop - start]
+        mask[:] = False
+        for receivers, accepted in halves:
+            accepted = accepted[start:stop]
+            mask[np.nonzero(accepted)[0], receivers[start:stop][accepted]] = True
+        sizes[start:stop] = np.count_nonzero(mask, axis=1)
+    return sizes
 
 
 def _proper_subset(g: GraphSnapshot, informed) -> tuple[np.ndarray, int]:

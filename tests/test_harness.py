@@ -701,9 +701,14 @@ class TestVerifySuites:
         assert report.checks["instances"]["count"] == 2160
 
     def test_bound_sandwich_passes(self):
+        # pinned, so an edit to the graphs, bounds or oracles it samples cannot
+        # move the suite's output unseen
         report = verify_suite("bound_sandwich")
         assert report.ok
-        assert report.checks["table_sandwich"]["violations"] == 0
+        table = report.checks["table_sandwich"]
+        assert table["violations"] == 0
+        assert table["inequalities"] == 8846
+        assert table["worst_slack"] == -7.771561172376096e-16
 
     def test_predictor_claims_reports_known_false_inequality(self):
         # Every subcheck passes except the multiplicative "few" product

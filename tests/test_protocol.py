@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +249,46 @@ class TestSampling:
         assert abs(stepped.mean() - exact) <= 5 * se
 
 
+class TestSampledRounds:
+    """``sample_delta_sizes`` pinned draw for draw across commits, and its
+    receiver mask's memory bound."""
+
+    GRAPHS = {
+        "K4": complete_graph(4),
+        "C6": cycle_graph(6),
+        "M6": matching_graph([(0, 3), (1, 4), (2, 5)]),
+        "regular64": generate_random_regular(64, 4, seed=0),
+        "complete1024": complete_graph(1024),
+    }
+    DIGEST = "739cb7744583071cce39d7348f31f6bdbeede7ec06b513bd4d958cc6b338807d"
+
+    def test_outputs_and_stream_position_match_their_digest(self):
+        # each call's sizes, then the next float of its stream, so a change
+        # that draws more or fewer values than before fails too
+        rows = []
+        for idx, (name, g) in enumerate(self.GRAPHS.items()):
+            informed = mask_of(g.n, [0, g.n // 2, g.n - 1])
+            for kind in KINDS:
+                for n_samples in (1, 7, 10_000):
+                    rng = rng_for(41, idx, n_samples)
+                    sizes = sample_delta_sizes(kind, g, informed, 0.5, rng, n_samples)
+                    rows.append([name, kind.value, sizes.tolist(), rng.random()])
+        text = json.dumps(rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+    def test_push_on_a_large_complete_graph_stays_small(self):
+        g = complete_graph(65_536)
+        informed = mask_of(g.n, range(5))
+        tracemalloc.start()
+        try:
+            sizes = sample_delta_sizes(ProtocolKind.PUSH, g, informed, 0.5, rng_for(47), 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 10_000 and 0 <= sizes.min() and sizes.max() <= 5
+        assert peak < 8 << 20
+
+
 class TestOneRoundLaw:
     def test_sampler_matches_exact_size_law_on_tiny_corpus(self):
         # Fixed before looking at results: N draws per instance from stream
@@ -267,7 +310,7 @@ class TestOneRoundLaw:
     def test_step_and_sampler_share_one_engine(self):
         cases = [(g, informed, q, kind) for _, g, informed, q, kind in iter_tiny_instances()]
         rng = rng_for(13)
-        for g in (complete_graph(64), generate_random_regular(64, 10, seed=5)):
+        for g in (complete_graph(64), generate_random_regular(64, 10, seed=5), complete_graph(1024)):
             for _ in range(20):
                 informed = rng.random(g.n) < rng.random()
                 informed[rng.integers(g.n)] = True
@@ -275,6 +318,7 @@ class TestOneRoundLaw:
         for idx, (g, informed, q, kind) in enumerate(cases):
             stepped = step(kind, g, ProcessState(0, informed), q, rng_for(31, idx))
             sampled = sample_delta_sizes(kind, g, informed, q, rng_for(31, idx), 1)
+            assert sampled.dtype == np.int64 and sampled.shape == (1,)
             assert stepped.informed_count - int(informed.sum()) == sampled[0]
 
 
