@@ -77,6 +77,16 @@ PHI_K_SUBSET_GUARD = 10_000_000
 COMPLEMENT_BLOCK = 1 << 22
 
 
+def _check_regular(n: int, d: int) -> None:
+    """Raise the typed error for an (n, d) that no d-regular graph has."""
+    if (n * d) % 2 != 0:
+        raise ParityError(f"n*d must be even, got n={n}, d={d}")
+    if d >= n:
+        raise DegreeError(f"degree {d} must be < n = {n}")
+    if d < 1:
+        raise DegreeError(f"degree must be >= 1, got {d}")
+
+
 @dataclass(eq=False)
 class GraphSnapshot:
     """One simple d-regular graph at one round.
@@ -94,12 +104,7 @@ class GraphSnapshot:
     def __post_init__(self):
         if self.n < 2:
             raise RangeError(f"need at least 2 vertices, got {self.n}")
-        if self.d < 1:
-            raise DegreeError(f"degree must be >= 1, got {self.d}")
-        if self.d >= self.n:
-            raise DegreeError(f"degree {self.d} must be < n = {self.n}")
-        if (self.n * self.d) % 2 != 0:
-            raise ParityError(f"n*d must be even, got n={self.n}, d={self.d}")
+        _check_regular(self.n, self.d)
         if self.adj is not None:
             self.adj = np.ascontiguousarray(self.adj, dtype=np.int64)
             self._validate_adjacency()
@@ -218,35 +223,28 @@ def _isin_sorted(sorted_keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == values
 
 
-def _first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``keys`` whose value did not occur earlier."""
-    ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    first = np.ones(len(keys), dtype=bool)
+def _kept_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``lo <= hi`` added in order to an edge set: the mask of those thrown
+    out (self-loops, later copies) and the kept keys ``lo*n + hi``, ascending."""
+    keys = lo * n + hi
+    thrown = lo == hi
+    ordered = np.sort(keys[~thrown])
+    dup = ordered[1:] == ordered[:-1]
+    repeated = ordered[1:][dup]
     if len(repeated):
-        # Narrow the candidates with a bit table on the low key bits first: a
-        # searchsorted of every key costs several times the sort above.
+        # Only keys whose low bits match a repeated key's can be later copies:
+        # a bit table on those bits finds them without a lookup per key.
         low_bits = (1 << len(keys).bit_length()) - 1
         table = np.zeros(low_bits + 1, dtype=bool)
         table[repeated & low_bits] = True
         idx = np.flatnonzero(table[keys & low_bits])
-        idx = idx[_isin_sorted(repeated, keys[idx])]
-        first[idx] = False
-        # Filled back to front, so each key ends up with its earliest index.
-        earliest = dict(zip(keys[idx[::-1]].tolist(), idx[::-1].tolist()))
-        first[list(earliest.values())] = True
-    return first
-
-
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The ascending arrays ``a`` and ``b`` merged into one ascending array."""
-    at = np.searchsorted(a, b) + np.arange(len(b))
-    out = np.empty(len(a) + len(b), dtype=np.int64)
-    rest = np.ones(len(out), dtype=bool)
-    rest[at] = False
-    out[at] = b
-    out[rest] = a
-    return out
+        repeated, seen = set(repeated.tolist()), set()
+        for i, key in zip(idx.tolist(), keys[idx].tolist()):
+            if key in seen:
+                thrown[i] = True
+            elif key in repeated:
+                seen.add(key)
+    return thrown, np.concatenate([ordered[:1], ordered[1:][~dup]])
 
 
 def _complement_rows(n: int, adj: np.ndarray) -> np.ndarray:
@@ -275,13 +273,13 @@ def _snapshot_from_keys(n: int, keys: np.ndarray, complement: bool = False) -> G
     Both directions of every edge are sorted together in one pass, so each
     vertex's neighbors come out as a contiguous ascending run.
     """
-    lo, hi = np.divmod(keys, n)
-    arcs = np.sort(np.concatenate([keys, hi * n + lo]))
-    rows, nbrs = np.divmod(arcs, n)
+    lo = keys // n
+    arcs = np.sort(np.concatenate([keys, (keys - lo * n) * n + lo]))
+    rows = arcs // n
     degrees = np.bincount(rows, minlength=n)
     if len(degrees) == 0 or degrees.min() != degrees.max():
         raise DegreeError(f"graph is not regular, degrees {np.unique(degrees).tolist()}")
-    adj = nbrs.reshape(n, int(degrees[0]))
+    adj = (arcs - rows * n).reshape(n, int(degrees[0]))
     if complement:
         adj = _complement_rows(n, adj)
     return GraphSnapshot(n=n, d=adj.shape[1], adj=adj)
@@ -298,8 +296,8 @@ def from_edge_list(n: int, edges) -> GraphSnapshot:
         u, v = pairs[outside[0]].tolist()
         raise RangeError(f"edge ({u},{v}) out of range for n = {n}")
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-    keys = lo * n + hi
-    bad = np.flatnonzero((lo == hi) | ~_first_occurrences(keys))
+    thrown, keys = _kept_pairs(lo, hi, n)
+    bad = np.flatnonzero(thrown)
     if len(bad):
         i = bad[0]
         if lo[i] == hi[i]:
@@ -335,7 +333,7 @@ def matching_graph(pairs) -> GraphSnapshot:
 
 
 def _pair_stubs(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
-    """One stub-pairing attempt: sorted edge keys ``u*n + v`` (u < v), or None.
+    """One stub-pairing attempt: the edge keys ``u*n + v`` (u < v), or None.
 
     Each pass shuffles the remaining stubs and pairs neighbours in the
     shuffled order. A pair is kept when it is no self-loop, not already an
@@ -344,34 +342,39 @@ def _pair_stubs(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
     of the other pairs (smaller end first) go to the next pass grouped by
     vertex, in order of first appearance. The attempt fails when no two
     distinct leftover vertices can still be joined.
+
+    The first pass runs on arrays (``_kept_pairs``), the later ones on Python ints.
     """
-    keys = np.empty(0, dtype=np.int64)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    while len(stubs):
-        rng.shuffle(stubs)
-        lo = np.minimum(stubs[0::2], stubs[1::2])
-        hi = np.maximum(stubs[0::2], stubs[1::2])
-        pair_keys = lo * n + hi
-        keep = (lo != hi) & _first_occurrences(pair_keys) & ~_isin_sorted(keys, pair_keys)
-        keys = _merge_sorted(keys, np.sort(pair_keys[keep]))
-        rejected = ~keep
-        if not rejected.any():
-            break
+    rng.shuffle(stubs)
+    lo = np.minimum(stubs[0::2], stubs[1::2])
+    hi = np.maximum(stubs[0::2], stubs[1::2])
+    thrown, first = _kept_pairs(lo, hi, n)
+    rejected = list(zip(lo[thrown].tolist(), hi[thrown].tolist()))
+    later: set[int] = set()
+    while rejected:
         # Smaller end first, counted in order of first appearance.
-        ends = zip(lo[rejected].tolist(), hi[rejected].tolist())
-        leftovers = Counter(itertools.chain.from_iterable(ends))
-        nodes = np.fromiter(leftovers, dtype=np.int64, count=len(leftovers))
+        leftovers = Counter(itertools.chain.from_iterable(rejected))
         # A leftover vertex still holds a stub, so it has at most d - 1 edges:
         # more than d leftover vertices always include a non-adjacent pair.
-        # Keys hold the smaller end first, so each edge among m leftover
-        # vertices matches once in the m x m grid.
-        m = len(nodes)
-        if m <= d:
-            pairs = (nodes[:, None] * n + nodes).ravel()
-            if np.count_nonzero(_isin_sorted(keys, pairs)) == m * (m - 1) // 2:
+        if len(leftovers) <= d:
+            joins = [u * n + v for u, v in itertools.combinations(sorted(leftovers), 2)]
+            joins = [key for key in joins if key not in later]
+            if _isin_sorted(first, np.array(joins, dtype=np.int64)).all():
                 return None
-        stubs = np.repeat(nodes, list(leftovers.values()))
-    return keys
+        stubs = np.array([v for v, c in leftovers.items() for _ in range(c)], dtype=np.int64)
+        rng.shuffle(stubs)
+        ends = iter(stubs.tolist())
+        pairs = [(u, v) if u < v else (v, u) for u, v in zip(ends, ends)]
+        keys = [u * n + v for u, v in pairs]
+        in_first = _isin_sorted(first, np.array(keys, dtype=np.int64)).tolist()
+        rejected = []
+        for pair, key, old in zip(pairs, keys, in_first):
+            if pair[0] == pair[1] or old or key in later:
+                rejected.append(pair)
+            else:
+                later.add(key)
+    return np.concatenate([first, np.fromiter(later, dtype=np.int64, count=len(later))])
 
 
 def generate_random_regular(
@@ -388,13 +391,7 @@ def generate_random_regular(
     raises :class:`RetryExhausted` after ``max_retries`` whole-graph
     rejections.
     """
-    if (n * d) % 2 != 0:
-        raise ParityError(f"n*d must be even, got n={n}, d={d}")
-    if d >= n:
-        raise DegreeError(f"degree {d} must be < n = {n}")
-    if d < 1 or n < 2:
-        raise DegreeError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
-
+    _check_regular(n, d)
     rng = rng_for(seed)
     complement = 2 * d > n - 1
     for _ in range(max_retries):
@@ -687,6 +684,9 @@ class ResampledRegular:
     n: int
     d: int
     seed: int
+
+    def __post_init__(self):
+        _check_regular(self.n, self.d)
 
     def snapshot(self, t: int) -> GraphSnapshot:
         return generate_random_regular(self.n, self.d, seed=mix_seed(self.seed, t))

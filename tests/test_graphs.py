@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipsim import graphs
+from gossipsim import graphs, harness
 from gossipsim.errors import (
     DegreeError,
     EmptyOrFullSet,
@@ -20,6 +20,7 @@ from gossipsim.errors import (
 )
 from gossipsim.graphs import (
     CyclicGraphs,
+    GraphSnapshot,
     MatchingSequence,
     ResampledRegular,
     StaticGraph,
@@ -40,10 +41,10 @@ from gossipsim.graphs import (
     save_graph,
     spectral_lambda,
 )
-from gossipsim.seeds import mix_seed
+from gossipsim.seeds import mix_seed, rng_for
 
 from conftest import mask_from_bits, mask_of
-from reference_regular import reference_random_regular
+from reference_regular import reference_attempt, reference_random_regular
 
 
 def assert_valid_regular(g):
@@ -124,6 +125,21 @@ def _rounds(spec, rounds):
     return lambda: [spec.snapshot(t) for t in range(rounds)]
 
 
+def _bound_sandwich_graphs():
+    """The 1,000 graphs ``harness._verify_bound_sandwich`` builds, in order."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(generate_random_regular(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "generate_random_regular", recording)
+        harness._verify_bound_sandwich()
+    assert len(built) == 1000
+    return built
+
+
 # sha256 of adj.tobytes(), concatenated over a list of graphs, recorded from
 # the pure-Python pairing generator. Any change here changes every recorded
 # trajectory on a random regular or matching graph.
@@ -179,6 +195,11 @@ GOLDEN_ADJ = [
         id="regular-4096,32,11",
     ),
     pytest.param(
+        _bound_sandwich_graphs,
+        "52abdc0e85a1e84772d1f01893a922646bad2351c853849bed4a796c7ebf2a42",
+        id="regular-bound-sandwich",
+    ),
+    pytest.param(
         _rounds(MatchingSequence(64, 5), 50),
         "997a45b8c9d8b0556b702202f76a0c04a9b0ecc0c657020caed2a178bcdee3b3",
         id="matching-64,5",
@@ -203,7 +224,7 @@ class TestGeneratorIdentity:
         assert _adj_digest(build()) == digest
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 40), st.integers(1, 12), st.integers(0, 2**63 - 1))
+    @given(st.integers(2, 128), st.integers(1, 16), st.integers(0, 2**63 - 1))
     def test_matches_pure_python_pairing(self, n, d, seed):
         d = min(d, n - 1)
         if (n * d) % 2:
@@ -221,6 +242,55 @@ class TestGeneratorIdentity:
         assert np.array_equal(g.adj, expected)
         assert_valid_regular(g)
         assert is_connected(g)
+
+    @staticmethod
+    def _failed_attempts(n, d, seed):
+        """Run the generator's and the reference's attempts side by side.
+
+        After every attempt both hold the same edges (or both failed) and
+        both streams stand at the same position. Returns the failures.
+        """
+        d = n - 1 - d if 2 * d > n - 1 else d
+        rng, twin = rng_for(seed), rng_for(seed)
+        failed = 0
+        while True:
+            keys = graphs._pair_stubs(n, d, rng)
+            edges = reference_attempt(n, d, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            if edges is None:
+                assert keys is None
+                failed += 1
+                continue
+            assert sorted(divmod(k, n) for k in keys.tolist()) == sorted(edges)
+            return failed
+
+    # Failure counts are the reference's; (64, 60), (40, 36) and (10, 9)
+    # pair the complement degree 3, 3 and 0.
+    @pytest.mark.parametrize(
+        "n, d, seed, failed",
+        [
+            (8, 3, 2, 1),
+            (8, 3, 14, 4),
+            (6, 2, 1, 4),
+            (12, 5, 15, 7),
+            (31, 14, 24, 18),
+            (128, 16, 22, 8),
+            (64, 60, 0, 4),
+            (40, 36, 10, 6),
+            (10, 9, 0, 0),
+            (512, 8, 3, 0),
+        ],
+    )
+    def test_attempts_draw_as_the_reference(self, n, d, seed, failed):
+        assert self._failed_attempts(n, d, seed) == failed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 64), st.integers(1, 16), st.integers(0, 2**63 - 1))
+    def test_attempts_draw_as_the_reference_on_random_sizes(self, n, d, seed):
+        d = min(d, n - 1)
+        if (n * d) % 2:
+            n += 1
+        self._failed_attempts(n, d, seed)
 
     def test_single_attempt_rejection_raises(self):
         # Seed 2 on (8, 3): the first pairing leaves only adjacent stubs.
@@ -511,6 +581,18 @@ class TestDynamicSpecs:
             with pytest.raises(RangeError):
                 matching_graph(pairs)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("dynamic-regular:5,3", ParityError),
+            ("dynamic-regular:8,8", DegreeError),
+            ("dynamic-regular:8,0", DegreeError),
+        ],
+    )
+    def test_resampled_rejects_impossible_degrees(self, text, error):
+        with pytest.raises(error):
+            parse_graph_spec(text)
+
     def test_matching_sequence_needs_even_n(self):
         with pytest.raises(ParityError):
             MatchingSequence(n=7, seed=0)
@@ -518,6 +600,39 @@ class TestDynamicSpecs:
     def test_connectivity_probe(self):
         assert is_connected(cycle_graph(8))
         assert not is_connected(matching_graph([(0, 1), (2, 3)]))
+
+
+C4_ROWS = [[1, 3], [0, 2], [1, 3], [0, 2]]
+
+
+class TestSnapshotValidation:
+    def test_c4_rows_are_valid(self):
+        assert list(GraphSnapshot(4, 2, np.array(C4_ROWS)).edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ([[1, 2, 3]] * 4, DegreeError, "shape"),
+            ([[1, 4], [0, 2], [1, 3], [0, 2]], RangeError, "out of range"),
+            ([[-1, 3], [0, 2], [1, 3], [0, 2]], RangeError, "out of range"),
+            ([[0, 3], [0, 2], [1, 3], [0, 2]], RangeError, "self-loop"),
+            ([[3, 1], [0, 2], [1, 3], [0, 2]], RangeError, "ascending"),
+            ([[1, 1], [0, 2], [1, 3], [0, 2]], RangeError, "ascending"),
+            ([[1, 2], [0, 2], [1, 3], [0, 2]], RangeError, "not symmetric"),
+        ],
+        ids=["shape", "above-n", "negative", "self-loop", "unsorted", "duplicate", "asymmetric"],
+    )
+    def test_bad_adjacency_raises_typed_error(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            GraphSnapshot(4, 2, np.array(rows))
+
+    @pytest.mark.parametrize(
+        "n, d, error",
+        [(5, 3, ParityError), (4, 4, DegreeError), (4, 0, DegreeError), (1, 0, RangeError)],
+    )
+    def test_impossible_degree_raises_typed_error(self, n, d, error):
+        with pytest.raises(error):
+            GraphSnapshot(n, d)
 
 
 class TestGraphFile:
