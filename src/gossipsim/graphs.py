@@ -700,6 +700,8 @@ class MatchingSequence:
     seed: int
 
     def __post_init__(self):
+        if self.n < 2:
+            raise RangeError(f"need at least 2 vertices, got {self.n}")
         if self.n % 2 != 0:
             raise ParityError(f"matching sequence needs even n, got {self.n}")
 

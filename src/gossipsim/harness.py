@@ -2,13 +2,13 @@
 
 An :class:`ExperimentSpec` pins everything a run depends on: the dynamic
 graph, protocol, credibility schedule, trial count, round budget and master
-seed. Trials run in lockstep, one round at a time, sharing each round's
-snapshot; trial ``i`` still draws all of its round randomness from streams
-``(master_seed, i, t)``, so a trial's record is the same alone or beside
-others and two runs of the same spec agree byte for byte. Every live
-trial-round runs ``step``, a stalled one included. On the implicit
-complete graph only |I| matters: trial ``i`` runs the event-driven count
-chain on the one stream ``(master_seed, i)``.
+seed. Trial ``i`` draws all of its randomness from the one stream
+``rng_for(master_seed, i)``, whose seed is its record's, so a trial's record
+is the same alone or beside others and two runs of the same spec agree byte
+for byte. Trials run in lockstep, one round at a time, sharing each round's
+snapshot, and every live trial-round runs ``step``, a stalled one included.
+On the implicit complete graph only |I| matters: trial ``i`` runs the
+event-driven count chain on its stream instead.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .protocol import (
     step,
     verify_process_properties,
 )
-from .seeds import mix_seed, rng_for, round_states
+from .seeds import mix_seed, rng_for
 
 __all__ = [
     "RecordLevel",
@@ -144,7 +144,11 @@ def resolved_max_rounds(spec: ExperimentSpec) -> int:
 
 @dataclass
 class TrialRecord:
-    """Per-trial outcome; per-round fields are None at summary record level."""
+    """Per-trial outcome; per-round fields are None at summary record level.
+
+    ``seed`` is ``mix_seed(master_seed, trial)``: the trial replays from
+    ``Generator(PCG64(seed))`` alone.
+    """
 
     trial: int
     final_informed: int
@@ -156,18 +160,15 @@ class TrialRecord:
     exact_deltas: list[float] | None = None
 
 
-# Rounds whose stream states are derived in one batch.
-ROUND_BLOCK = 64
-
-
 def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialRecord]:
     """Run ``trials`` until each completes or the budget runs out.
 
-    On the implicit K_n (a :class:`StaticGraph` of ``complete_graph(n)``)
-    only |I| matters: trial i runs :func:`protocol.complete_chain` from its
-    own stream ``rng_for(master_seed, i)``, whose seed is the record's. Every
-    other graph runs the mask engine round-major (:func:`_run_masks`). Either
-    way a trial's record is the same alone or beside others.
+    Trial i draws from its own stream ``rng_for(master_seed, i)``, whose seed
+    is the record's. On the implicit K_n (a :class:`StaticGraph` of
+    ``complete_graph(n)``) only |I| matters: the trial runs
+    :func:`protocol.complete_chain` on it. Every other graph runs the mask
+    engine round-major (:func:`_run_masks`). Either way a trial's record is
+    the same alone or beside others.
     """
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
@@ -182,19 +183,17 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
         q_through(stop)
         return np.array(q_values[start:stop], dtype=np.float64)
 
+    rngs = [rng_for(spec.master_seed, i) for i in trials]
     q_through(1)
     if isinstance(spec.graph, StaticGraph) and spec.graph.graph.is_complete:
-        counts = [
-            complete_chain(spec.protocol, n, spec.initial_informed, q_block, budget, rng_for(spec.master_seed, i))
-            for i in trials
-        ]
+        counts = [complete_chain(spec.protocol, n, spec.initial_informed, q_block, budget, rng) for rng in rngs]
         q_through(max(map(len, counts), default=1))
         deltas = [
             complete_delta_expectation(spec.protocol, n, c[:-1], q_block(0, len(c) - 1)).tolist() if exact else []
             for c in counts
         ]
     else:
-        counts, deltas = _run_masks(spec, trials, budget, q_values)
+        counts, deltas = _run_masks(spec, rngs, budget, q_values)
 
     per_round = spec.record_level is not RecordLevel.SUMMARY
     return [
@@ -212,39 +211,30 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
     ]
 
 
-def _run_masks(spec, trials, budget, q_values):
+def _run_masks(spec, rngs, budget, q_values):
     """Per-trial counts and exact deltas of the mask engine, run round-major.
 
     Round t's snapshot and q(t) are fetched once for all live trials, and
-    q(t + 1) is appended to ``q_values`` for the records; trial i still draws
-    from stream ``(master_seed, i, t)``. One ``Generator`` serves every step:
-    it is reset to the stream's start state, derived a block of rounds at a
-    time.
+    q(t + 1) is appended to ``q_values`` for the records; trial j steps on its
+    own Generator ``rngs[j]`` every live round.
     """
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
-    states = [initial_state(n, spec.initial_informed)] * len(trials)
-    counts = [[spec.initial_informed] for _ in trials]
-    deltas: list[list[float]] = [[] for _ in trials]
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
+    states = [initial_state(n, spec.initial_informed)] * len(rngs)
+    counts = [[spec.initial_informed] for _ in rngs]
+    deltas: list[list[float]] = [[] for _ in rngs]
 
     for t in range(budget):
         live = [j for j, c in enumerate(counts) if c[-1] < n]
         if not live:
             break
-        if t % ROUND_BLOCK == 0:
-            stop = min(t + ROUND_BLOCK, budget)
-            streams = dict(zip(live, round_states(spec.master_seed, [trials[j] for j in live], t, stop)))
         g = spec.graph.snapshot(t)
         q_t = q_values[t]
         q_values.append(spec.credibility.value_at(t + 1))
         for j in live:
             if exact:
                 deltas[j].append(exact_delta_expectation(spec.protocol, g, states[j].informed, q_t))
-            # the state rng_for(master_seed, trials[j], t) starts in
-            bit_generator.state = streams[j][t % ROUND_BLOCK]
-            states[j] = step(spec.protocol, g, states[j], q_t, rng)
+            states[j] = step(spec.protocol, g, states[j], q_t, rngs[j])
             counts[j].append(int(np.count_nonzero(states[j].informed)))
     return counts, deltas
 
@@ -427,7 +417,9 @@ def _parse_rows(path, rows: list[list[str]], parse) -> list:
 def load_records_csv(path) -> list[TrialRecord]:
     """Re-import an exported CSV (either row schema, with or without the n column).
 
-    A per-round trial's completion round is the first round whose informed
+    A per-round trial's rows, in any order, must hold rounds 0..k exactly
+    once each; a skipped or repeated round raises RangeError naming the first
+    offending line. Its completion round is the first round whose informed
     count reaches n; without n it stays None. A trial whose q_t cells are all
     blank loads with ``q_values=None``; a blank cell among filled ones raises
     RangeError naming its line.
@@ -455,7 +447,10 @@ def load_records_csv(path) -> list[TrialRecord]:
             n_of.setdefault(trial, n)
         records = []
         for trial in sorted(by_trial):
-            entries = sorted(by_trial[trial], key=lambda e: e[:2])
+            entries = sorted(by_trial[trial], key=lambda e: e[0])
+            for k, (rnd, _, _, line) in enumerate(entries):
+                if rnd != k:
+                    raise RangeError(f"{path}, line {line}: trial {trial} needs round {k} here, got round {rnd}")
             n = n_of[trial]
             blank = [line for _, _, q, line in entries if q is None]
             if 0 < len(blank) < len(entries):

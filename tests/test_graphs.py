@@ -597,6 +597,11 @@ class TestDynamicSpecs:
         with pytest.raises(ParityError):
             MatchingSequence(n=7, seed=0)
 
+    @pytest.mark.parametrize("text", ["matching:0", "matching:-2"])
+    def test_matching_sequence_needs_two_vertices(self, text):
+        with pytest.raises(RangeError, match="need at least 2 vertices"):
+            parse_graph_spec(text)
+
     def test_connectivity_probe(self):
         assert is_connected(cycle_graph(8))
         assert not is_connected(matching_graph([(0, 1), (2, 3)]))

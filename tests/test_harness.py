@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from gossipsim.graphs import (
     matching_graph,
 )
 from gossipsim.harness import (
-    ROUND_BLOCK,
     ExperimentSpec,
     RecordLevel,
     TrialRecord,
@@ -37,6 +36,7 @@ from gossipsim.harness import (
 from gossipsim.predictor import fixed_q_runtime
 from gossipsim.protocol import (
     ProtocolKind,
+    complete_chain,
     complete_final_law,
     complete_size_law,
     exact_delta_expectation,
@@ -207,10 +207,12 @@ class TestLockstep:
 
 
 def reference_records(spec: ExperimentSpec, trials) -> list[TrialRecord]:
-    """The lockstep loop with a fresh ``rng_for(master_seed, i, t)`` Generator per
-    trial-round, the definition that the batched stream states must reproduce."""
+    """The lockstep loop with one fresh ``rng_for(master_seed, i)`` Generator per
+    trial, created before round 0 and stepped every live round: the stream
+    contract that the mask engine must reproduce."""
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
+    rngs = [rng_for(spec.master_seed, i) for i in trials]
     states = [initial_state(n, spec.initial_informed)] * len(trials)
     counts = [[spec.initial_informed] for _ in trials]
     deltas: list[list[float]] = [[] for _ in trials]
@@ -225,7 +227,7 @@ def reference_records(spec: ExperimentSpec, trials) -> list[TrialRecord]:
         for j in live:
             if exact:
                 deltas[j].append(exact_delta_expectation(spec.protocol, g, states[j].informed, q_t))
-            states[j] = step(spec.protocol, g, states[j], q_t, rng_for(spec.master_seed, trials[j], t))
+            states[j] = step(spec.protocol, g, states[j], q_t, rngs[j])
             counts[j].append(int(states[j].informed.sum()))
     per_round = spec.record_level is not RecordLevel.SUMMARY
     return [
@@ -255,7 +257,7 @@ def assert_same_records(records, expected):
                 assert [type(x) for x in a] == [type(x) for x in b], field.name
 
 
-class TestBatchedStreams:
+class TestTrialStreams:
     @pytest.mark.parametrize(
         "spec",
         [
@@ -291,7 +293,6 @@ class TestBatchedStreams:
                 credibility=Constant(0.5),
                 max_rounds=150,
             ),
-            # trials finish on both sides of the first block edge (rounds 54-76)
             small_spec(
                 graph=StaticGraph(cycle_graph(32)),
                 credibility=Constant(0.5),
@@ -343,7 +344,7 @@ class TestBatchedStreams:
                 graph=StaticGraph(explicit_complete(256)),
                 credibility=PowerLaw(2.0),
                 trials=4,
-                max_rounds=2 * ROUND_BLOCK + 1,
+                max_rounds=129,
                 master_seed=5,
                 record_level=RecordLevel.SUMMARY,
             ),
@@ -352,11 +353,53 @@ class TestBatchedStreams:
              "cycle32-exact-initial3-negative-seed", "cycle32-pull", "complete16-push-pull", "matching-d1",
              "complete2", "regular64-exact", "complete256-summary"],
     )
-    def test_records_equal_the_per_round_generator_loop(self, spec):
+    def test_records_equal_the_reference_loop(self, spec):
         expected = reference_records(spec, range(spec.trials))
         records, _ = run_experiment(spec)
         assert_same_records(records, expected)
         assert_same_records([run_trial(spec, i) for i in range(spec.trials)], expected)
+
+
+class TestReplayFromSeed:
+    """Any trial replays from its record's ``seed`` alone: ``initial_state``
+    stepped on ``Generator(PCG64(seed))``, or ``complete_chain`` on that
+    Generator for the implicit K_n, gives the record's counts."""
+
+    SPECS = [
+        small_spec(graph=StaticGraph(graphs.generate_random_regular(256, 8, seed=3)), credibility=Constant(0.5)),
+        small_spec(graph=ResampledRegular(n=64, d=4, seed=2), credibility=PowerLaw(1.0), max_rounds=150),
+        small_spec(graph=MatchingSequence(n=32, seed=5), credibility=Constant(0.5), max_rounds=150),
+        small_spec(
+            graph=StaticGraph(cycle_graph(32)),
+            credibility=Constant(0.5),
+            trials=4,
+            max_rounds=None,
+            initial_informed=3,
+            master_seed=-7,
+            record_level=RecordLevel.PER_ROUND_EXACT,
+        ),
+        small_spec(graph=StaticGraph(complete_graph(1024)), credibility=PowerLaw(2.0), max_rounds=200),
+    ]
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("spec", SPECS, ids=["regular256", "resampled", "matching", "cycle32-exact", "complete1024"])
+    def test_counts_replay_from_the_record_seed(self, spec, kind):
+        spec = replace(spec, protocol=kind)
+        n, budget = spec.graph.n, resolved_max_rounds(spec)
+        q = [spec.credibility.value_at(t) for t in range(budget + 1)]
+        for record in run_experiment(spec)[0]:
+            rng = np.random.Generator(np.random.PCG64(record.seed))
+            if isinstance(spec.graph, StaticGraph) and spec.graph.graph.is_complete:
+                counts = complete_chain(kind, n, spec.initial_informed, lambda a, b: np.array(q[a:b]), budget, rng)
+            else:
+                state = initial_state(n, spec.initial_informed)
+                counts = [state.informed_count]
+                for t in range(budget):
+                    if counts[-1] == n:
+                        break
+                    state = step(kind, spec.graph.snapshot(t), state, q[t], rng)
+                    counts.append(state.informed_count)
+            assert counts == record.informed_counts
 
 
 @dataclass(frozen=True)
@@ -381,15 +424,6 @@ class OneUntilNan:
 
 class TestStalledTrials:
     """Trials that stall under a vanishing or out-of-range credibility."""
-
-    def test_a_quiet_stretch_crosses_a_block_edge(self):
-        spec = small_spec(
-            graph=StaticGraph(explicit_complete(256)), credibility=PowerLaw(2.0), trials=4, max_rounds=2 * ROUND_BLOCK + 1
-        )
-        records, _ = run_experiment(spec)
-        assert_same_records(records, reference_records(spec, range(spec.trials)))
-        edge = slice(ROUND_BLOCK - 3, ROUND_BLOCK + 4)
-        assert any(len(set(r.informed_counts[edge])) == 1 for r in records)
 
     # at q = -0.5 every coin would reject, so only the range check makes
     # round 100 raise
@@ -421,7 +455,7 @@ class TestGoldenRecords:
                 max_rounds=300,
                 master_seed=11,
             ),
-            "6841bf361977739b46a10a9d15ffc831a3afc5c92d405ac4c21017a94fb5db87",
+            "e37075e1d43d1a22ac7093448f96600cf40b088e116bf9871786b6db26b593b3",
         ),
         "resampled64-exact": (
             ExperimentSpec(
@@ -433,7 +467,7 @@ class TestGoldenRecords:
                 master_seed=11,
                 record_level=RecordLevel.PER_ROUND_EXACT,
             ),
-            "7350adf905a7d13d1af7074a714a99d54b53591c5767bf49f99e1b8a22aafa28",
+            "a0c060db9bcdb250df59b33b4bb3f5d4be8747459729d7c6f677d8baa059aefe",
         ),
         "matching32-push-pull": (
             ExperimentSpec(
@@ -444,7 +478,7 @@ class TestGoldenRecords:
                 max_rounds=150,
                 master_seed=11,
             ),
-            "e9595da03b42c0735735d20d3b287ad6d804e72c71ec5da178f98f4331cd0d3b",
+            "96b358416e0cc1a7331591365864ed7e945ac04df1a209f882a10068274463f9",
         ),
         "complete1024-chain": (
             ExperimentSpec(
@@ -679,6 +713,18 @@ class TestExports:
         path = tmp_path / "records.csv"
         path.write_text("trial,round,informed,q_t,n\n0,0,1,0.5,8\n0,1,2,,8\n0,2,3,0.25,8\n1,0,1,,8\n")
         with pytest.raises(RangeError, match=r"line 3: "):
+            load_records_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [("0,0,1,1.0,4\n0,2,4,1.0,4\n", 3), ("0,0,1,1.0,4\n0,1,2,1.0,4\n0,1,3,1.0,4\n0,2,4,1.0,4\n", 4),
+         ("0,1,2,1.0,4\n", 2), ("1,0,1,,4\n0,1,2,,4\n1,1,2,,4\n", 3)],
+        ids=["skipped", "repeated", "no-round-0", "other-trial"],
+    )
+    def test_per_round_rows_must_run_0_to_k_without_gaps(self, tmp_path, rows, line):
+        path = tmp_path / "records.csv"
+        path.write_text("trial,round,informed,q_t,n\n" + rows)
+        with pytest.raises(RangeError, match=rf"line {line}: "):
             load_records_csv(path)
 
     def test_unknown_format_rejected(self, tmp_path):

@@ -33,7 +33,7 @@ from gossipsim.protocol import (
     step,
     verify_process_properties,
 )
-from gossipsim.seeds import rng_for, round_states
+from gossipsim.seeds import rng_for
 
 from conftest import mask_from_bits, mask_of
 
@@ -369,52 +369,3 @@ class TestCompleteSizeLaw:
             complete_size_law(ProtocolKind.PUSH, 8, 8, 0.5)
         with pytest.raises(RangeError):
             complete_size_law(ProtocolKind.PULL, 8, 3, float("nan"))
-
-
-class TestResetStreams:
-    """``step`` on a Generator reset from ``round_states``, as the mask engine
-    runs it, against ``step`` on a fresh ``rng_for`` stream."""
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize(
-        "graph,informed,q",
-        [
-            (complete_graph(1024), range(5), 0.01),
-            (complete_graph(64), range(3), 0.2),
-            (cycle_graph(32), range(2, 31), 0.05),
-            (generate_random_regular(256, 8, seed=3), [0, 9, 40, 77], 0.1),
-            (generate_random_regular(64, 10, seed=5), range(1, 64, 2), 0.02),
-            (matching_graph([(0, 1), (2, 3), (4, 5)]), [0, 2, 3], 0.3),
-            (complete_graph(2), [1], 0.4),
-        ],
-        ids=["K1024", "K64", "C32", "regular256", "regular64-odd-half", "matching", "K2"],
-    )
-    def test_reset_generator_steps_as_rng_for(self, kind, graph, informed, q):
-        state = ProcessState(0, mask_of(graph.n, informed))
-        states = round_states(5, [0, 7], 0, 64)
-        reused = np.random.Generator(np.random.PCG64(0))
-        informing = 0
-        for row, trial in enumerate([0, 7]):
-            for t in range(64):
-                # leave a buffered 32-bit half behind so the reset has to clear it
-                reused.integers(7, size=33)
-                reused.bit_generator.state = states[row][t]
-                got = step(kind, graph, state, q, reused)
-                want = step(kind, graph, state, q, rng_for(5, trial, t))
-                assert np.array_equal(got.informed, want.informed)
-                informing += got.informed_count > state.informed_count
-        # rounds that inform somebody and quiet rounds both occur
-        assert 0 < informing < 128
-
-    def test_out_of_range_credibility_raises_on_a_reset_generator(self):
-        g = complete_graph(64)
-        state = initial_state(64, 1)
-        states = round_states(1, [0], 0, 5)
-        reused = np.random.Generator(np.random.PCG64(0))
-        for t, q in enumerate([0.0, 1.5, -0.1, np.nan, 0.0]):
-            reused.bit_generator.state = states[0][t]
-            if 0.0 <= q <= 1.0:
-                assert np.array_equal(step(ProtocolKind.PUSH, g, state, q, reused).informed, state.informed)
-            else:
-                with pytest.raises(RangeError):
-                    step(ProtocolKind.PUSH, g, state, q, reused)
