@@ -348,10 +348,26 @@ class TestTrialStreams:
                 master_seed=5,
                 record_level=RecordLevel.SUMMARY,
             ),
+            small_spec(
+                graph=StaticGraph(graphs.generate_random_regular(256, 8, seed=3)),
+                credibility=PowerLaw(2.0),
+                trials=4,
+                max_rounds=200,
+                master_seed=21,
+            ),
+            small_spec(
+                graph=StaticGraph(graphs.generate_random_regular(64, 7, seed=6)),
+                protocol=ProtocolKind.PUSH_PULL,
+                credibility=Constant(0.3),
+                trials=5,
+                max_rounds=None,
+                initial_informed=3,
+            ),
         ],
         ids=["complete1024-power2", "regular256-pull", "regular256-push-pull", "resampled", "matching",
              "cycle32-exact-initial3-negative-seed", "cycle32-pull", "complete16-push-pull", "matching-d1",
-             "complete2", "regular64-exact", "complete256-summary"],
+             "complete2", "regular64-exact", "complete256-summary", "regular256-power2-stall",
+             "regular64-d7-push-pull"],
     )
     def test_records_equal_the_reference_loop(self, spec):
         expected = reference_records(spec, range(spec.trials))
@@ -379,10 +395,36 @@ class TestReplayFromSeed:
             record_level=RecordLevel.PER_ROUND_EXACT,
         ),
         small_spec(graph=StaticGraph(complete_graph(1024)), credibility=PowerLaw(2.0), max_rounds=200),
+        small_spec(
+            graph=StaticGraph(cycle_graph(32)),
+            credibility=Constant(0.05),
+            trials=4,
+            max_rounds=None,
+            initial_informed=30,
+        ),
+        small_spec(
+            graph=StaticGraph(matching_graph([(0, 1), (2, 3), (4, 5), (6, 7)])),
+            credibility=PowerLaw(1.0),
+            trials=4,
+            max_rounds=150,
+            initial_informed=3,
+        ),
+        small_spec(
+            graph=StaticGraph(graphs.generate_random_regular(64, 7, seed=6)),
+            credibility=PowerLaw(1.5),
+            trials=3,
+            max_rounds=150,
+            master_seed=-3,
+        ),
     ]
 
     @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
-    @pytest.mark.parametrize("spec", SPECS, ids=["regular256", "resampled", "matching", "cycle32-exact", "complete1024"])
+    @pytest.mark.parametrize(
+        "spec",
+        SPECS,
+        ids=["regular256", "resampled", "matching", "cycle32-exact", "complete1024", "cycle32-initial30",
+             "matching-d1", "regular64-d7"],
+    )
     def test_counts_replay_from_the_record_seed(self, spec, kind):
         spec = replace(spec, protocol=kind)
         n, budget = spec.graph.n, resolved_max_rounds(spec)
@@ -424,6 +466,19 @@ class OneUntilNan:
 
 class TestStalledTrials:
     """Trials that stall under a vanishing or out-of-range credibility."""
+
+    def test_stalled_rounds_draw_from_the_trial_stream(self):
+        # a trial steps on its stream every live round, quiet or not, so what
+        # it informs after a quiet stretch depends on the stretch's draws
+        spec = small_spec(graph=StaticGraph(explicit_complete(256)), credibility=PowerLaw(2.0), trials=4, max_rounds=129)
+        records, _ = run_experiment(spec)
+        assert_same_records(records, reference_records(spec, range(spec.trials)))
+        # some trial grows right after 16 quiet rounds
+        assert any(
+            c[t] > c[t - 1] and len(set(c[t - 17 : t])) == 1
+            for c in (r.informed_counts for r in records)
+            for t in range(17, len(c))
+        )
 
     # at q = -0.5 every coin would reject, so only the range check makes
     # round 100 raise

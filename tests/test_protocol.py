@@ -369,3 +369,75 @@ class TestCompleteSizeLaw:
             complete_size_law(ProtocolKind.PUSH, 8, 8, 0.5)
         with pytest.raises(RangeError):
             complete_size_law(ProtocolKind.PULL, 8, 3, float("nan"))
+
+
+def reference_round(kind, g, informed, q, rng):
+    """One round with the draw order spelled out: one neighbor per pusher in
+    vertex order, then one coin per push; then one neighbor per puller, then
+    one coin per pull. Receivers already informed at the round's start ignore
+    a push."""
+    new = informed.copy()
+    if kind.does_push:
+        pushers = np.flatnonzero(informed)
+        targets = g.sample_neighbors(pushers, rng)
+        coins = rng.random(len(pushers)) < q
+        new[targets[coins & ~informed[targets]]] = True
+    if kind.does_pull:
+        pullers = np.flatnonzero(~informed)
+        sources = g.sample_neighbors(pullers, rng)
+        coins = rng.random(len(pullers)) < q
+        new[pullers[informed[sources] & coins]] = True
+    return new
+
+
+class TestOneStream:
+    """A trial steps every round on one Generator: ``step`` takes exactly its
+    round's draws, in the reference order, and leaves the stream, buffered
+    32-bit half included, where the next round starts."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "graph,informed,q",
+        [
+            (complete_graph(1024), range(5), 0.01),
+            (complete_graph(64), range(3), 0.2),
+            (complete_graph(65536), range(7), 0.005),
+            (cycle_graph(32), range(2, 31), 0.05),
+            (generate_random_regular(256, 8, seed=3), [0, 9, 40, 77], 0.1),
+            (generate_random_regular(64, 10, seed=5), range(1, 64, 2), 0.02),
+            (generate_random_regular(64, 7, seed=6), [3, 4, 5], 0.05),
+            (matching_graph([(0, 1), (2, 3), (4, 5)]), [0, 2, 3], 0.3),
+            (matching_graph([(0, 1), (2, 3), (4, 5), (6, 7)]), [1, 6], 0.1),
+            (complete_graph(2), [1], 0.4),
+        ],
+        ids=["K1024", "K64", "K65536", "C32", "regular256", "regular64-odd-half", "regular64-d7", "matching",
+             "matching8", "K2"],
+    )
+    def test_step_takes_its_round_from_the_trial_stream(self, kind, graph, informed, q):
+        informing = 0
+        for trial in (0, 7):
+            state = ProcessState(0, mask_of(graph.n, informed))
+            rng, ref = rng_for(5, trial), rng_for(5, trial)
+            for _ in range(64):
+                got = step(kind, graph, state, q, rng)
+                want = reference_round(kind, graph, state.informed, q, ref)
+                assert np.array_equal(got.informed, want)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                informing += got.informed_count > state.informed_count
+                state = got
+        # rounds that inform somebody and quiet rounds both occur
+        assert 0 < informing < 128
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_of_range_credibility_raises_before_any_draw(self, kind):
+        g = complete_graph(64)
+        state = initial_state(64, 1)
+        rng, ref = rng_for(1, 0), rng_for(1, 0)
+        for q in [0.0, 1.5, -0.1, np.nan, 0.0]:
+            if 0.0 <= q <= 1.0:
+                assert np.array_equal(step(kind, g, state, q, rng).informed, state.informed)
+                reference_round(kind, g, state.informed, q, ref)
+            else:
+                with pytest.raises(RangeError):
+                    step(kind, g, state, q, rng)
+            assert rng.bit_generator.state == ref.bit_generator.state
