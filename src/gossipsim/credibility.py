@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field
 
+import numpy as np
+
 from .errors import RangeError
 
 __all__ = [
@@ -32,6 +34,10 @@ __all__ = [
 
 class _Schedule:
     """Queries every family answers; each family defines its own ``value_at``."""
+
+    def first(self, rounds: int) -> np.ndarray:
+        """q(0) .. q(rounds - 1) as float64, each exactly its ``value_at``."""
+        return np.array([self.value_at(t) for t in range(rounds)], dtype=np.float64)
 
     def sup_from(self, t0: int) -> float:
         return self.value_at(max(t0, 0))
@@ -53,6 +59,7 @@ class Constant(_Schedule):
     q: float
 
     def __post_init__(self):
+        object.__setattr__(self, "q", float(self.q))
         if not 0.0 <= self.q <= 1.0:
             raise RangeError(f"constant credibility must be in [0, 1], got {self.q}")
 

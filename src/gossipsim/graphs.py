@@ -7,9 +7,9 @@ gather. Complete graphs are represented implicitly (no adjacency array) so
 that very large instances fit in memory; both representations answer the
 same queries.
 
-Dynamic graphs are small frozen specs that produce ``snapshot(t)``
-deterministically: per-round randomness is derived as
-``rng_for(spec_seed, t)`` (a splitmix64 chain, see :mod:`gossipsim.seeds`),
+Dynamic graphs are small frozen specs that ``describe()`` themselves and
+produce ``snapshot(t)`` deterministically: round t of a resampled sequence
+draws from ``rng_for(mix_seed(spec_seed, t))`` (see :mod:`gossipsim.seeds`),
 so a sequence is reproducible across runs and across trials.
 """
 
@@ -656,6 +656,10 @@ class StaticGraph:
     def snapshot(self, t: int) -> GraphSnapshot:
         return self.graph
 
+    def describe(self) -> str:
+        kind = "complete" if self.graph.is_complete else "static"
+        return f"{kind}(n={self.n}, d={self.graph.d})"
+
 
 @dataclass(frozen=True, eq=False)
 class CyclicGraphs:
@@ -676,6 +680,9 @@ class CyclicGraphs:
     def snapshot(self, t: int) -> GraphSnapshot:
         return self.graphs[t % len(self.graphs)]
 
+    def describe(self) -> str:
+        return f"cyclic({len(self.graphs)} graphs, n={self.n})"
+
 
 @dataclass(frozen=True)
 class ResampledRegular:
@@ -690,6 +697,9 @@ class ResampledRegular:
 
     def snapshot(self, t: int) -> GraphSnapshot:
         return generate_random_regular(self.n, self.d, seed=mix_seed(self.seed, t))
+
+    def describe(self) -> str:
+        return f"dynamic-regular(n={self.n}, d={self.d}, seed={self.seed})"
 
 
 @dataclass(frozen=True)
@@ -708,6 +718,9 @@ class MatchingSequence:
     def snapshot(self, t: int) -> GraphSnapshot:
         perm = rng_for(mix_seed(self.seed, t)).permutation(self.n)
         return matching_graph(perm.reshape(-1, 2))
+
+    def describe(self) -> str:
+        return f"matching-sequence(n={self.n}, seed={self.seed})"
 
 
 DynamicGraphSpec = StaticGraph | CyclicGraphs | ResampledRegular | MatchingSequence

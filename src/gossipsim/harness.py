@@ -26,9 +26,7 @@ from .bounds import basic_growth_bounds, shrink_bounds
 from .credibility import Constant, Credibility, PowerLaw, format_credibility
 from .errors import DomainError, IoError, RangeError
 from .graphs import (
-    CyclicGraphs,
     DynamicGraphSpec,
-    ResampledRegular,
     StaticGraph,
     complete_graph,
     conductance,
@@ -163,37 +161,27 @@ class TrialRecord:
 def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialRecord]:
     """Run ``trials`` until each completes or the budget runs out.
 
-    Trial i draws from its own stream ``rng_for(master_seed, i)``, whose seed
-    is the record's. On the implicit K_n (a :class:`StaticGraph` of
-    ``complete_graph(n)``) only |I| matters: the trial runs
-    :func:`protocol.complete_chain` on it. Every other graph runs the mask
-    engine round-major (:func:`_run_masks`). Either way a trial's record is
-    the same alone or beside others.
+    q(0) .. q(budget) is read once into one array ``q``: either engine steps
+    round t with ``q[t]``. Trial i draws from its own stream
+    ``rng_for(master_seed, i)``, whose seed is the record's. On the implicit
+    K_n (a :class:`StaticGraph` of ``complete_graph(n)``) only |I| matters:
+    the trial runs :func:`protocol.complete_chain` on it. Every other graph
+    runs the mask engine round-major (:func:`_run_masks`). Either way a
+    trial's record is the same alone or beside others.
     """
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
     budget = resolved_max_rounds(spec)
-    q_values: list[float] = []
-
-    def q_through(stop: int) -> None:
-        while len(q_values) < stop:
-            q_values.append(spec.credibility.value_at(len(q_values)))
-
-    def q_block(start: int, stop: int) -> np.ndarray:
-        q_through(stop)
-        return np.array(q_values[start:stop], dtype=np.float64)
-
+    q = spec.credibility.first(budget + 1)
     rngs = [rng_for(spec.master_seed, i) for i in trials]
-    q_through(1)
     if isinstance(spec.graph, StaticGraph) and spec.graph.graph.is_complete:
-        counts = [complete_chain(spec.protocol, n, spec.initial_informed, q_block, budget, rng) for rng in rngs]
-        q_through(max(map(len, counts), default=1))
+        counts = [complete_chain(spec.protocol, n, spec.initial_informed, q[:budget], rng) for rng in rngs]
         deltas = [
-            complete_delta_expectation(spec.protocol, n, c[:-1], q_block(0, len(c) - 1)).tolist() if exact else []
+            complete_delta_expectation(spec.protocol, n, c[:-1], q[: len(c) - 1]).tolist() if exact else []
             for c in counts
         ]
     else:
-        counts, deltas = _run_masks(spec, rngs, budget, q_values)
+        counts, deltas = _run_masks(spec, rngs, q[:budget])
 
     per_round = spec.record_level is not RecordLevel.SUMMARY
     return [
@@ -204,19 +192,18 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
             final_informed=c[-1],
             completion_round=len(c) - 1 if c[-1] == n else None,
             informed_counts=c if per_round else None,
-            q_values=q_values[: len(c)] if per_round else None,
+            q_values=q[: len(c)].tolist() if per_round else None,
             exact_deltas=d if exact else None,
         )
         for i, c, d in zip(trials, counts, deltas)
     ]
 
 
-def _run_masks(spec, rngs, budget, q_values):
+def _run_masks(spec, rngs, q):
     """Per-trial counts and exact deltas of the mask engine, run round-major.
 
-    Round t's snapshot and q(t) are fetched once for all live trials, and
-    q(t + 1) is appended to ``q_values`` for the records; trial j steps on its
-    own Generator ``rngs[j]`` every live round.
+    Round t's snapshot is fetched once, and every live trial steps on it with
+    credibility ``q[t]``, trial j on its own Generator ``rngs[j]``.
     """
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
@@ -224,13 +211,11 @@ def _run_masks(spec, rngs, budget, q_values):
     counts = [[spec.initial_informed] for _ in rngs]
     deltas: list[list[float]] = [[] for _ in rngs]
 
-    for t in range(budget):
+    for t, q_t in enumerate(q.tolist()):
         live = [j for j, c in enumerate(counts) if c[-1] < n]
         if not live:
             break
         g = spec.graph.snapshot(t)
-        q_t = q_values[t]
-        q_values.append(spec.credibility.value_at(t + 1))
         for j in live:
             if exact:
                 deltas[j].append(exact_delta_expectation(spec.protocol, g, states[j].informed, q_t))
@@ -277,18 +262,6 @@ def _jsonable(value):
     return value
 
 
-def _describe_graph(graph: DynamicGraphSpec) -> str:
-    if isinstance(graph, StaticGraph):
-        g = graph.graph
-        kind = "complete" if g.is_complete else "static"
-        return f"{kind}(n={g.n}, d={g.d})"
-    if isinstance(graph, CyclicGraphs):
-        return f"cyclic({len(graph.graphs)} graphs, n={graph.n})"
-    if isinstance(graph, ResampledRegular):
-        return f"dynamic-regular(n={graph.n}, d={graph.d}, seed={graph.seed})"
-    return f"matching-sequence(n={graph.n}, seed={graph.seed})"
-
-
 def summarize(spec: ExperimentSpec, records: list[TrialRecord]) -> ExperimentSummary:
     """Aggregate trial records; every statistic is recomputable from exports."""
     n = spec.graph.n
@@ -327,7 +300,7 @@ def summarize(spec: ExperimentSpec, records: list[TrialRecord]) -> ExperimentSum
         mean_informed_fraction_by_round=by_round,
         predictor=predictor_comparison(spec.protocol, spec.credibility, n),
         config={
-            "graph": _describe_graph(spec.graph),
+            "graph": spec.graph.describe(),
             "n": n,
             "protocol": spec.protocol.value,
             "credibility": format_credibility(spec.credibility),
@@ -359,6 +332,26 @@ def _cell(value: int | None):
 
 def _optional_int(text: str) -> int | None:
     return None if text == "" else int(text)
+
+
+def _count(text: str, n: int | None) -> int:
+    """An informed count, which may not exceed a known n."""
+    count = int(text)
+    if n is not None and count > n:
+        raise ValueError(f"informed count {count} exceeds n = {n}")
+    return count
+
+
+def _per_round_row(trial, rnd, informed, q_t, n=""):
+    n = _optional_int(n)
+    return int(trial), int(rnd), _count(informed, n), float(q_t) if q_t else None, n
+
+
+def _summary_row(trial, completion, final, n=""):
+    n = _optional_int(n)
+    return TrialRecord(
+        trial=int(trial), n=n, final_informed=_count(final, n), completion_round=_optional_int(completion)
+    )
 
 
 def export_records(records: list[TrialRecord], path, fmt: str = "csv") -> None:
@@ -422,7 +415,8 @@ def load_records_csv(path) -> list[TrialRecord]:
     offending line. Its completion round is the first round whose informed
     count reaches n; without n it stays None. A trial whose q_t cells are all
     blank loads with ``q_values=None``; a blank cell among filled ones raises
-    RangeError naming its line.
+    RangeError naming its line. So does a row whose n differs from an earlier
+    row of its trial, or whose informed count or final exceeds its n.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -435,16 +429,10 @@ def load_records_csv(path) -> list[TrialRecord]:
     if header in (PER_ROUND_HEADER, PER_ROUND_HEADER[:-1]):
         by_trial: dict[int, list[tuple[int, int, float | None, int]]] = {}
         n_of: dict[int, int | None] = {}
-        parsed = _parse_rows(
-            path,
-            rows,
-            lambda trial, rnd, informed, q_t, n="": (
-                int(trial), int(rnd), int(informed), float(q_t) if q_t else None, _optional_int(n)
-            ),
-        )
-        for line, (trial, rnd, informed, q_t, n) in enumerate(parsed, start=2):
+        for line, (trial, rnd, informed, q_t, n) in enumerate(_parse_rows(path, rows, _per_round_row), start=2):
             by_trial.setdefault(trial, []).append((rnd, informed, q_t, line))
-            n_of.setdefault(trial, n)
+            if n_of.setdefault(trial, n) != n:
+                raise RangeError(f"{path}, line {line}: trial {trial} has n = {n} here, but n = {n_of[trial]} before")
         records = []
         for trial in sorted(by_trial):
             entries = sorted(by_trial[trial], key=lambda e: e[0])
@@ -467,16 +455,7 @@ def load_records_csv(path) -> list[TrialRecord]:
             )
         return records
     if header in (SUMMARY_HEADER, SUMMARY_HEADER[:-1]):
-        return _parse_rows(
-            path,
-            rows,
-            lambda trial, completion, final, n="": TrialRecord(
-                trial=int(trial),
-                n=_optional_int(n),
-                final_informed=int(final),
-                completion_round=_optional_int(completion),
-            ),
-        )
+        return _parse_rows(path, rows, _summary_row)
     raise RangeError(f"{path}: unrecognized header {header}")
 
 
@@ -665,7 +644,7 @@ def _verify_complete_law() -> VerifyReport:
         worst_mass = max(worst_mass, abs(law.sum() - 1.0))
         instances += 1
     # acceptance criterion 6: |I_500| of PUSH on K_1024 under power:2
-    law, dropped = complete_final_law(ProtocolKind.PUSH, 1024, [PowerLaw(2.0).value_at(t) for t in range(500)])
+    law, dropped = complete_final_law(ProtocolKind.PUSH, 1024, PowerLaw(2.0).first(500))
     lost = abs(law.sum() + dropped - 1.0)
     checks = {
         "size_law_vs_enumeration": {"ok": worst <= 1e-12, "worst_abs_err": worst, "instances": instances},

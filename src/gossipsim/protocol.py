@@ -369,37 +369,36 @@ def _quiet_hazards(kind: ProtocolKind, n: int, i: int, q: np.ndarray) -> np.ndar
     return hazard
 
 
-def complete_chain(kind: ProtocolKind, n: int, informed_count: int, q_block, budget: int, rng) -> list[int]:
-    """|I_0|, |I_1|, ... of one trial on K_n until it completes or ``budget`` rounds pass.
+def complete_chain(kind: ProtocolKind, n: int, informed_count: int, q: np.ndarray, rng) -> list[int]:
+    """|I_0|, |I_1|, ... of one trial on K_n until it completes or ``len(q)`` rounds pass.
 
-    Event-driven: one Exp(1) draw against the cumulative hazard of quiet
-    rounds finds the next round that informs someone, the rounds before it
-    repeat the count, and that round's |Delta| is drawn from its law
-    conditioned on being positive. ``q_block(start, stop)`` returns the
-    credibilities of rounds start..stop-1. A q outside [0, 1] at a round the
-    trial reaches raises :class:`RangeError`, as :func:`step` does.
+    Round t has credibility ``q[t]``. Event-driven: one Exp(1) draw against
+    the cumulative hazard of quiet rounds finds the next round that informs
+    someone, the rounds before it repeat the count, and that round's |Delta|
+    is drawn from its law conditioned on being positive. A q outside [0, 1]
+    at a round the trial reaches raises :class:`RangeError`, as :func:`step`
+    does.
     """
+    valid = (q >= 0.0) & (q <= 1.0)
+    bad = len(q) if valid.all() else int(np.argmin(valid))  # the first round with q outside [0, 1]
     counts = [informed_count]
     scratch = np.empty(n, dtype=np.int64)
     i, t = informed_count, 0
     threshold = rng.standard_exponential()
-    while i < n and t < budget:
-        stop = min(budget, 2 * t + 64)
-        q = q_block(t, stop)
-        valid = (q >= 0.0) & (q <= 1.0)
-        reached = len(q) if valid.all() else int(np.argmin(valid))
-        cumulative = np.cumsum(_quiet_hazards(kind, n, i, q[:reached]))
+    while i < n and t < len(q):
+        if t == bad:
+            _check_q(float(q[t]))
+        stop = min(bad, 2 * t + 64)
+        cumulative = np.cumsum(_quiet_hazards(kind, n, i, q[t:stop]))
         event = int(np.searchsorted(cumulative, threshold, side="right"))
-        if event < reached:
+        if event < stop - t:
             counts.extend([i] * event)
-            i += _informative_delta(kind, n, i, float(q[event]), rng, scratch)
+            i += _informative_delta(kind, n, i, float(q[t + event]), rng, scratch)
             counts.append(i)
             t += event + 1
             threshold = rng.standard_exponential()
-        elif reached < len(q):
-            _check_q(float(q[reached]))
         else:
-            counts.extend([i] * len(q))
+            counts.extend([i] * (stop - t))
             t = stop
             threshold -= cumulative[-1]
     return counts

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -50,6 +51,30 @@ def test_monotone_families_never_increase(alpha, t):
 @given(st.floats(0.0, 1.0), st.integers(0, 1000))
 def test_constant_is_invariant(q, t):
     assert Constant(q).value_at(t) == q
+
+
+def test_constant_coerces_q_to_float():
+    cred = Constant(1)
+    assert type(cred.q) is float and type(cred.value_at(3)) is float
+    assert cred.first(2).tolist() == [cred.value_at(0), cred.value_at(1)] == [1.0, 1.0]
+    assert format_credibility(cred) == "const:1"
+
+
+@pytest.mark.parametrize(
+    "cred",
+    [Constant(0.3), PowerLaw(0.5), PowerLaw(2.0), Additive(0.01), Additive(0.19999999999999998),
+     Multiplicative(0.01), Multiplicative(0.5), Table((1.0, 0.9, 0.5), tail=0.1), Table((0.25,))],
+    ids=lambda cred: format_credibility(cred),
+)
+def test_first_is_value_at_bit_for_bit(cred):
+    # a vectorised np.power differs from ** in the last ulp at some rounds
+    # for power:2 and mult:0.01, so every value must come from value_at
+    rounds = 10_000
+    q = cred.first(rounds)
+    assert q.dtype == np.float64 and q.shape == (rounds,)
+    assert [x.hex() for x in q.tolist()] == [float(cred.value_at(t)).hex() for t in range(rounds)]
+    for k in (0, 1, 2, 101):
+        assert cred.first(k).tobytes() == q[:k].tobytes()
 
 
 def test_table_tail_defaults_to_last_value():

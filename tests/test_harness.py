@@ -8,9 +8,9 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 import pytest
 
-from gossipsim.credibility import Constant, PowerLaw
+from gossipsim.credibility import Constant, PowerLaw, parse_credibility
 from gossipsim.errors import RangeError
-from gossipsim import graphs, harness
+from gossipsim import credibility, graphs, harness
 from gossipsim.graphs import (
     MatchingSequence,
     ResampledRegular,
@@ -363,11 +363,31 @@ class TestTrialStreams:
                 max_rounds=None,
                 initial_informed=3,
             ),
+            small_spec(
+                graph=StaticGraph(graphs.generate_random_regular(64, 6, seed=4)),
+                protocol=ProtocolKind.PULL,
+                credibility=parse_credibility("table:1,0.5,0.2;tail=0.1"),
+                trials=3,
+                max_rounds=150,
+                record_level=RecordLevel.PER_ROUND_EXACT,
+            ),
+            small_spec(
+                graph=StaticGraph(explicit_complete(256)),
+                credibility=parse_credibility("add:0.05"),
+                trials=4,
+                max_rounds=60,
+            ),
+            small_spec(
+                graph=MatchingSequence(n=32, seed=5),
+                protocol=ProtocolKind.PUSH_PULL,
+                credibility=parse_credibility("mult:0.01"),
+                max_rounds=150,
+            ),
         ],
         ids=["complete1024-power2", "regular256-pull", "regular256-push-pull", "resampled", "matching",
              "cycle32-exact-initial3-negative-seed", "cycle32-pull", "complete16-push-pull", "matching-d1",
              "complete2", "regular64-exact", "complete256-summary", "regular256-power2-stall",
-             "regular64-d7-push-pull"],
+             "regular64-d7-push-pull", "regular64-table-exact", "complete256-add", "matching-mult"],
     )
     def test_records_equal_the_reference_loop(self, spec):
         expected = reference_records(spec, range(spec.trials))
@@ -416,6 +436,11 @@ class TestReplayFromSeed:
             max_rounds=150,
             master_seed=-3,
         ),
+        *(
+            small_spec(graph=StaticGraph(graph), credibility=parse_credibility(text), max_rounds=100)
+            for text in ("table:1,0.5,0.2;tail=0.1", "add:0.05", "mult:0.05")
+            for graph in (complete_graph(512), graphs.generate_random_regular(128, 8, seed=3))
+        ),
     ]
 
     @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
@@ -423,7 +448,8 @@ class TestReplayFromSeed:
         "spec",
         SPECS,
         ids=["regular256", "resampled", "matching", "cycle32-exact", "complete1024", "cycle32-initial30",
-             "matching-d1", "regular64-d7"],
+             "matching-d1", "regular64-d7", "complete512-table", "regular128-table", "complete512-add",
+             "regular128-add", "complete512-mult", "regular128-mult"],
     )
     def test_counts_replay_from_the_record_seed(self, spec, kind):
         spec = replace(spec, protocol=kind)
@@ -432,7 +458,7 @@ class TestReplayFromSeed:
         for record in run_experiment(spec)[0]:
             rng = np.random.Generator(np.random.PCG64(record.seed))
             if isinstance(spec.graph, StaticGraph) and spec.graph.graph.is_complete:
-                counts = complete_chain(kind, n, spec.initial_informed, lambda a, b: np.array(q[a:b]), budget, rng)
+                counts = complete_chain(kind, n, spec.initial_informed, np.array(q[:budget]), rng)
             else:
                 state = initial_state(n, spec.initial_informed)
                 counts = [state.informed_count]
@@ -443,9 +469,15 @@ class TestReplayFromSeed:
                     counts.append(state.informed_count)
             assert counts == record.informed_counts
 
+    def test_records_take_each_q_from_value_at(self):
+        for spec in self.SPECS:
+            for record in run_experiment(spec)[0]:
+                want = [spec.credibility.value_at(t) for t in range(len(record.informed_counts))]
+                assert [q.hex() for q in record.q_values] == [q.hex() for q in want]
+
 
 @dataclass(frozen=True)
-class SpikeAt100:
+class SpikeAt100(credibility._Schedule):
     """power:2, except an out-of-range q at round 100."""
 
     spike: float
@@ -455,7 +487,7 @@ class SpikeAt100:
 
 
 @dataclass(frozen=True)
-class OneUntilNan:
+class OneUntilNan(credibility._Schedule):
     """q = 1 before round ``at``, NaN from then on."""
 
     at: int
@@ -779,6 +811,22 @@ class TestExports:
     def test_per_round_rows_must_run_0_to_k_without_gaps(self, tmp_path, rows, line):
         path = tmp_path / "records.csv"
         path.write_text("trial,round,informed,q_t,n\n" + rows)
+        with pytest.raises(RangeError, match=rf"line {line}: "):
+            load_records_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("trial,round,informed,q_t,n\n0,0,1,1.0,8\n0,1,2,1.0,16\n0,2,4,1.0,16\n", 3),
+         ("trial,round,informed,q_t,n\n0,0,1,1.0,\n0,1,2,1.0,8\n", 3),
+         ("trial,round,informed,q_t,n\n0,0,1,1.0,8\n1,0,1,1.0,4\n0,1,9,1.0,8\n", 4),
+         ("trial,round,informed,q_t,n\n0,0,1,1.0,8\n0,1,2,1.0,16\n0,2,20,1.0,16\n", 4),
+         ("trial,completion,final,n\n0,3,8,8\n0,,20,8\n", 3)],
+        ids=["n-changes", "n-blank-then-set", "count-exceeds-n", "n-changes-and-count-exceeds-n",
+             "final-exceeds-n"],
+    )
+    def test_rows_must_agree_with_their_n(self, tmp_path, text, line):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
         with pytest.raises(RangeError, match=rf"line {line}: "):
             load_records_csv(path)
 
