@@ -32,12 +32,39 @@ __all__ = [
 ]
 
 
+# rounds of q(t) computed per Python list when a schedule reads further
+_FILL_BLOCK = 4096
+_NO_ROUNDS = np.empty(0, dtype=np.float64)
+_NO_ROUNDS.flags.writeable = False
+
+
 class _Schedule:
     """Queries every family answers; each family defines its own ``value_at``."""
 
     def first(self, rounds: int) -> np.ndarray:
-        """q(0) .. q(rounds - 1) as float64, each exactly its ``value_at``."""
-        return np.array([self.value_at(t) for t in range(rounds)], dtype=np.float64)
+        """q(0) .. q(rounds - 1) as a read-only float64 array, each exactly its ``value_at``.
+
+        The instance keeps the longest prefix read so far (an attribute, not a
+        dataclass field, so equality, hashing and the textual form ignore it),
+        so each q(t) is computed once per schedule: a longer read computes only
+        the rounds it lacks, ``_FILL_BLOCK`` at a time, and every read returns a
+        view of the kept array. ``rounds <= 0`` gives an empty array.
+        """
+        known = self.__dict__.get("_known", _NO_ROUNDS)
+        if rounds > len(known):
+            grown = np.empty(rounds, dtype=np.float64)
+            grown[: len(known)] = known
+            for start in range(len(known), rounds, _FILL_BLOCK):
+                stop = min(start + _FILL_BLOCK, rounds)
+                grown[start:stop] = [self.value_at(t) for t in range(start, stop)]
+            grown.flags.writeable = False
+            object.__setattr__(self, "_known", grown)
+            known = grown
+        return known[: max(rounds, 0)]
+
+    def __getstate__(self):
+        """Pickle the fields alone: an unpickled array would be writeable again."""
+        return {k: v for k, v in self.__dict__.items() if k != "_known"}
 
     def sup_from(self, t0: int) -> float:
         return self.value_at(max(t0, 0))

@@ -459,8 +459,28 @@ def load_records_csv(path) -> list[TrialRecord]:
     raise RangeError(f"{path}: unrecognized header {header}")
 
 
+def _consistent(r: TrialRecord) -> TrialRecord:
+    """``r`` if its counts are integers within n that end in its final, with one q per count."""
+    counts = r.informed_counts
+    ints = [r.final_informed, *(counts or ())]
+    if any(type(x) is not int for x in ints) or type(r.n) not in (int, type(None)):
+        raise ValueError("n, informed counts and final_informed must be integers")
+    if r.n is not None and max(ints) > r.n:
+        raise ValueError(f"informed count {max(ints)} exceeds n = {r.n}")
+    if counts is not None and counts[-1:] != [r.final_informed]:
+        raise ValueError(f"final_informed {r.final_informed} is not the last informed count")
+    if r.q_values is not None and len(r.q_values) != len(ints) - 1:
+        raise ValueError(f"{len(r.q_values)} q_values for {len(ints) - 1} informed counts")
+    return r
+
+
 def load_records_jsonl(path) -> list[TrialRecord]:
-    """Re-import an exported JSONL file; a malformed line raises RangeError naming it."""
+    """Re-import an exported JSONL file; a malformed line raises RangeError naming it.
+
+    As in :func:`load_records_csv`, counts and the final must be integers no
+    larger than n, the final must be the last count, and a record with
+    q_values needs one per count.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = list(fh)
@@ -471,7 +491,7 @@ def load_records_jsonl(path) -> list[TrialRecord]:
         if not text.strip():
             continue
         try:
-            records.append(TrialRecord(**json.loads(text)))
+            records.append(_consistent(TrialRecord(**json.loads(text))))
         except (TypeError, ValueError) as exc:
             raise RangeError(f"{path}, line {line}: {exc}") from exc
     return records

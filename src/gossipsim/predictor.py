@@ -20,6 +20,7 @@ asymptotic.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -403,6 +404,12 @@ def general_lower_T(
 # -- decay-family calculators -------------------------------------------------
 
 
+@functools.lru_cache
+def _zeta_head(alpha: float, cut: int) -> float:
+    """sum_{k < cut} k**-alpha, added exactly once per (alpha, cut)."""
+    return math.fsum(k ** (-alpha) for k in range(1, cut))
+
+
 def powerlaw_expectation_bound(alpha: float, c_grow: float) -> float:
     """exp(c_grow * sum_t (t+1)**-alpha) for alpha > 1: a ceiling on E|I_T|.
 
@@ -416,7 +423,7 @@ def powerlaw_expectation_bound(alpha: float, c_grow: float) -> float:
     if c_grow < 0:
         raise RangeError(f"c_grow must be >= 0, got {c_grow}")
     cut = ZETA_EXACT_TERMS
-    head = math.fsum(k ** (-alpha) for k in range(1, cut))
+    head = _zeta_head(alpha, cut)
     tail = (
         cut ** (1.0 - alpha) / (alpha - 1.0)
         + cut ** (-alpha) / 2.0

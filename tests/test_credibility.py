@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -60,13 +62,14 @@ def test_constant_coerces_q_to_float():
     assert format_credibility(cred) == "const:1"
 
 
-@pytest.mark.parametrize(
-    "cred",
-    [Constant(0.3), PowerLaw(0.5), PowerLaw(2.0), Additive(0.01), Additive(0.19999999999999998),
-     Multiplicative(0.01), Multiplicative(0.5), Table((1.0, 0.9, 0.5), tail=0.1), Table((0.25,))],
-    ids=lambda cred: format_credibility(cred),
-)
+SCHEDULES = [Constant(0.3), PowerLaw(0.5), PowerLaw(2.0), Additive(0.01), Additive(0.19999999999999998),
+             Multiplicative(0.01), Multiplicative(0.5), Table((1.0, 0.9, 0.5), tail=0.1), Table((0.25,))]
+each_schedule = pytest.mark.parametrize("cred", SCHEDULES, ids=format_credibility)
+
+
+@each_schedule
 def test_first_is_value_at_bit_for_bit(cred):
+    cred = replace(cred)  # a fresh instance, with nothing read yet
     # a vectorised np.power differs from ** in the last ulp at some rounds
     # for power:2 and mult:0.01, so every value must come from value_at
     rounds = 10_000
@@ -75,6 +78,50 @@ def test_first_is_value_at_bit_for_bit(cred):
     assert [x.hex() for x in q.tolist()] == [float(cred.value_at(t)).hex() for t in range(rounds)]
     for k in (0, 1, 2, 101):
         assert cred.first(k).tobytes() == q[:k].tobytes()
+
+
+@each_schedule
+def test_first_computes_each_round_once(cred, monkeypatch):
+    cred = replace(cred)
+    computed = []
+    value_at = type(cred).value_at
+
+    def counting_value_at(self, t):
+        computed.append(t)
+        return value_at(self, t)
+
+    monkeypatch.setattr(type(cred), "value_at", counting_value_at)
+    done = 0
+    for rounds in (10, 600, 5, 9_000, 0, -3):
+        want = [x.hex() for x in replace(cred).first(rounds).tolist()]
+        computed.clear()
+        q = cred.first(rounds)
+        assert computed == list(range(done, max(rounds, done)))
+        assert [x.hex() for x in q.tolist()] == want and len(want) == max(rounds, 0)
+        done = max(rounds, done)
+
+
+@each_schedule
+def test_first_hands_out_read_only_arrays(cred):
+    cred = replace(cred)
+    for rounds in (0, 5, 600, 3):
+        q = cred.first(rounds)
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[:1] = 0.5
+
+
+@each_schedule
+def test_kept_rounds_leave_identity_and_text_alone(cred):
+    cred, fresh = replace(cred), replace(cred)
+    cred.first(700)
+    assert cred == fresh and hash(cred) == hash(fresh)
+    assert astuple(cred) == astuple(fresh) and repr(cred) == repr(fresh)
+    assert format_credibility(cred) == format_credibility(fresh)
+    assert pickle.dumps(cred) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(cred))
+    assert back == cred and back.first(700).tobytes() == cred.first(700).tobytes()
+    assert not back.first(700).flags.writeable
 
 
 def test_table_tail_defaults_to_last_value():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -99,6 +99,19 @@ class TestRunTrial:
         record = run_trial(small_spec(record_level=RecordLevel.SUMMARY), 0)
         assert record.informed_counts is None
         assert record.q_values is None
+
+
+    @pytest.mark.parametrize(
+        "graph, budget",
+        [(StaticGraph(complete_graph(1024)), 500), (StaticGraph(explicit_complete(16)), 60)],
+        ids=["chain", "masks"],
+    )
+    def test_a_run_trial_loop_computes_each_q_once(self, graph, budget):
+        cred = CountingPowerLaw()
+        spec = small_spec(graph=graph, credibility=cred, trials=40, max_rounds=budget)
+        records = [run_trial(spec, i) for i in range(spec.trials)]
+        assert cred.calls == list(range(budget + 1))
+        assert records == run_experiment(replace(spec, credibility=PowerLaw(2.0)))[0]
 
 
 class TestDeterminism:
@@ -477,6 +490,17 @@ class TestReplayFromSeed:
 
 
 @dataclass(frozen=True)
+class CountingPowerLaw(credibility._Schedule):
+    """power:2 that lists the rounds it is asked for."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def value_at(self, t: int) -> float:
+        self.calls.append(t)
+        return PowerLaw(2.0).value_at(t)
+
+
+@dataclass(frozen=True)
 class SpikeAt100(credibility._Schedule):
     """power:2, except an out-of-range q at round 100."""
 
@@ -829,6 +853,29 @@ class TestExports:
         path.write_text(text)
         with pytest.raises(RangeError, match=rf"line {line}: "):
             load_records_csv(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [('"n": 8, "informed_counts": [1, 2, 20], "final_informed": 20, "q_values": [1.0, 0.5]', "exceeds n = 8"),
+         ('"n": 8, "informed_counts": [1, 2, 3], "final_informed": 2, "q_values": [1.0, 0.5, 0.25]',
+          "not the last informed count"),
+         ('"n": 8, "informed_counts": [1, 2, 3], "final_informed": 3, "q_values": [1.0, 0.5]',
+          "2 q_values for 3 informed counts"),
+         ('"n": 8, "informed_counts": [1, 2, 3], "final_informed": "x"', "must be integers"),
+         ('"n": 8, "informed_counts": [1, 2.0, 3], "final_informed": 3', "must be integers"),
+         ('"n": "8", "final_informed": 3', "must be integers"),
+         ('"n": 8, "final_informed": 9', "exceeds n = 8")],
+        ids=["count-exceeds-n", "final-not-last", "q-length", "final-not-int", "count-not-int", "n-not-int",
+             "summary-final-exceeds-n"],
+    )
+    def test_jsonl_records_must_agree_with_themselves(self, tmp_path, fields, message):
+        path = tmp_path / "records.jsonl"
+        good = '{"trial": 0, "n": 8, "final_informed": 2, "completion_round": null, "informed_counts": [1, 2]}'
+        path.write_text(good + '\n{"trial": 1, "completion_round": null, ' + fields + "}\n")
+        with pytest.raises(RangeError, match=rf"line 2: .*{message}"):
+            load_records_jsonl(path)
+        path.write_text(good + "\n")
+        assert load_records_jsonl(path)[0].informed_counts == [1, 2]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(RangeError):

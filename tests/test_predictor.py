@@ -24,6 +24,7 @@ from gossipsim.errors import (
     ZetaRange,
 )
 from gossipsim.predictor import (
+    ZETA_EXACT_TERMS,
     PredictorConfig,
     ThresholdScaleWarning,
     additive_thresholds,
@@ -376,6 +377,21 @@ class TestPowerLawCalculators:
     def test_expectation_bound_overflow_is_inf(self):
         assert powerlaw_expectation_bound(1.001, 1.0) == math.inf
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2, 3.7])
+    @pytest.mark.parametrize("c_grow", [0.0, 0.5, GROWTH_CONSTANT[ProtocolKind.PUSH]])
+    def test_expectation_bound_is_the_plain_fsum_formula(self, alpha, c_grow):
+        # the zeta head is memoised per alpha; every call must give the bits
+        # of the formula summed afresh
+        cut = ZETA_EXACT_TERMS
+        head = math.fsum(k ** (-alpha) for k in range(1, cut))
+        tail = cut ** (1.0 - alpha) / (alpha - 1.0) + cut ** (-alpha) / 2.0 + alpha * cut ** (-alpha - 1.0) / 12.0
+        try:
+            want = math.exp(c_grow * (head + tail))
+        except OverflowError:
+            want = math.inf
+        for _ in range(2):
+            assert powerlaw_expectation_bound(alpha, c_grow).hex() == want.hex()
+
     def test_expectation_bound_zeta3(self):
         assert powerlaw_expectation_bound(3.0, 1.0) == pytest.approx(3.32695311, abs=1e-6)
 
@@ -512,6 +528,10 @@ class TestPredictorComparison:
         assert predictor_comparison(ProtocolKind.PUSH, Constant(1.0), 8)["family"] == "constant"
         assert predictor_comparison(ProtocolKind.PUSH, PowerLaw(2.0), 8)["family"] == "power-law"
         assert predictor_comparison(ProtocolKind.PUSH, Table((0.5,)), 8) is None
+
+    def test_powerlaw_comparison_is_pinned(self):
+        out = predictor_comparison(ProtocolKind.PUSH, PowerLaw(2.0), 1024)
+        assert out == {"family": "power-law", "alpha": 2.0, "expectation_bound": float.fromhex("0x1.4b9011d932a70p+2")}
 
     def test_constant_contains_runtime(self):
         out = predictor_comparison(ProtocolKind.PUSH, Constant(0.5), 8)
