@@ -34,6 +34,8 @@ from .protocol import ProtocolKind
 
 __all__ = ["main", "build_parser"]
 
+_VERIFY_SCOPES = {scope: suite for suite, (scope, _) in harness.VERIFY_SUITES.items()}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gossipsim", description=__doc__)
@@ -64,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--csv", action="store_true")
 
     ver = sub.add_parser("verify", help="run a built-in verification suite")
-    ver.add_argument("--scope", required=True, choices=("tiny", "sandwich", "claims", "complete"))
+    ver.add_argument("--scope", required=True, choices=_VERIFY_SCOPES)
 
     swp = sub.add_parser("sweep", help="cartesian parameter sweep, one summary row per point")
     _add_simulate_args(swp)
@@ -196,13 +198,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scope = {
-        "tiny": "tiny_exhaustive",
-        "sandwich": "bound_sandwich",
-        "claims": "predictor_claims",
-        "complete": "complete_law",
-    }[args.scope]
-    report = harness.verify_suite(scope)
+    report = harness.verify_suite(_VERIFY_SCOPES[args.scope])
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1

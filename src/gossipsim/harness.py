@@ -78,6 +78,7 @@ __all__ = [
     "tiny_corpus",
     "iter_tiny_instances",
     "VerifyReport",
+    "VERIFY_SUITES",
     "verify_suite",
 ]
 
@@ -349,8 +350,8 @@ def _per_round_row(trial, rnd, informed, q_t, n=""):
 
 def _summary_row(trial, completion, final, n=""):
     n = _optional_int(n)
-    return TrialRecord(
-        trial=int(trial), n=n, final_informed=_count(final, n), completion_round=_optional_int(completion)
+    return _consistent(
+        TrialRecord(trial=int(trial), n=n, final_informed=_count(final, n), completion_round=_optional_int(completion))
     )
 
 
@@ -416,7 +417,8 @@ def load_records_csv(path) -> list[TrialRecord]:
     count reaches n; without n it stays None. A trial whose q_t cells are all
     blank loads with ``q_values=None``; a blank cell among filled ones raises
     RangeError naming its line. So does a row whose n differs from an earlier
-    row of its trial, or whose informed count or final exceeds its n.
+    row of its trial, or whose informed count or final exceeds its n. After
+    those checks, so does each record that no run produces (:func:`_run_fault`).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -453,6 +455,9 @@ def load_records_csv(path) -> list[TrialRecord]:
                     q_values=None if blank else [q for _, _, q, _ in entries],
                 )
             )
+            fault = _run_fault(records[-1])
+            if fault is not None:
+                raise RangeError(f"{path}, line {entries[fault[0]][3]}: {fault[1]}")
         return records
     if header in (SUMMARY_HEADER, SUMMARY_HEADER[:-1]):
         return _parse_rows(path, rows, _summary_row)
@@ -460,7 +465,8 @@ def load_records_csv(path) -> list[TrialRecord]:
 
 
 def _consistent(r: TrialRecord) -> TrialRecord:
-    """``r`` if its counts are integers within n that end in its final, with one q per count."""
+    """``r`` if its counts are integers within n that end in its final, with one q per count,
+    and a run could produce it (:func:`_run_fault`)."""
     counts = r.informed_counts
     ints = [r.final_informed, *(counts or ())]
     if any(type(x) is not int for x in ints) or type(r.n) not in (int, type(None)):
@@ -471,15 +477,46 @@ def _consistent(r: TrialRecord) -> TrialRecord:
         raise ValueError(f"final_informed {r.final_informed} is not the last informed count")
     if r.q_values is not None and len(r.q_values) != len(ints) - 1:
         raise ValueError(f"{len(r.q_values)} q_values for {len(ints) - 1} informed counts")
+    fault = _run_fault(r)
+    if fault is not None:
+        raise ValueError(fault[1])
     return r
+
+
+def _run_fault(r: TrialRecord) -> tuple[int, str] | None:
+    """(index of its count, reason) for the first thing in ``r`` that no run produces, else None.
+
+    q is not range-checked: a run exports q(budget), a round no trial steps,
+    and JSONL holds a non-finite q as the text ``_jsonable`` writes.
+    """
+    counts = r.informed_counts or [r.final_informed]
+    done = r.completion_round
+    if type(r.trial) is not int or r.trial < 0:
+        return 0, f"trial {r.trial!r} is not a non-negative integer"
+    for k, count in enumerate(counts):
+        if count < 1:
+            return k, f"informed count {count} is below 1"
+        if k and count < counts[k - 1]:
+            return k, f"informed count {count} is below the count {counts[k - 1]} before it"
+    if done is not None and (type(done) is not int or done < 0):
+        return 0, f"completion round {done!r} is neither empty nor a non-negative integer"
+    if r.n is not None:
+        reached = next((k for k, count in enumerate(counts) if count == r.n), None)
+        if r.informed_counts is not None and done != reached:
+            return 0, f"completion round {done}, but the first round whose count is n = {r.n} is {reached}"
+        if (done is None) != (reached is None):
+            return 0, f"completion round {done} disagrees with final {r.final_informed} and n = {r.n}"
+    if any(type(x) not in (int, float) and x not in ("nan", "inf", "-inf") for x in r.q_values or ()):
+        return 0, "q values must be numbers"
+    return None
 
 
 def load_records_jsonl(path) -> list[TrialRecord]:
     """Re-import an exported JSONL file; a malformed line raises RangeError naming it.
 
     As in :func:`load_records_csv`, counts and the final must be integers no
-    larger than n, the final must be the last count, and a record with
-    q_values needs one per count.
+    larger than n, the final must be the last count, a record with q_values
+    needs one per count, and then the record must be one a run produces.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -527,9 +564,14 @@ def iter_tiny_instances():
 
 @dataclass
 class VerifyReport:
+    """A suite's checks by name; the suite passes when every check's ``ok`` does."""
+
     scope: str
-    ok: bool
     checks: dict[str, dict]
+
+    @property
+    def ok(self) -> bool:
+        return all(info["ok"] for info in self.checks.values())
 
     def lines(self) -> list[str]:
         out = []
@@ -540,33 +582,25 @@ class VerifyReport:
         return out
 
 
-def _verify_tiny_exhaustive() -> VerifyReport:
-    worst_corr = -math.inf
-    worst_var = math.inf
-    worst_mean_err = 0.0
-    instances = 0
-    for _, g, informed, q, kind in iter_tiny_instances():
-        rep = verify_process_properties(kind, g, informed, q)
-        worst_corr = max(worst_corr, rep.worst_slack)
-        worst_var = min(worst_var, rep.var_margin)
-        worst_mean_err = max(worst_mean_err, abs(rep.mean_size - rep.exact_mean))
-        instances += 1
-    checks = {
+def _verify_tiny_exhaustive() -> dict[str, dict]:
+    """Negative correlation, the variance bound and oracle mean agreement on every tiny instance."""
+    reports = [verify_process_properties(kind, g, informed, q) for _, g, informed, q, kind in iter_tiny_instances()]
+    worst_corr = max(r.worst_slack for r in reports)
+    worst_var = min(r.var_margin for r in reports)
+    worst_mean_err = max(abs(r.mean_size - r.exact_mean) for r in reports)
+    return {
         "negative_correlation": {"ok": worst_corr <= 1e-12, "worst_slack": worst_corr},
         "bounded_variance": {"ok": worst_var >= -1e-12, "worst_margin": worst_var},
         "oracle_mean_equality": {"ok": worst_mean_err <= 1e-12, "worst_abs_err": worst_mean_err},
-        "instances": {"ok": True, "count": instances},
+        "instances": {"ok": True, "count": len(reports)},
     }
-    return VerifyReport("tiny_exhaustive", all(c["ok"] for c in checks.values()), checks)
 
 
-def _verify_bound_sandwich() -> VerifyReport:
+def _verify_bound_sandwich() -> dict[str, dict]:
+    """The growth/shrink brackets on 1000 sampled (graph, set, q) triples."""
     seed = 20_240_601
     rng = rng_for(seed)
-    tol = 1e-9
-    violations = 0
-    worst = math.inf
-    checked = 0
+    slacks = []
     q_grid = np.linspace(0.1, 1.0, 10)
     for i in range(1000):
         d = int(rng.integers(2, 17))
@@ -583,91 +617,69 @@ def _verify_bound_sandwich() -> VerifyReport:
         for kind in ProtocolKind:
             gf = growth_factor(kind, g, informed, q)
             basic = basic_growth_bounds(kind, q, phi)
-            for slack in (gf - basic.lower, basic.upper - gf):
-                worst = min(worst, slack)
-                violations += slack < -tol
-                checked += 1
+            slacks += [gf - basic.lower, basic.upper - gf]
             if size >= n / 2:
                 sb = shrink_bounds(kind, q, phi, d)
-                lower_slack = gf - sb.lower
-                worst = min(worst, lower_slack)
-                violations += lower_slack < -tol
-                checked += 1
+                slacks.append(gf - sb.lower)
                 if not sb.upper_requires_connected or connected:
-                    upper_slack = sb.upper - gf
-                    worst = min(worst, upper_slack)
-                    violations += upper_slack < -tol
-                    checked += 1
-    checks = {
+                    slacks.append(sb.upper - gf)
+    violations = sum(slack < -1e-9 for slack in slacks)
+    return {
         "table_sandwich": {
             "ok": violations == 0,
             "violations": violations,
-            "worst_slack": worst,
-            "inequalities": checked,
+            "worst_slack": min(slacks),
+            "inequalities": len(slacks),
         }
     }
-    return VerifyReport("bound_sandwich", violations == 0, checks)
 
 
-def _verify_predictor_claims() -> VerifyReport:
-    checks: dict[str, dict] = {}
-
-    stirling_ok = True
-    for k in range(7):
-        rep = stirling_product_check(1.0 / 2**k)
-        stirling_ok &= rep.lower_ok and rep.upper_ok
-    checks["stirling_product"] = {"ok": stirling_ok}
-
-    mult_ok = True
-    for log_n in (10.0, 20.0):
-        rep = multiplicative_product_check(math.exp(log_n))
-        mult_ok &= rep.few_ok and rep.most_ok
-    checks["multiplicative_product"] = {"ok": mult_ok}
-
-    harm_ok = True
-    for t in (10, 100, 1000):
-        for alpha in (0.25, 0.5, 0.75):
-            rep = harmonic_sum_check(alpha, t)
-            harm_ok &= rep.lower_ok and rep.upper_ok
-    checks["generalized_harmonic"] = {"ok": harm_ok}
+def _verify_predictor_claims() -> dict[str, dict]:
+    """The numeric claim oracles and the stopping-time closed forms."""
+    stirling = (stirling_product_check(1.0 / 2**k) for k in range(7))
+    mult = (multiplicative_product_check(math.exp(log_n)) for log_n in (10.0, 20.0))
+    harm = (harmonic_sum_check(alpha, t) for t in (10, 100, 1000) for alpha in (0.25, 0.5, 0.75))
 
     # At the theory's xi = 1e-30 every tau2 threshold sits at the 1/xi^2
     # scale, far beyond any scan; a larger configured xi keeps the
     # closed-form comparison meaningful.
-    tau_ok = True
     cfg = PredictorConfig(xi=0.5)
-    for a, b, c_grow, nu in ((2.0, 500.0, 1.0, 0.3), (10.0, 1e5, 2.0, 0.7)):
-        threshold = tau2_threshold(a, b, c_grow, cfg.xi)
-        expected = 5 + math.ceil(threshold / math.log1p(nu))
-        tau_ok &= tau2_rounds(lambda t: nu, 5, a, b, c_grow, cfg) == expected
-    for c, d_, c_shrink, nu in ((250.0, 0.75, 0.5, 0.2), (4096.0, 12.0, 0.9, 0.05)):
-        threshold = tau3_threshold(c, d_, c_shrink)
-        expected = 3 + math.ceil(threshold / -math.log1p(-nu))
-        tau_ok &= tau3_rounds(lambda t: nu, 3, c, d_, c_shrink) == expected
-    checks["stopping_time_closed_forms"] = {"ok": tau_ok}
+    tau2 = (
+        tau2_rounds(lambda t: nu, 5, a, b, c_grow, cfg)
+        == 5 + math.ceil(tau2_threshold(a, b, c_grow, cfg.xi) / math.log1p(nu))
+        for a, b, c_grow, nu in ((2.0, 500.0, 1.0, 0.3), (10.0, 1e5, 2.0, 0.7))
+    )
+    tau3 = (
+        tau3_rounds(lambda t: nu, 3, c, d_, c_shrink)
+        == 3 + math.ceil(tau3_threshold(c, d_, c_shrink) / -math.log1p(-nu))
+        for c, d_, c_shrink, nu in ((250.0, 0.75, 0.5, 0.2), (4096.0, 12.0, 0.9, 0.05))
+    )
+    return {
+        "stirling_product": {"ok": all(r.lower_ok and r.upper_ok for r in stirling)},
+        "multiplicative_product": {"ok": all(r.few_ok and r.most_ok for r in mult)},
+        "generalized_harmonic": {"ok": all(r.lower_ok and r.upper_ok for r in harm)},
+        "stopping_time_closed_forms": {"ok": all(tau2) and all(tau3)},
+    }
 
-    ok = all(c["ok"] for c in checks.values())
-    return VerifyReport("predictor_claims", ok, checks)
 
-
-def _verify_complete_law() -> VerifyReport:
-    worst = worst_mass = 0.0
-    instances = 0
-    for name, g, informed, q, kind in iter_tiny_instances():
+def _verify_complete_law() -> dict[str, dict]:
+    """The exact K_n size law against enumeration on K2-K5, and criterion 6's exact E[final]."""
+    errs, mass_errs = [], []
+    for _, g, informed, q, kind in iter_tiny_instances():
         if not g.is_complete:
             continue
         law = complete_size_law(kind, g.n, int(informed.sum()), q)
         enumerated = np.zeros(g.n + 1)
         for members, p in enumerate_joint_distribution(kind, g, informed, q).support.items():
             enumerated[len(members)] += p
-        worst = max(worst, np.abs(enumerated[: len(law)] - law).max(), enumerated[len(law) :].sum())
-        worst_mass = max(worst_mass, abs(law.sum() - 1.0))
-        instances += 1
+        errs.append(max(np.abs(enumerated[: len(law)] - law).max(), enumerated[len(law) :].sum()))
+        mass_errs.append(abs(law.sum() - 1.0))
+    worst, worst_mass = max(errs), max(mass_errs)
     # acceptance criterion 6: |I_500| of PUSH on K_1024 under power:2
     law, dropped = complete_final_law(ProtocolKind.PUSH, 1024, PowerLaw(2.0).first(500))
     lost = abs(law.sum() + dropped - 1.0)
-    checks = {
-        "size_law_vs_enumeration": {"ok": worst <= 1e-12, "worst_abs_err": worst, "instances": instances},
+    return {
+        "size_law_vs_enumeration": {"ok": worst <= 1e-12, "worst_abs_err": worst, "instances": len(errs)},
         "size_law_mass": {"ok": worst_mass <= 1e-12, "worst_abs_err": worst_mass},
         "criterion_6_forward_pass": {
             "ok": lost <= 1e-12,
@@ -675,26 +687,19 @@ def _verify_complete_law() -> VerifyReport:
             "dropped_mass": dropped,
         },
     }
-    return VerifyReport("complete_law", all(c["ok"] for c in checks.values()), checks)
+
+
+VERIFY_SUITES = {
+    "tiny_exhaustive": ("tiny", _verify_tiny_exhaustive),
+    "bound_sandwich": ("sandwich", _verify_bound_sandwich),
+    "predictor_claims": ("claims", _verify_predictor_claims),
+    "complete_law": ("complete", _verify_complete_law),
+}
+"""Suite name -> (its ``gossipsim verify --scope`` name, the function returning its checks)."""
 
 
 def verify_suite(scope: str) -> VerifyReport:
-    """Run one built-in verification suite.
-
-    ``tiny_exhaustive`` checks negative correlation, the variance bound and
-    oracle mean agreement over every tiny-corpus instance;
-    ``bound_sandwich`` samples 1000 random (graph, set, q) triples and checks
-    the growth/shrink brackets; ``predictor_claims`` runs the numeric claim
-    oracles and the stopping-time closed forms; ``complete_law`` checks the
-    exact K_n size law against enumeration on K2-K5 and reports criterion 6's
-    exact E[final] from the forward pass.
-    """
-    if scope == "tiny_exhaustive":
-        return _verify_tiny_exhaustive()
-    if scope == "bound_sandwich":
-        return _verify_bound_sandwich()
-    if scope == "predictor_claims":
-        return _verify_predictor_claims()
-    if scope == "complete_law":
-        return _verify_complete_law()
-    raise RangeError(f"unknown verify scope {scope!r}")
+    """Run the built-in verification suite named ``scope``, a key of :data:`VERIFY_SUITES`."""
+    if scope not in VERIFY_SUITES:
+        raise RangeError(f"unknown verify scope {scope!r}")
+    return VerifyReport(scope, VERIFY_SUITES[scope][1]())

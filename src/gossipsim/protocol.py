@@ -541,8 +541,6 @@ def enumerate_joint_distribution(
                 continue
             key = frozenset(members)
             support[key] = support.get(key, 0.0) + prob
-    if not support:
-        support[frozenset()] = 1.0
     return DeltaDistribution(support=support, marginals=marginals)
 
 

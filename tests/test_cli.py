@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from gossipsim.cli import main
+from gossipsim import cli, harness
+from gossipsim.cli import build_parser, main
 
 
 def test_simulate_writes_records_and_summary(tmp_path, capsys):
@@ -174,6 +176,81 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "--scope", "claims"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] predictor_claims/multiplicative_product" in out
+
+
+def _verify_scope_choices():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    [scope] = [a for a in commands.choices["verify"]._actions if a.dest == "scope"]
+    return list(scope.choices)
+
+
+def test_verify_scopes_are_the_suite_table():
+    names = [scope for scope, _ in harness.VERIFY_SUITES.values()]
+    assert all(isinstance(name, str) and name for name in names)
+    assert len(set(names)) == len(names)
+    assert _verify_scope_choices() == names
+
+
+@pytest.mark.parametrize("suite", list(harness.VERIFY_SUITES))
+def test_verify_scope_prints_only_its_suite(suite, capsys):
+    scope, _ = harness.VERIFY_SUITES[suite]
+    assert main(["verify", "--scope", scope]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith((f"[PASS] {suite}/", f"[FAIL] {suite}/")) for line in lines)
+
+
+SWEEP_COMMON = ["--protocol", "push", "--trials", "2", "--max-rounds", "40", "--seed", "1"]
+SWEPT = ("n", "fraction_completed", "completion_mean", "completion_median",
+         "final_informed_mean", "final_informed_median")
+
+
+def _sweep(tmp_path, monkeypatch, capsys, graph, cred, param, values):
+    """Sweep one parameter; check each row against a direct run of its point.
+
+    Returns the (graph, cred) spec text each point ran and the rows' n column.
+    """
+    ran = []
+    spec_from_args = cli._spec_from_args
+
+    def recording(args):
+        ran.append((args.graph, args.cred))
+        return spec_from_args(args)
+
+    out = tmp_path / "sweep.csv"
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_spec_from_args", recording)
+        argv = ["sweep", "--graph", graph, "--cred", cred, *SWEEP_COMMON, "--param", param, "--values", values]
+        assert main([*argv, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(ran) == len(values.split(","))
+    for (point_graph, point_cred), row in zip(ran, rows):
+        assert main(["simulate", "--graph", point_graph, "--cred", point_cred, *SWEEP_COMMON]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert [float(cell) if cell else None for cell in row[1:]] == [summary[key] for key in SWEPT]
+    return ran, [row[1] for row in rows]
+
+
+def test_sweep_n_resizes_the_graph(tmp_path, monkeypatch, capsys):
+    ran, ns = _sweep(tmp_path, monkeypatch, capsys, "complete:16", "const:1", "n", "8,32")
+    assert ran == [("complete:8", "const:1"), ("complete:32", "const:1")]
+    assert ns == ["8", "32"]
+
+
+def test_sweep_d_keeps_the_graph_seed(tmp_path, monkeypatch, capsys):
+    ran, _ = _sweep(tmp_path, monkeypatch, capsys, "regular:32,4,seed=3", "const:1", "d", "4,6")
+    assert [graph for graph, _ in ran] == ["regular:32,4,seed=3", "regular:32,6,seed=3"]
+
+
+def test_sweep_q_rewrites_the_credibility(tmp_path, monkeypatch, capsys):
+    ran, _ = _sweep(tmp_path, monkeypatch, capsys, "complete:16", "power:1", "q", "0.5,1")
+    assert ran == [("complete:16", "const:0.5"), ("complete:16", "const:1")]
+
+
+def test_sweep_d_without_a_degree_is_a_usage_error(capsys):
+    code = main(["sweep", "--graph", "cycle:8", "--cred", "const:1", *SWEEP_COMMON, "--param", "d", "--values", "3"])
+    assert code == 2
+    assert "does not apply" in capsys.readouterr().err
 
 
 def test_sweep_rows(tmp_path):

@@ -23,6 +23,7 @@ from gossipsim.harness import (
     ExperimentSpec,
     RecordLevel,
     TrialRecord,
+    VerifyReport,
     export_records,
     export_summary,
     load_records_csv,
@@ -877,6 +878,74 @@ class TestExports:
         path.write_text(good + "\n")
         assert load_records_jsonl(path)[0].informed_counts == [1, 2]
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [("trial,completion,final,n\n0,3,8,8\n1,3,5,8\n", 3, "completion round 3 disagrees with final 5"),
+         ("trial,completion,final,n\n0,,8,8\n", 2, "completion round None disagrees with final 8"),
+         ("trial,completion,final,n\n1,,-2,8\n", 2, "informed count -2 is below 1"),
+         ("trial,completion,final,n\n-1,,5,8\n", 2, "trial -1 is not a non-negative integer"),
+         ("trial,completion,final\n0,-1,5\n", 2, "completion round -1 is neither"),
+         ("trial,round,informed,q_t,n\n0,0,3,0.5,8\n0,2,8,0.5,8\n0,1,1,0.5,8\n", 4,
+          "informed count 1 is below the count 3 before it"),
+         ("trial,round,informed,q_t,n\n0,0,0,0.5,8\n0,1,4,0.5,8\n", 2, "informed count 0 is below 1"),
+         ("trial,round,informed,q_t\n0,0,1,\n0,1,2,\n-3,0,1,\n", 4, "trial -3 is not")],
+        ids=["summary-completes-short-of-n", "summary-reaches-n-without-completing", "summary-final-below-1",
+             "summary-negative-trial", "summary-negative-completion", "per-round-counts-decrease",
+             "per-round-count-below-1", "per-round-negative-trial"],
+    )
+    def test_csv_records_must_be_ones_a_run_produces(self, tmp_path, text, line, message):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        with pytest.raises(RangeError, match=rf"line {line}: {message}"):
+            load_records_csv(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_non_finite_q_past_the_last_step_still_loads(self, tmp_path, fmt):
+        spec = small_spec(graph=StaticGraph(complete_graph(64)), credibility=OneUntilNan(3), max_rounds=3)
+        record = run_trial(spec, 0)
+        path = tmp_path / f"records.{fmt}"
+        export_records([record], path, fmt=fmt)
+        [loaded] = load_records_csv(path) if fmt == "csv" else load_records_jsonl(path)
+        assert loaded.informed_counts == record.informed_counts and len(loaded.q_values) == 4
+
+    def test_a_records_older_errors_come_first(self, tmp_path):
+        # trial -1 is new to the checks; a final above n is the older error
+        path = tmp_path / "records.csv"
+        path.write_text("trial,completion,final,n\n-1,,20,8\n")
+        with pytest.raises(RangeError, match=r"line 2: informed count 20 exceeds n = 8"):
+            load_records_csv(path)
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"trial": -1, "n": 8, "final_informed": 20, "completion_round": null}\n')
+        with pytest.raises(RangeError, match=r"line 1: informed count 20 exceeds n = 8"):
+            load_records_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [('"trial": "a", "n": 8, "final_informed": 2, "completion_round": null', "trial 'a' is not"),
+         ('"trial": -1, "n": 8, "final_informed": 2, "completion_round": null', "trial -1 is not"),
+         ('"trial": 1, "n": 8, "final_informed": 2, "completion_round": 2.5', "completion round 2.5 is neither"),
+         ('"trial": 1, "n": 8, "final_informed": 2, "completion_round": 5, "informed_counts": [3, 1, 2]',
+          "informed count 1 is below the count 3 before it"),
+         ('"trial": 1, "n": 8, "final_informed": -4, "completion_round": null', "informed count -4 is below 1"),
+         ('"trial": 1, "n": 8, "final_informed": 3, "completion_round": null, "informed_counts": [1, 2, 3], '
+          '"q_values": ["x", null, 3]', "q values must be numbers"),
+         ('"trial": 1, "n": 3, "final_informed": 3, "completion_round": 2, "informed_counts": [1, 3, 3]',
+          "completion round 2, but the first round whose count is n = 3 is 1"),
+         ('"trial": 1, "n": 3, "final_informed": 3, "completion_round": null, "informed_counts": [1, 3]',
+          "completion round None, but the first round whose count is n = 3 is 1"),
+         ('"trial": 1, "n": 3, "final_informed": 2, "completion_round": 4', "completion round 4 disagrees"),
+         ('"trial": 1, "n": 3, "final_informed": 3, "completion_round": null', "completion round None disagrees")],
+        ids=["trial-not-int", "trial-negative", "completion-not-int", "counts-decrease", "final-below-1",
+             "q-not-number", "completion-not-first-full-round", "full-but-not-complete",
+             "summary-completes-short-of-n", "summary-full-but-not-complete"],
+    )
+    def test_jsonl_records_must_be_ones_a_run_produces(self, tmp_path, fields, message):
+        path = tmp_path / "records.jsonl"
+        good = '{"trial": 0, "n": 8, "final_informed": 2, "completion_round": null, "informed_counts": [1, 2]}'
+        path.write_text(good + "\n\n{" + fields + "}\n")
+        with pytest.raises(RangeError, match=rf"line 3: {message}"):
+            load_records_jsonl(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(RangeError):
             export_records([], tmp_path / "x.bin", fmt="parquet")
@@ -916,6 +985,10 @@ class TestVerifySuites:
         assert not report.checks["multiplicative_product"]["ok"]
         assert report.checks["generalized_harmonic"]["ok"]
         assert report.checks["stopping_time_closed_forms"]["ok"]
+
+    def test_report_ok_is_every_checks_ok(self):
+        assert VerifyReport("s", {"a": {"ok": True}, "b": {"ok": True}}).ok
+        assert not VerifyReport("s", {"a": {"ok": True}, "b": {"ok": False}}).ok
 
     def test_unknown_scope_rejected(self):
         with pytest.raises(RangeError):

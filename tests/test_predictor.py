@@ -348,6 +348,52 @@ class TestGeneralLowerT:
             general_lower_T(Constant(0.5), 1.0, 100, 1.5)
 
 
+# Schedules without a constant tail, or with one that starts only after some
+# rounds, so both scans step through rounds instead of exiting at once.
+SCANNED = (PowerLaw(0.5), Multiplicative(0.001), Table((0.2, 0.9, 0.1), tail=0.3))
+
+
+def _first_crossing(q, threshold):
+    """The least T with sum_{t<=T} log(1 + q(t)) >= threshold, one round at a time."""
+    acc, t = 0.0, 0
+    while True:
+        acc += math.log1p(q.value_at(t))
+        if acc >= threshold:
+            return t
+        t += 1
+
+
+def _last_below(q, psi, n, rho):
+    """The greatest T with sum_{t<T} log(1 + psi q(t)) <= log n + log rho, one round at a time."""
+    target = math.log(n) + math.log(rho)
+    acc, t = 0.0, 0
+    while acc + math.log1p(psi * q.value_at(t)) <= target:
+        acc += math.log1p(psi * q.value_at(t))
+        t += 1
+    return t
+
+
+class TestScansMatchPartialSums:
+    @pytest.mark.parametrize("q", SCANNED, ids=repr)
+    @pytest.mark.parametrize("n", [10**3, 10**9])
+    def test_strong(self, q, n):
+        res = general_strong_T(q, 0.1, n, ProtocolKind.PULL, PredictorConfig(xi=0.5))
+        assert res.rounds == _first_crossing(q, res.threshold)
+
+    @pytest.mark.parametrize("q", SCANNED, ids=repr)
+    @pytest.mark.parametrize("psi", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n, rho", [(10**3, 0.5), (10**9, 0.9)])
+    def test_lower(self, q, psi, n, rho):
+        assert general_lower_T(q, psi, n, rho) == _last_below(q, psi, n, rho)
+
+    def test_threshold_beyond_the_round_cap(self):
+        # log(1 + q) <= log 2 per round, so 11 rounds sum to at most 7.6
+        cfg = PredictorConfig(xi=0.5, round_cap=10)
+        with pytest.raises(Unreached, match="beyond reach of the round cap"):
+            general_strong_T(PowerLaw(0.5), 0.1, 10**3, ProtocolKind.PULL, cfg)
+        assert general_lower_T(PowerLaw(0.5), 1.0, 10**9, 0.9, cfg) == math.inf
+
+
 class TestPowerLawCalculators:
     def test_expectation_bound_zeta2(self):
         expected = math.exp(math.pi**2 / 6)
