@@ -232,7 +232,8 @@ def _cmd_sweep(args) -> int:
         raise RangeError("each --param needs a matching --values")
     grids = [vals.split(",") for vals in args.values]
 
-    header = [*args.param, "n", "fraction_completed", "completion_mean",
+    fixed_n = "n" not in args.param  # a swept n already has its column
+    header = [*args.param, *(["n"] if fixed_n else []), "fraction_completed", "completion_mean",
               "completion_median", "final_informed_mean", "final_informed_median"]
     lines = [",".join(header)]
     for combo in itertools.product(*grids):
@@ -242,7 +243,7 @@ def _cmd_sweep(args) -> int:
         _, summary = harness.run_experiment(_spec_from_args(point))
         row = [
             *combo,
-            str(summary.n),
+            *([str(summary.n)] if fixed_n else []),
             repr(summary.fraction_completed),
             repr(summary.completion_mean) if summary.completion_mean is not None else "",
             repr(summary.completion_median) if summary.completion_median is not None else "",

@@ -360,10 +360,14 @@ def export_records(records: list[TrialRecord], path, fmt: str = "csv") -> None:
 
     CSV uses per-round rows (trial, round, informed, q_t, n) when the records
     carry trajectories, else summary rows (trial, completion, final, n); an
-    unknown n is left empty. JSONL writes one full record object per line.
+    unknown n is left empty; a CSV export of both kinds of record raises
+    RangeError, since one header cannot hold them. JSONL writes one full
+    record object per line.
     """
     if fmt not in ("csv", "jsonl"):
         raise RangeError(f"unknown export format {fmt!r}")
+    if fmt == "csv" and len({bool(r.informed_counts) for r in records}) > 1:
+        raise RangeError("a CSV export cannot mix per-round and summary records")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if fmt == "jsonl":
@@ -486,8 +490,7 @@ def _consistent(r: TrialRecord) -> TrialRecord:
 def _run_fault(r: TrialRecord) -> tuple[int, str] | None:
     """(index of its count, reason) for the first thing in ``r`` that no run produces, else None.
 
-    q is not range-checked: a run exports q(budget), a round no trial steps,
-    and JSONL holds a non-finite q as the text ``_jsonable`` writes.
+    q is not range-checked: a run exports q(budget), a round no trial steps.
     """
     counts = r.informed_counts or [r.final_informed]
     done = r.completion_round
@@ -506,7 +509,7 @@ def _run_fault(r: TrialRecord) -> tuple[int, str] | None:
             return 0, f"completion round {done}, but the first round whose count is n = {r.n} is {reached}"
         if (done is None) != (reached is None):
             return 0, f"completion round {done} disagrees with final {r.final_informed} and n = {r.n}"
-    if any(type(x) not in (int, float) and x not in ("nan", "inf", "-inf") for x in r.q_values or ()):
+    if any(type(x) not in (int, float) for x in r.q_values or ()):
         return 0, "q values must be numbers"
     return None
 
@@ -516,7 +519,8 @@ def load_records_jsonl(path) -> list[TrialRecord]:
 
     As in :func:`load_records_csv`, counts and the final must be integers no
     larger than n, the final must be the last count, a record with q_values
-    needs one per count, and then the record must be one a run produces.
+    needs one per count, and then the record must be one a run produces. A q
+    written as the text ``_jsonable`` gives a non-finite float loads as that float.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -528,7 +532,10 @@ def load_records_jsonl(path) -> list[TrialRecord]:
         if not text.strip():
             continue
         try:
-            records.append(_consistent(TrialRecord(**json.loads(text))))
+            record = TrialRecord(**json.loads(text))
+            if isinstance(record.q_values, list):
+                record.q_values = [float(x) if x in ("nan", "inf", "-inf") else x for x in record.q_values]
+            records.append(_consistent(record))
         except (TypeError, ValueError) as exc:
             raise RangeError(f"{path}, line {line}: {exc}") from exc
     return records

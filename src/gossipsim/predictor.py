@@ -126,8 +126,8 @@ def tau3_threshold(c: float, d: float, c_shrink: float) -> float:
     """
     if not 0.75 <= d <= c:
         raise RangeError(f"need C >= D >= 3/4, got C={c}, D={d}")
-    if not c_shrink < 1.0:
-        raise RangeError(f"c_shrink must be < 1, got {c_shrink}")
+    if not 0.0 <= c_shrink < 1.0:
+        raise RangeError(f"c_shrink must be in [0, 1), got {c_shrink}")
     gamma = 1.0 - min(1.0 / (2.0 * (1.0 - c_shrink) * d), 0.5)
     ratio = math.log(c / d)
     return (ratio + (ratio - math.log(1.0 - c_shrink) + 1.0) ** (2.0 / 3.0)) / gamma
@@ -299,6 +299,35 @@ def _expander_threshold(log_n: float, gamma: float, xi: float) -> float:
     return (log_n + 7.0 * log_n ** (2.0 / 3.0)) / growth_correction(log_n, xi) ** 2 / gamma
 
 
+def _crossing(q: Credibility, scale: float, target: float, strict: bool, cfg: PredictorConfig) -> int | str:
+    """Least T <= cfg.round_cap with sum_{t<=T} log(1 + scale q(t)) >= target
+    (> when ``strict``), or, as text, the reason no such T exists.
+
+    A constant tail ends the scan with one division; each term is at most
+    log(1 + scale), which bounds what the rounds left before the cap can add.
+    """
+    const = q.constant_from()
+    acc = 0.0
+    for t in range(cfg.round_cap + 1):
+        if const is not None and t >= const[0]:
+            inc = math.log1p(scale * const[1])
+            if inc == 0.0:
+                return "credibility hit 0 before the threshold"
+            jump = (target - acc) / inc
+            if jump == math.inf:
+                return "constant credibility too small to reach the threshold"
+            return t + math.floor(jump) if strict else t + math.ceil(jump) - 1
+        if const is None and acc + math.log1p(scale) * (cfg.round_cap - t + 1) < target:
+            return "threshold beyond reach of the round cap"
+        acc += math.log1p(scale * q.value_at(t))
+        if (acc > target) if strict else (acc >= target):
+            return t
+        bound = acc + scale * q.tail_sum_bound(t + 1)
+        if (bound <= target) if strict else (bound < target):
+            return "log-growth series converges below the threshold"
+    return f"threshold not reached within {cfg.round_cap} rounds"
+
+
 def general_strong_T(
     q: Credibility,
     lam: float,
@@ -311,7 +340,10 @@ def general_strong_T(
     The threshold is (1/gamma) (log n + 7 (log n)^(2/3)) / (1-(1-xi)(log n)^-xi)^2
     with gamma = 1 - lambda for PULL and 1 - 7 sqrt(lambda + 1/log n) for PUSH.
     Also reports whether epsilon := 1 - sup_{t >= log n / (2 log 2)} q(t) is at
-    least 1/log n, the certificate's late-round precondition.
+    least 1/log n, the certificate's late-round precondition. The scan is
+    :func:`_crossing`'s; each of its reasons (a zero or too small constant tail,
+    a threshold beyond the round cap's reach, a series converging below it, the
+    cap itself) raises :class:`Unreached` with that text.
     """
     if kind not in (ProtocolKind.PUSH, ProtocolKind.PULL):
         raise KindError("growth certificate covers PUSH and PULL only")
@@ -324,41 +356,11 @@ def general_strong_T(
     if gamma <= 0.0:
         raise GammaNonpositive(f"gamma = {gamma} <= 0; spectral slack too large")
     threshold = _expander_threshold(log_n, gamma, cfg.xi)
-
-    t0 = math.ceil(log_n / (2.0 * math.log(2.0)))
-    epsilon = 1.0 - q.sup_from(t0)
-    epsilon_ok = epsilon >= 1.0 / log_n
-
-    const = q.constant_from()
-    acc = 0.0
-    t = 0
-    while t <= cfg.round_cap:
-        if const is not None and t >= const[0]:
-            inc = math.log1p(const[1])
-            if inc == 0.0:
-                raise Unreached(cfg.round_cap, "credibility hit 0 before the threshold")
-            jump = (threshold - acc) / inc
-            if jump == math.inf:
-                raise Unreached(cfg.round_cap, "constant credibility too small to reach the threshold")
-            rounds = t + math.ceil(jump) - 1
-            break
-        # increments are at most log 2, so without a constant tail (which
-        # gets a closed-form jump above) an out-of-range threshold is
-        # decidable up front
-        if const is None and acc + math.log(2.0) * (cfg.round_cap - t + 1) < threshold:
-            raise Unreached(cfg.round_cap, "threshold beyond reach of the round cap")
-        acc += math.log1p(q.value_at(t))
-        if acc >= threshold:
-            rounds = t
-            break
-        if acc + q.tail_sum_bound(t + 1) < threshold:
-            raise Unreached(cfg.round_cap, "log-growth series converges below the threshold")
-        t += 1
-    else:
-        raise Unreached(cfg.round_cap)
-    return GeneralStrongResult(
-        rounds=rounds, threshold=threshold, gamma=gamma, epsilon=epsilon, epsilon_ok=epsilon_ok
-    )
+    epsilon = 1.0 - q.sup_from(math.ceil(log_n / (2.0 * math.log(2.0))))
+    rounds = _crossing(q, 1.0, threshold, False, cfg)
+    if isinstance(rounds, str):
+        raise Unreached(cfg.round_cap, rounds)
+    return GeneralStrongResult(rounds, threshold, gamma, epsilon, epsilon_ok=epsilon >= 1.0 / log_n)
 
 
 def general_lower_T(
@@ -371,34 +373,22 @@ def general_lower_T(
     """Maximal T with sum_{t=0}^{T-1} log(1 + psi q(t)) <= log n + log rho.
 
     Up to round T the expected informed count is still at most rho * n.
-    Returns math.inf when the series can never cross (e.g. q summable or
-    identically 0); returns 0 when even the empty sum exceeds the target.
+    Returns 0 when even the empty sum exceeds the target, and math.inf when
+    the scan (:func:`_crossing`, shared with :func:`general_strong_T`) finds no
+    crossing: a zero or too small constant tail, a target beyond the round
+    cap's reach, a series converging at or below it, or the cap itself.
     """
-    if psi <= 0:
+    if n < 2:
+        raise RangeError(f"need n >= 2, got {n}")
+    if not psi > 0:
         raise RangeError(f"psi must be positive, got {psi}")
     if not 0.0 < rho < 1.0:
         raise RangeError(f"rho must be in (0, 1), got {rho}")
     target = math.log(n) + math.log(rho)
     if target < 0.0:
         return 0
-    const = q.constant_from()
-    if const is None and math.log1p(psi) * (cfg.round_cap + 1) < target:
-        return math.inf  # cannot cross within the scan cap
-    acc = 0.0
-    t = 0
-    while t <= cfg.round_cap:
-        if const is not None and t >= const[0]:
-            inc = math.log1p(psi * const[1])
-            jump = (target - acc) / inc if inc else math.inf
-            return math.inf if jump == math.inf else t + math.floor(jump)
-        inc = math.log1p(psi * q.value_at(t))
-        if acc + inc > target:
-            return t
-        acc += inc
-        if psi * q.tail_sum_bound(t + 1) <= target - acc:
-            return math.inf
-        t += 1
-    return math.inf
+    rounds = _crossing(q, psi, target, True, cfg)
+    return math.inf if isinstance(rounds, str) else rounds
 
 
 # -- decay-family calculators -------------------------------------------------
@@ -624,7 +614,7 @@ def stirling_product_check(alpha: float) -> StirlingProductCheck:
     The product and both bounds are compared in log space; 1/alpha must be a
     positive integer so the product is well formed.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise NonIntegerReciprocal(f"alpha must be positive, got {alpha}")
     m = 1.0 / alpha
     if abs(m - round(m)) > 1e-9 or round(m) < 1:
@@ -686,9 +676,9 @@ def multiplicative_product_check(n: float) -> MultiplicativeProductCheck:
     prod_{i>=0} (1 + (1 - 0.5/log n)^i) <= sqrt(n) and
     prod_{i<4 log n} (1 + (1 - 0.125/log n)^i) >= n^(3/2), both in log space.
     """
-    log_n = math.log(n)
-    if log_n <= 1.0:
-        raise RangeError(f"need log n > 1, got n = {n}")
+    log_n = math.log(n) if 1.0 < n < math.inf else math.nan
+    if not log_n > 1.0:
+        raise RangeError(f"need a finite n with log n > 1, got n = {n}")
 
     ratio_few = 1.0 - 0.5 / log_n
     total_few = 0.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -222,13 +223,17 @@ def _sweep(tmp_path, monkeypatch, capsys, graph, cred, param, values):
         mp.setattr(cli, "_spec_from_args", recording)
         argv = ["sweep", "--graph", graph, "--cred", cred, *SWEEP_COMMON, "--param", param, "--values", values]
         assert main([*argv, "--out", str(out)]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    with open(out, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    assert len(set(header)) == len(header), header
     assert len(rows) == len(ran) == len(values.split(","))
+    assert [row[param] for row in rows] == values.split(",")
     for (point_graph, point_cred), row in zip(ran, rows):
         assert main(["simulate", "--graph", point_graph, "--cred", point_cred, *SWEEP_COMMON]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert [float(cell) if cell else None for cell in row[1:]] == [summary[key] for key in SWEPT]
-    return ran, [row[1] for row in rows]
+        assert [float(row[key]) if row[key] else None for key in SWEPT] == [summary[key] for key in SWEPT]
+    return ran, [row["n"] for row in rows]
 
 
 def test_sweep_n_resizes_the_graph(tmp_path, monkeypatch, capsys):

@@ -907,6 +907,17 @@ class TestExports:
         export_records([record], path, fmt=fmt)
         [loaded] = load_records_csv(path) if fmt == "csv" else load_records_jsonl(path)
         assert loaded.informed_counts == record.informed_counts and len(loaded.q_values) == 4
+        assert loaded.q_values[:3] == record.q_values[:3] and math.isnan(loaded.q_values[3])
+
+    def test_a_csv_export_of_mixed_records_raises(self, tmp_path):
+        per_round = run_trial(small_spec(), 0)
+        summary = replace(run_trial(small_spec(), 1), informed_counts=None, q_values=None)
+        path = tmp_path / "records.csv"
+        with pytest.raises(RangeError, match="cannot mix per-round and summary records"):
+            export_records([per_round, summary], path)
+        assert not path.exists()
+        export_records([per_round, summary], tmp_path / "records.jsonl", fmt="jsonl")
+        assert load_records_jsonl(tmp_path / "records.jsonl") == [per_round, summary]
 
     def test_a_records_older_errors_come_first(self, tmp_path):
         # trial -1 is new to the checks; a final above n is the older error

@@ -125,6 +125,12 @@ class TestTau3Threshold:
             tau3_threshold(10.0, 0.5, 0.5)
         with pytest.raises(RangeError):
             tau3_threshold(5.0, 10.0, 0.5)
+        # a negative c_shrink used to give a complex threshold
+        for c_shrink in (-5.0, math.nan, 1.0):
+            with pytest.raises(RangeError):
+                tau3_threshold(10.0, 8.0, c_shrink)
+            with pytest.raises(RangeError):
+                tau3_rounds(lambda t: 0.3, 0, 10.0, 8.0, c_shrink)
 
 
 class TestStoppingTimeScans:
@@ -291,21 +297,33 @@ class TestGeneralStrongT:
         assert res.epsilon_ok  # sup q = 0.5 <= 1 - 1/log n
 
     def test_zero_credibility_unreached(self):
-        with pytest.raises(Unreached):
+        with pytest.raises(Unreached, match="^credibility hit 0 before the threshold$"):
             general_strong_T(Constant(0.0), 0.0, 10**6, ProtocolKind.PULL)
 
     def test_tiny_constant_tail_unreached(self):
         # threshold / log1p(1e-310) overflows to inf
-        with pytest.raises(Unreached):
+        with pytest.raises(Unreached, match="^constant credibility too small to reach the threshold$"):
             general_strong_T(Constant(1e-310), 0.0, 10**6, ProtocolKind.PULL)
 
     def test_multiplicative_converging_series_unreached(self):
-        # the series sum is ~ 1/alpha = 8 log n, far below the 1/xi^2-scale
-        # threshold, so the certificate never triggers at this n
+        # the threshold is at the 1/xi^2 scale, beyond what log 2 per round
+        # sums to within the round cap, so the scan stops before its first round
         n = 10**6
         alpha = 1 / (8 * math.log(n))
-        with pytest.raises(Unreached):
+        with pytest.raises(Unreached, match="^threshold beyond reach of the round cap$"):
             general_strong_T(Multiplicative(alpha), 0.0, n, ProtocolKind.PULL)
+
+    @pytest.mark.parametrize(
+        "q, n, round_cap, reason",
+        [
+            (PowerLaw(1.5), 10**3, 1_000_000, "log-growth series converges below the threshold"),
+            (Additive(0.001), 3, 10, "threshold not reached within 10 rounds"),
+        ],
+    )
+    def test_unreached_reasons_of_a_scanned_series(self, q, n, round_cap, reason):
+        cfg = PredictorConfig(xi=0.5, round_cap=round_cap)
+        with pytest.raises(Unreached, match=f"^{reason}$"):
+            general_strong_T(q, 0.0, n, ProtocolKind.PULL, cfg)
 
     def test_push_gamma_guard(self):
         with pytest.raises(GammaNonpositive):
@@ -346,6 +364,11 @@ class TestGeneralLowerT:
     def test_rho_validated(self):
         with pytest.raises(RangeError):
             general_lower_T(Constant(0.5), 1.0, 100, 1.5)
+
+    @pytest.mark.parametrize("psi, n", [(1.0, 0), (1.0, 1), (math.nan, 100)])
+    def test_psi_and_n_validated(self, psi, n):
+        with pytest.raises(RangeError):
+            general_lower_T(Constant(0.5), psi, n, 0.5)
 
 
 # Schedules without a constant tail, or with one that starts only after some
@@ -524,6 +547,8 @@ class TestStirlingProduct:
     def test_non_integer_reciprocal(self):
         with pytest.raises(NonIntegerReciprocal):
             stirling_product_check(0.3)
+        with pytest.raises(NonIntegerReciprocal):
+            stirling_product_check(math.nan)
 
 
 class TestClaimOracles:
@@ -543,6 +568,11 @@ class TestClaimOracles:
         assert not rep.few_ok
         assert rep.log_product_few == pytest.approx((math.pi**2 / 6) * log_n, rel=0.05)
         assert rep.most_ok
+
+    @pytest.mark.parametrize("n", [0, -1.0, math.nan, math.inf])
+    def test_multiplicative_product_range(self, n):
+        with pytest.raises(RangeError):
+            multiplicative_product_check(n)
 
     def test_corrected_few_constant_would_hold(self):
         # with decay 2/log n the same product stays below sqrt(n)
