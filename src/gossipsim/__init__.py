@@ -8,9 +8,7 @@ theory empirically.
 
 from .bounds import (
     BoundSet,
-    ProcessConstants,
     basic_growth_bounds,
-    classify_process,
     refined_spectral_lower,
     shrink_bounds,
 )
@@ -34,14 +32,11 @@ from .graphs import (
     StaticGraph,
     complete_graph,
     conductance,
-    conductance_lower_bound,
     cycle_graph,
     generate_random_regular,
     load_graph,
     matching_graph,
-    mixing_lemma_check,
     parse_graph_spec,
-    phi_k,
     save_graph,
     spectral_lambda,
 )

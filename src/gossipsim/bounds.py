@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidEpsilon, KindError, RangeError
+from .errors import KindError, RangeError
 from .protocol import ProtocolKind
 
 __all__ = [
     "BoundSet",
-    "ProcessConstants",
     "GROWTH_CONSTANT",
     "basic_growth_bounds",
     "spectral_factor",
@@ -24,7 +23,6 @@ __all__ = [
     "shrink_lower",
     "shrink_bounds",
     "fixed_q_log_rates",
-    "classify_process",
 ]
 
 # c_grow: PUSH and PULL are 1-growing, PUSH-PULL is 2-growing
@@ -47,20 +45,6 @@ class BoundSet:
     def __post_init__(self):
         if self.lower > self.upper:
             raise RangeError(f"lower {self.lower} > upper {self.upper} ({self.source})")
-
-
-@dataclass(frozen=True)
-class ProcessConstants:
-    """Certified growth/shrink constants for an abstract spreading process."""
-
-    c_grow: float
-    c_shrink: float
-
-    def __post_init__(self):
-        if self.c_grow <= 0:
-            raise RangeError(f"c_grow must be positive, got {self.c_grow}")
-        if self.c_shrink >= 1:
-            raise RangeError(f"c_shrink must be < 1, got {self.c_shrink}")
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -160,39 +144,3 @@ def fixed_q_log_rates(kind: ProtocolKind, q: float) -> tuple[float, float]:
     if kind is ProtocolKind.PULL:
         return grow, -math.log1p(-q)
     return grow, math.inf if q == 1.0 else q - math.log1p(-q)
-
-
-def classify_process(
-    kind: ProtocolKind,
-    q_sup: float,
-    epsilon: float,
-    always_connected: bool = False,
-) -> ProcessConstants:
-    """Certify (c_grow, c_shrink) for a protocol under sup_t q(t) <= 1 - epsilon.
-
-    PUSH is 1-growing and (1 - epsilon)-shrinking, or (1 - 1/(2e))-shrinking
-    on always-connected sequences even with epsilon = 0. PULL is 1-growing
-    and (1 - epsilon)-shrinking; PUSH-PULL is 2-growing and
-    (1 - epsilon^2)-shrinking. Both need epsilon > 0.
-    """
-    q_sup = _check_unit("q_sup", q_sup)
-    if epsilon < 0:
-        raise RangeError(f"epsilon must be >= 0, got {epsilon}")
-    if epsilon > 0 and q_sup > 1.0 - epsilon + 1e-15:
-        raise RangeError(f"need q_sup <= 1 - epsilon, got {q_sup} > {1 - epsilon}")
-
-    if kind is ProtocolKind.PUSH:
-        candidates = []
-        if epsilon > 0:
-            candidates.append(1.0 - epsilon)
-        if always_connected:
-            candidates.append(1.0 - math.exp(-1.0) / 2.0)
-        if not candidates:
-            raise InvalidEpsilon(
-                "PUSH needs epsilon > 0 or an always-connected graph sequence"
-            )
-        return ProcessConstants(c_grow=GROWTH_CONSTANT[kind], c_shrink=min(candidates))
-    if epsilon <= 0:
-        raise InvalidEpsilon(f"{kind.value} needs epsilon > 0 for a shrink certificate")
-    c_shrink = 1.0 - epsilon if kind is ProtocolKind.PULL else 1.0 - epsilon * epsilon
-    return ProcessConstants(c_grow=GROWTH_CONSTANT[kind], c_shrink=c_shrink)

@@ -39,10 +39,6 @@ class KindError(GossipSimError):
     """Operation is not defined for this protocol kind."""
 
 
-class InvalidEpsilon(GossipSimError):
-    """No valid shrink certificate for epsilon <= 0 without connectivity."""
-
-
 class DomainError(GossipSimError):
     """Formula is undefined at the given parameter value."""
 

@@ -37,7 +37,6 @@ from .seeds import mix_seed, rng_for
 __all__ = [
     "GraphSnapshot",
     "SpectralReport",
-    "MixingCheck",
     "StaticGraph",
     "CyclicGraphs",
     "ResampledRegular",
@@ -47,14 +46,11 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "matching_graph",
+    "from_edge_list",
     "generate_random_regular",
     "conductance",
-    "edges_between",
     "ordered_pairs_between",
-    "phi_k",
     "spectral_lambda",
-    "mixing_lemma_check",
-    "conductance_lower_bound",
     "is_connected",
     "save_graph",
     "load_graph",
@@ -71,7 +67,6 @@ LANCZOS_FLOATS = 1 << 26
 SPECTRAL_SEED = 0x5EC7
 LANCZOS_CHECK = 10
 LANCZOS_TOL = 1e-13
-PHI_K_SUBSET_GUARD = 10_000_000
 # Cells in one row block of a boolean (rows, n) scratch array: the complement
 # rows here and protocol.sample_delta_sizes' receiver mask.
 COMPLEMENT_BLOCK = 1 << 22
@@ -175,26 +170,6 @@ class SpectralReport:
     of the trivial top eigenvalue 1.
     """
 
-    lam: float
-
-
-@dataclass(frozen=True)
-class MixingCheck:
-    """Result of checking the expander mixing inequalities on one (S, T) pair.
-
-    Slacks are (bound - deviation); nonnegative slack means the inequality
-    holds. Pair counts are ordered pairs, which equal the plain edge count
-    whenever S and T are disjoint (the only way the bounds get used here).
-    """
-
-    weak_ok: bool
-    strong_ok: bool
-    corollary_ok: bool
-    weak_slack: float
-    strong_slack: float
-    corollary_lower_slack: float
-    corollary_upper_slack: float
-    pairs_st: int
     lam: float
 
 
@@ -411,15 +386,6 @@ def ordered_pairs_between(g: GraphSnapshot, a, b) -> int:
     return int(g.marked_degrees(b)[a].sum())
 
 
-def edges_between(g: GraphSnapshot, a, b) -> int:
-    """Number of edges {u, w} with u in A and w in B (each edge counted once)."""
-    a = as_vertex_mask(g.n, a)
-    b = as_vertex_mask(g.n, b)
-    both = a & b
-    inside = ordered_pairs_between(g, both, both) // 2
-    return ordered_pairs_between(g, a, b) - inside
-
-
 def conductance(g: GraphSnapshot, s) -> float:
     """Cut edges of S over the smaller of vol(S) and vol(V \\ S)."""
     s = as_vertex_mask(g.n, s)
@@ -428,49 +394,6 @@ def conductance(g: GraphSnapshot, s) -> float:
         raise EmptyOrFullSet(f"set size {size} of {g.n}")
     cut = ordered_pairs_between(g, s, ~s)
     return cut / (g.d * min(size, g.n - size))
-
-
-def phi_k(g: GraphSnapshot, k: int) -> float:
-    """Exact min conductance over all nonempty vertex sets of size <= k.
-
-    Exhaustive, guarded by the number of subsets it would enumerate
-    (practically n up to ~22).
-    """
-    if k < 1:
-        raise RangeError(f"k must be >= 1, got {k}")
-    k = min(k, g.n - 1)
-    total = 0
-    for size in range(1, k + 1):
-        total += math.comb(g.n, size)
-        if total > PHI_K_SUBSET_GUARD:
-            raise SizeGuardExceeded(
-                f"{total}+ subsets exceeds the {PHI_K_SUBSET_GUARD} enumeration guard"
-            )
-
-    nbr_bits = [0] * g.n
-    for v in range(g.n):
-        for w in g.neighbors(v):
-            nbr_bits[v] |= 1 << int(w)
-
-    best = 1.0
-    for size in range(1, k + 1):
-        vol = g.d * min(size, g.n - size)
-        for combo in itertools.combinations(range(g.n), size):
-            s_bits = 0
-            for v in combo:
-                s_bits |= 1 << v
-            cut = sum((nbr_bits[v] & ~s_bits).bit_count() for v in combo)
-            best = min(best, cut / vol)
-    return best
-
-
-def conductance_lower_bound(lam: float, set_size: int, n: int) -> float:
-    """Certified floor (1 - lambda) * (1 - |S|/n), valid for |S| <= n/2."""
-    if not 0.0 <= lam <= 1.0:
-        raise RangeError(f"lambda must be in [0, 1], got {lam}")
-    if not 1 <= set_size <= n / 2:
-        raise RangeError(f"set size must be in [1, n/2], got {set_size} of {n}")
-    return (1.0 - lam) * (1.0 - set_size / n)
 
 
 # -- spectra ---------------------------------------------------------------
@@ -546,45 +469,6 @@ def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
             next_check = min(steps + max(LANCZOS_CHECK, steps // 4), max_steps)
         betas.append(beta)
         prev, q = q, w / beta
-
-
-def mixing_lemma_check(g: GraphSnapshot, s, t) -> MixingCheck:
-    """Check the weak/strong mixing inequalities and the cut corollary.
-
-    Weak: |e(S,T) - d|S||T|/n| <= lambda * d * sqrt(|S||T|).
-    Strong: |e(S,T) - d|S||T|/n| <= lambda * (d/n) * sqrt(|S||Sc||T||Tc|).
-    Corollary: (1 +- lambda) * (d/n) * |S||Sc| brackets e(S, V \\ S).
-    """
-    s = as_vertex_mask(g.n, s)
-    t = as_vertex_mask(g.n, t)
-    if not s.any() or not t.any():
-        raise EmptyOrFullSet("S and T must be nonempty")
-    lam = spectral_lambda(g).lam
-    n, d = g.n, g.d
-    ns, nt = int(s.sum()), int(t.sum())
-
-    pairs = ordered_pairs_between(g, s, t)
-    deviation = abs(pairs - d * ns * nt / n)
-    weak_bound = lam * d * math.sqrt(ns * nt)
-    strong_bound = lam * (d / n) * math.sqrt(ns * (n - ns) * nt * (n - nt))
-
-    cut = ordered_pairs_between(g, s, ~s)
-    expected_cut = (d / n) * ns * (n - ns)
-    cor_lower = cut - (1.0 - lam) * expected_cut
-    cor_upper = (1.0 + lam) * expected_cut - cut
-    slack_tol = 1e-9
-
-    return MixingCheck(
-        weak_ok=deviation <= weak_bound + slack_tol,
-        strong_ok=deviation <= strong_bound + slack_tol,
-        corollary_ok=cor_lower >= -slack_tol and cor_upper >= -slack_tol,
-        weak_slack=weak_bound - deviation,
-        strong_slack=strong_bound - deviation,
-        corollary_lower_slack=cor_lower,
-        corollary_upper_slack=cor_upper,
-        pairs_st=pairs,
-        lam=lam,
-    )
 
 
 def is_connected(g: GraphSnapshot) -> bool:

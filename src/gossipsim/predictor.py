@@ -88,7 +88,7 @@ class PredictorConfig:
     def __post_init__(self):
         if not 0.0 < self.xi < 1.0:
             raise RangeError(f"xi must be in (0, 1), got {self.xi}")
-        if self.round_cap < 1:
+        if not self.round_cap >= 1:
             raise RangeError(f"round cap must be >= 1, got {self.round_cap}")
 
 
@@ -98,7 +98,7 @@ def growth_correction(a: float, xi: float) -> float:
     Rewritten as (1 - a**-xi) + xi * a**-xi so that for a = 1 the result is
     exactly xi rather than rounding to 0.
     """
-    if a < 1.0:
+    if not a >= 1.0:
         raise RangeError(f"size threshold must be >= 1, got {a}")
     decayed = math.exp(-xi * math.log(a))
     return -math.expm1(-xi * math.log(a)) + xi * decayed
@@ -111,7 +111,7 @@ def tau2_threshold(a: float, b: float, c_grow: float, xi: float = 1e-30) -> floa
     """
     if not 1.0 <= a <= b:
         raise RangeError(f"need 1 <= A <= B, got A={a}, B={b}")
-    if c_grow <= 0:
+    if not c_grow > 0:
         raise RangeError(f"c_grow must be positive, got {c_grow}")
     ratio = math.log(b / a)
     numerator = ratio + (ratio + math.log1p(c_grow) + 1.0) ** (2.0 / 3.0)
@@ -408,9 +408,9 @@ def powerlaw_expectation_bound(alpha: float, c_grow: float) -> float:
     whose first omitted term is a(a+1)(a+2) N^(-a-3)/720. A ceiling beyond
     float range comes back as inf.
     """
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise AlphaRange(f"needs alpha > 1, got {alpha}")
-    if c_grow < 0:
+    if not c_grow >= 0:
         raise RangeError(f"c_grow must be >= 0, got {c_grow}")
     cut = ZETA_EXACT_TERMS
     head = _zeta_head(alpha, cut)
@@ -452,9 +452,9 @@ def powerlaw_thresholds(
     """
     if not 0.0 < alpha <= 1.0:
         raise AlphaRange(f"needs alpha in (0, 1], got {alpha}")
-    if phi_lb <= 0.0:
+    if not phi_lb > 0.0:
         raise PhiNonpositive(f"phi lower bound must be positive, got {phi_lb}")
-    if psi_ub <= 0.0:
+    if not psi_ub > 0.0:
         raise RangeError(f"psi upper bound must be positive, got {psi_ub}")
     if n < 3:
         raise RangeError(f"need n >= 3, got {n}")
@@ -508,7 +508,7 @@ def additive_thresholds(
         raise RangeError(f"need n >= 3, got {n}")
     if not 1.0 / n < zeta < 1.0 / (2.0 * math.sqrt(2.0)):
         raise ZetaRange(f"zeta must be in (1/n, 1/(2*sqrt(2))), got {zeta}")
-    if gamma_p <= 0.0:
+    if not gamma_p > 0.0:
         raise GammaNonpositive(f"gamma must be positive, got {gamma_p}")
     log_n = math.log(n)
     log_ratio = math.log(4.0 / math.e)

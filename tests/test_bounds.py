@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 
 from gossipsim.bounds import (
+    GROWTH_CONSTANT,
     BoundSet,
     basic_growth_bounds,
-    classify_process,
     refined_spectral_lower,
     shrink_bounds,
 )
-from gossipsim.errors import InvalidEpsilon, KindError, RangeError
+from gossipsim.errors import KindError, RangeError
 from gossipsim.graphs import (
     complete_graph,
     conductance,
     cycle_graph,
     generate_random_regular,
     is_connected,
+    matching_graph,
 )
-from gossipsim.harness import iter_tiny_instances
+from gossipsim.harness import iter_tiny_instances, tiny_corpus
 from gossipsim.protocol import ProtocolKind, exact_delta_expectation, growth_factor
 
 from conftest import mask_of
@@ -89,47 +90,73 @@ class TestShrinkBounds:
             assert b.lower - 1e-12 <= phi <= b.upper + 1e-12
 
 
+def worst_ratios(kind, q, graphs):
+    """Largest E|Delta|/|I| over all informed sets, and E|Delta|/|U| over those with |U| <= n/2."""
+    grow = shrink = 0.0
+    for g in graphs:
+        for bits in range(1, 2**g.n - 1):
+            informed = np.array([(bits >> v) & 1 == 1 for v in range(g.n)])
+            size = int(informed.sum())
+            edel = exact_delta_expectation(kind, g, informed, q)
+            grow = max(grow, edel / size)
+            if g.n - size <= g.n / 2:
+                shrink = max(shrink, edel / (g.n - size))
+    return grow, shrink
+
+
 class TestClassify:
+    # A process is c-growing when E|Delta| <= c|I| and c-shrinking when
+    # E|Delta| <= c|U| for |U| <= n/2; the constants are checked against the
+    # exact oracle with each one written out.
+
     def test_push_with_margin(self):
-        c = classify_process(ProtocolKind.PUSH, 0.9, 0.1)
-        assert (c.c_grow, c.c_shrink) == (1.0, pytest.approx(0.9))
+        # q = 1 - eps with eps = 0.1: 1-growing and (1 - eps)-shrinking.
+        grow, shrink = worst_ratios(ProtocolKind.PUSH, 0.9, [g for _, g in tiny_corpus()])
+        assert grow <= 1.0 + 1e-12
+        assert shrink <= 0.9 + 1e-12
 
     def test_push_connected_without_margin(self):
-        c = classify_process(ProtocolKind.PUSH, 1.0, 0.0, always_connected=True)
-        assert c.c_shrink == pytest.approx(1 - 1 / (2 * math.e))
+        # At q = 1 a connected graph with d >= 2 still gives (1 - 1/(2e)).
+        graphs = [generate_random_regular(8, 3, seed=s) for s in range(3)]
+        graphs.append(generate_random_regular(10, 4, seed=0))
+        assert all(is_connected(g) for g in graphs)
+        grow, shrink = worst_ratios(ProtocolKind.PUSH, 1.0, graphs)
+        assert grow <= 1.0 + 1e-12
+        assert shrink <= 1.0 - 1.0 / (2.0 * math.e) + 1e-12
 
     def test_push_pull(self):
-        c = classify_process(ProtocolKind.PUSH_PULL, 0.5, 0.5)
-        assert (c.c_grow, c.c_shrink) == (2.0, pytest.approx(0.75))
+        # q = 1 - eps with eps = 0.5: 2-growing and (1 - eps^2)-shrinking.
+        grow, shrink = worst_ratios(ProtocolKind.PUSH_PULL, 0.5, [g for _, g in tiny_corpus()])
+        assert grow <= 2.0 + 1e-12
+        assert shrink <= 0.75 + 1e-12
 
     def test_no_certificate_without_margin(self):
-        with pytest.raises(InvalidEpsilon):
-            classify_process(ProtocolKind.PUSH, 1.0, 0.0)
-        with pytest.raises(InvalidEpsilon):
-            classify_process(ProtocolKind.PULL, 1.0, 0.0)
-
-    def test_inconsistent_margin_rejected(self):
-        with pytest.raises(RangeError):
-            classify_process(ProtocolKind.PULL, 0.95, 0.2)
+        # On a matching at q = 1, PUSH and PULL inform every uninformed
+        # partner, so no shrink constant below 1 holds without a margin.
+        g = matching_graph([(0, 1), (2, 3)])
+        for kind in (ProtocolKind.PUSH, ProtocolKind.PULL):
+            _, shrink = worst_ratios(kind, 1.0, [g])
+            assert shrink == pytest.approx(1.0)
 
     def test_certificates_hold_on_tiny_instances(self):
-        # growth: E|Delta| / |I| <= c_grow; shrink: E|Delta| / |U| <= c_shrink
-        # whenever |U| <= n/2 and q <= 1 - eps.
+        # growth: E|Delta| / |I| <= c_grow (1 for PUSH and PULL, 2 for
+        # PUSH-PULL); shrink: E|Delta| / |U| <= c_shrink (1 - eps for PUSH and
+        # PULL, 1 - eps^2 for PUSH-PULL) whenever |U| <= n/2 and q <= 1 - eps.
         eps = 0.5
         for _, g, informed, q, kind in iter_tiny_instances():
             if q > 1 - eps:
                 continue
-            c = classify_process(kind, 1 - eps, eps)
+            c_shrink = 1.0 - eps * eps if kind is ProtocolKind.PUSH_PULL else 1.0 - eps
             edel = exact_delta_expectation(kind, g, informed, q)
             size = int(informed.sum())
-            assert edel / size <= c.c_grow + 1e-12
+            assert edel / size <= GROWTH_CONSTANT[kind] + 1e-12
             if g.n - size <= g.n / 2:
-                assert edel / (g.n - size) <= c.c_shrink + 1e-12
+                assert edel / (g.n - size) <= c_shrink + 1e-12
 
     def test_connected_push_shrink_certificate(self):
-        # connected regular graphs with n >= 3 have d >= 2, the regime the
-        # always-connected certificate needs.
-        bound = classify_process(ProtocolKind.PUSH, 1.0, 0.0, always_connected=True).c_shrink
+        # PUSH on a connected graph is (1 - 1/(2e))-shrinking even at q = 1;
+        # connected regular graphs with n >= 3 have d >= 2, the regime this needs.
+        bound = 1.0 - 1.0 / (2.0 * math.e)
         for g in (complete_graph(4), complete_graph(5), cycle_graph(5), cycle_graph(6)):
             for bits in range(1, 2**g.n - 1):
                 informed = np.array([(bits >> v) & 1 == 1 for v in range(g.n)])

@@ -65,6 +65,10 @@ class TestGrowthCorrection:
         # ~ xi * (1 + log a) for small xi
         assert growth_correction(math.e, xi) == pytest.approx(2e-30, rel=1e-9)
 
+    def test_range_errors(self):
+        with pytest.raises(RangeError):
+            growth_correction(math.nan, 0.5)
+
 
 class TestTau2Threshold:
     def test_unit_start_scales_like_inverse_xi_squared(self):
@@ -94,6 +98,11 @@ class TestTau2Threshold:
             tau2_threshold(0.5, 10.0, 1.0)
         with pytest.raises(RangeError):
             tau2_threshold(10.0, 5.0, 1.0)
+        # a NaN c_grow would give a NaN threshold that no scan crosses
+        with pytest.raises(RangeError):
+            tau2_threshold(2.0, 100.0, math.nan)
+        with pytest.raises(RangeError):
+            tau2_rounds(lambda t: 0.3, 0, 2.0, 100.0, math.nan, PredictorConfig(round_cap=10))
 
 
 class TestTau3Threshold:
@@ -470,6 +479,12 @@ class TestPowerLawCalculators:
     def test_alpha_range(self):
         with pytest.raises(AlphaRange):
             powerlaw_expectation_bound(1.0, 1.0)
+        with pytest.raises(AlphaRange):
+            powerlaw_expectation_bound(math.nan, 1.0)
+
+    def test_growth_constant_range(self):
+        with pytest.raises(RangeError):
+            powerlaw_expectation_bound(2.0, math.nan)
 
     def test_thresholds_half(self):
         n = math.exp(100.0)
@@ -489,6 +504,12 @@ class TestPowerLawCalculators:
     def test_phi_guard(self):
         with pytest.raises(PhiNonpositive):
             powerlaw_thresholds(0.5, 0.0, 1.0, 1000)
+        with pytest.raises(PhiNonpositive):
+            powerlaw_thresholds(0.5, math.nan, 1.0, 100)
+
+    def test_psi_guard(self):
+        with pytest.raises(RangeError):
+            powerlaw_thresholds(0.5, 0.1, math.nan, 100)
 
     def test_alpha_guard(self):
         with pytest.raises(AlphaRange):
@@ -510,6 +531,10 @@ class TestAdditiveThresholds:
             additive_thresholds(1000, 1e-4, 1.0)
         with pytest.raises(ZetaRange):
             additive_thresholds(1000, 0.5, 1.0)
+
+    def test_gamma_range(self):
+        with pytest.raises(GammaNonpositive):
+            additive_thresholds(100, 0.1, math.nan)
 
 
 class TestMultiplicativeThresholds:
@@ -590,6 +615,8 @@ def test_predictor_config_validation():
         PredictorConfig(xi=0.0)
     with pytest.raises(RangeError):
         PredictorConfig(round_cap=0)
+    with pytest.raises(RangeError):
+        PredictorConfig(round_cap=math.nan)
 
 
 def test_table_credibility_supported_in_scans():

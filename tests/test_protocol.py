@@ -14,9 +14,9 @@ from gossipsim.errors import RangeError, SetRangeError, SizeGuardExceeded
 from gossipsim.graphs import (
     complete_graph,
     cycle_graph,
-    edges_between,
     generate_random_regular,
     matching_graph,
+    ordered_pairs_between,
 )
 from gossipsim.harness import iter_tiny_instances
 from gossipsim.protocol import (
@@ -99,7 +99,7 @@ class TestExactExpectation:
             size = int(rng.integers(1, 24))
             informed = mask_of(24, rng.choice(24, size=size, replace=False))
             q = float(rng.random())
-            expected = q * edges_between(g, informed, ~informed) / g.d
+            expected = q * ordered_pairs_between(g, informed, ~informed) / g.d
             assert exact_delta_expectation(ProtocolKind.PULL, g, informed, q) == pytest.approx(
                 expected, abs=1e-12
             )
