@@ -53,6 +53,11 @@ def _check_unit(name: str, value: float) -> float:
     return float(value)
 
 
+def _check_size(name: str, value: float, least: int) -> None:
+    if not least <= value < math.inf:
+        raise RangeError(f"need a finite {name} >= {least}, got {value}")
+
+
 def basic_growth_bounds(kind: ProtocolKind, q: float, phi: float) -> BoundSet:
     """Conductance-based bracket for E[|Delta|] / min(|I|, |U|).
 
@@ -116,8 +121,7 @@ def shrink_bounds(kind: ProtocolKind, q: float, phi: float, d: int) -> BoundSet:
     """
     q = _check_unit("q", q)
     phi = _check_unit("phi", phi)
-    if d < 1:
-        raise RangeError(f"degree must be >= 1, got {d}")
+    _check_size("degree", d, 1)
     lower = shrink_lower(kind, q, phi)
     if kind is ProtocolKind.PULL:
         return BoundSet(lower, lower, "shrink/pull")

@@ -25,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .bounds import GROWTH_CONSTANT, basic_growth_bounds, fixed_q_log_rates, shrink_lower, spectral_factor
+from .bounds import GROWTH_CONSTANT, _check_size, basic_growth_bounds, fixed_q_log_rates, shrink_lower, spectral_factor
 from .credibility import Additive, Constant, Credibility, Multiplicative, PowerLaw
 from .errors import (
     AlphaRange,
@@ -202,8 +202,7 @@ def fixed_q_runtime(kind: ProtocolKind, q: float, n: int) -> float:
     """
     if not 0.0 < q <= 1.0:
         raise RangeError(f"q must be in (0, 1], got {q}")
-    if n < 2:
-        raise RangeError(f"need n >= 2, got {n}")
+    _check_size("n", n, 2)
     if kind is ProtocolKind.PULL and q == 1.0:
         raise DomainError("PULL runtime undefined at q = 1 (log(1-q) diverges)")
     grow, shrink = fixed_q_log_rates(kind, q)
@@ -247,8 +246,7 @@ def phase_schedule(kind: ProtocolKind, q: float, n: int, lam: float = 0.0) -> Ph
     Phases 2 and 5 dominate the total; all other duration bounds are
     log log n scale. Duration bounds are leading-order.
     """
-    if n < 3:
-        raise RangeError(f"need n >= 3, got {n}")
+    _check_size("n", n, 3)
     if not 0.0 <= lam <= 1.0:
         raise RangeError(f"lambda must be in [0, 1], got {lam}")
     if not 0.0 < q <= 1.0:
@@ -292,6 +290,11 @@ class GeneralStrongResult:
     gamma: float
     epsilon: float
     epsilon_ok: bool
+
+
+def _expander_gamma(kind: ProtocolKind, lam: float, log_n: float) -> float:
+    """The growth certificate's gamma: 1 - lambda for PULL, 1 - 7 sqrt(lambda + 1/log n) for PUSH."""
+    return 1.0 - lam if kind is ProtocolKind.PULL else spectral_factor(kind, lam + 1.0 / log_n)
 
 
 def _expander_threshold(log_n: float, gamma: float, xi: float) -> float:
@@ -349,10 +352,9 @@ def general_strong_T(
         raise KindError("growth certificate covers PUSH and PULL only")
     if not 0.0 <= lam < 1.0:
         raise RangeError(f"lambda must be in [0, 1), got {lam}")
-    if n < 3:
-        raise RangeError(f"need n >= 3, got {n}")
+    _check_size("n", n, 3)
     log_n = math.log(n)
-    gamma = 1.0 - lam if kind is ProtocolKind.PULL else spectral_factor(kind, lam + 1.0 / log_n)
+    gamma = _expander_gamma(kind, lam, log_n)
     if gamma <= 0.0:
         raise GammaNonpositive(f"gamma = {gamma} <= 0; spectral slack too large")
     threshold = _expander_threshold(log_n, gamma, cfg.xi)
@@ -378,8 +380,7 @@ def general_lower_T(
     crossing: a zero or too small constant tail, a target beyond the round
     cap's reach, a series converging at or below it, or the cap itself.
     """
-    if n < 2:
-        raise RangeError(f"need n >= 2, got {n}")
+    _check_size("n", n, 2)
     if not psi > 0:
         raise RangeError(f"psi must be positive, got {psi}")
     if not 0.0 < rho < 1.0:
@@ -456,8 +457,7 @@ def powerlaw_thresholds(
         raise PhiNonpositive(f"phi lower bound must be positive, got {phi_lb}")
     if not psi_ub > 0.0:
         raise RangeError(f"psi upper bound must be positive, got {psi_ub}")
-    if n < 3:
-        raise RangeError(f"need n >= 3, got {n}")
+    _check_size("n", n, 3)
     log_n = math.log(n)
 
     def safe_exp(x: float) -> float:
@@ -504,8 +504,7 @@ def additive_thresholds(
     threshold (1/gamma_p)(log n + 7 (log n)^(2/3)) / (1-(1-xi)(log n)^-xi)^2,
     evaluated in log space since exp(X) overflows.
     """
-    if n < 3:
-        raise RangeError(f"need n >= 3, got {n}")
+    _check_size("n", n, 3)
     if not 1.0 / n < zeta < 1.0 / (2.0 * math.sqrt(2.0)):
         raise ZetaRange(f"zeta must be in (1/n, 1/(2*sqrt(2))), got {zeta}")
     if not gamma_p > 0.0:
@@ -535,8 +534,7 @@ class MultiplicativeThresholds:
 
 
 def multiplicative_thresholds(n: int) -> MultiplicativeThresholds:
-    if n < 3:
-        raise RangeError(f"need n >= 3, got {n}")
+    _check_size("n", n, 3)
     log_n = math.log(n)
     return MultiplicativeThresholds(
         alpha_few=0.5 / log_n, alpha_most=0.125 / log_n, t_most=4.0 * log_n
@@ -576,7 +574,7 @@ def predictor_comparison(
         out = {"family": "additive", "alpha": cred.alpha, "q_zero_round": cred.constant_from()[0]}
         # n >= 65 keeps the reference zeta = n^(-1/4) inside its valid window
         if lam is not None and n >= 65 and kind in (ProtocolKind.PUSH, ProtocolKind.PULL):
-            gamma = 1.0 - lam if kind is ProtocolKind.PULL else spectral_factor(kind, lam + 1.0 / math.log(n))
+            gamma = _expander_gamma(kind, lam, math.log(n))
             if gamma > 0:
                 th = additive_thresholds(n, zeta=n ** -0.25, gamma_p=gamma)
                 out["alpha_upper_regime_at_quarter_zeta"] = th.alpha_upper_regime
@@ -646,9 +644,10 @@ def harmonic_sum_check(alpha: float, t: int) -> HarmonicSumCheck:
     """Check (T^(1-a) - 1)/(1-a) <= sum_{k=1}^T k^-a <= T^(1-a)/(1-a) for a in (0,1)."""
     if not 0.0 < alpha < 1.0:
         raise AlphaRange(f"needs alpha in (0, 1), got {alpha}")
-    if t < 1:
-        raise RangeError(f"need T >= 1, got {t}")
-    partial = math.fsum(k ** (-alpha) for k in range(1, t + 1))
+    _check_size("T", t, 1)
+    if t != int(t):
+        raise RangeError(f"need an integer T, got {t}")
+    partial = math.fsum(k ** (-alpha) for k in range(1, int(t) + 1))
     lower = (t ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
     upper = t ** (1.0 - alpha) / (1.0 - alpha)
     return HarmonicSumCheck(

@@ -159,7 +159,6 @@ def sample_delta_sizes(
     """
     q = _check_q(q)
     informed = as_vertex_mask(g.n, informed)
-    halves = list(_round_halves(kind, g, informed, q, rng, n_samples))
     block = max(1, COMPLEMENT_BLOCK // g.n)
     hit = np.empty((min(block, n_samples), g.n), dtype=bool)
     sizes = np.empty(n_samples, dtype=np.int64)
@@ -167,9 +166,8 @@ def sample_delta_sizes(
         stop = min(start + block, n_samples)
         mask = hit[: stop - start]
         mask[:] = False
-        for receivers, accepted in halves:
-            accepted = accepted[start:stop]
-            mask[np.nonzero(accepted)[0], receivers[start:stop][accepted]] = True
+        for receivers, accepted in _round_halves(kind, g, informed, q, rng, draws=len(mask)):
+            mask[np.nonzero(accepted)[0], receivers[accepted]] = True
         sizes[start:stop] = np.count_nonzero(mask, axis=1)
     return sizes
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gossipsim.graphs import complete_graph, cycle_graph, matching_graph
+from gossipsim.harness import tiny_corpus
 
 
 def mask_of(n: int, vertices) -> np.ndarray:
@@ -18,8 +18,4 @@ def mask_from_bits(n: int, bits: int) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def tiny_graphs():
-    graphs = {f"K{n}": complete_graph(n) for n in range(2, 6)}
-    graphs.update({f"C{n}": cycle_graph(n) for n in range(3, 7)})
-    graphs["M4"] = matching_graph([(0, 1), (2, 3)])
-    graphs["M6"] = matching_graph([(0, 1), (2, 3), (4, 5)])
-    return graphs
+    return dict(tiny_corpus())

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from gossipsim.credibility import Additive, Constant, Multiplicative, PowerLaw
+from gossipsim.credibility import Additive, Constant, Multiplicative
 from gossipsim.graphs import (
     StaticGraph,
     complete_graph,
@@ -22,6 +22,7 @@ from gossipsim.graphs import (
     spectral_lambda,
 )
 from gossipsim.harness import (
+    CRITERION_6,
     ExperimentSpec,
     RecordLevel,
     iter_tiny_instances,
@@ -29,26 +30,12 @@ from gossipsim.harness import (
     tiny_corpus,
     verify_suite,
 )
-from gossipsim.predictor import (
-    PredictorConfig,
-    additive_thresholds,
-    fixed_q_runtime,
-    growth_correction,
-    harmonic_sum_check,
-    multiplicative_product_check,
-    stirling_product_check,
-    tau2_rounds,
-    tau2_threshold,
-    tau3_rounds,
-    tau3_threshold,
-)
+from gossipsim.predictor import additive_thresholds, fixed_q_runtime, growth_correction
 from gossipsim.protocol import (
     ProtocolKind,
-    complete_final_law,
     enumerate_joint_distribution,
     exact_delta_expectation,
     sample_delta_sizes,
-    verify_process_properties,
 )
 from gossipsim.seeds import mix_seed, rng_for
 
@@ -101,16 +88,12 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_negative_correlation_and_variance():
     start = time.time()
-    worst_corr = -math.inf
-    worst_var = math.inf
-    for _, g, informed, q, kind in iter_tiny_instances():
-        rep = verify_process_properties(kind, g, informed, q)
-        worst_corr = max(worst_corr, rep.worst_slack)
-        worst_var = min(worst_var, rep.var_margin)
+    checks = verify_suite("tiny_exhaustive").checks
+    corr, var = checks["negative_correlation"], checks["bounded_variance"]
     elapsed = time.time() - start
-    ok = worst_corr <= 1e-12 and worst_var >= -1e-12 and elapsed < 300
-    _report(2, ok, f"worst correlation slack {worst_corr:.2e}, "
-                   f"worst variance margin {worst_var:.2e}; {elapsed:.1f}s")
+    ok = corr["ok"] and var["ok"] and elapsed < 300
+    _report(2, ok, f"worst correlation slack {corr['worst_slack']:.2e}, "
+                   f"worst variance margin {var['worst_margin']:.2e}; {elapsed:.1f}s")
     assert ok
 
 
@@ -189,12 +172,14 @@ def test_criterion_5_fixed_q_runtimes():
 
 
 def test_criterion_6_powerlaw_expectation_ceiling():
+    # the complete_law suite's exact E[final] is of this same experiment
+    kind, n, cred, rounds = CRITERION_6
     spec = ExperimentSpec(
-        graph=StaticGraph(complete_graph(1024)),
-        protocol=ProtocolKind.PUSH,
-        credibility=PowerLaw(2.0),
+        graph=StaticGraph(complete_graph(n)),
+        protocol=kind,
+        credibility=cred,
         trials=500,
-        max_rounds=500,
+        max_rounds=rounds,
         master_seed=21,
         record_level=RecordLevel.SUMMARY,
     )
@@ -202,11 +187,9 @@ def test_criterion_6_powerlaw_expectation_ceiling():
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     ceiling = math.exp(math.pi**2 / 6)
     ok = finals.mean() <= ceiling + 3 * se
-    law, _ = complete_final_law(
-        spec.protocol, 1024, [spec.credibility.value_at(t) for t in range(spec.max_rounds)]
-    )
+    exact = verify_suite("complete_law").checks["criterion_6_forward_pass"]["exact_mean_final"]
     _report(6, ok, f"mean final informed {finals.mean():.3f} + 3SE ({3 * se:.3f}) "
-                   f"vs ceiling {ceiling:.3f}; exact E[final] {law @ np.arange(len(law)):.6f}")
+                   f"vs ceiling {ceiling:.3f}; exact E[final] {exact}")
     assert ok
 
 
@@ -262,43 +245,10 @@ def test_criterion_8_additive_dichotomy():
 
 def test_criterion_9_numeric_claims():
     start = time.time()
-    failures = []
-
-    for k in range(7):
-        rep = stirling_product_check(1.0 / 2**k)
-        if not (rep.lower_ok and rep.upper_ok):
-            failures.append(f"stirling alpha=1/{2**k}")
-
-    for log_n in (10.0, 20.0):
-        rep = multiplicative_product_check(math.exp(log_n))
-        if not rep.few_ok:
-            failures.append(
-                f"multiplicative few-product at log n={log_n:.0f} "
-                f"(log-product {rep.log_product_few:.2f} > target {rep.few_bound:.2f})"
-            )
-        if not rep.most_ok:
-            failures.append(f"multiplicative most-product at log n={log_n:.0f}")
-
-    for t in (10, 100, 1000):
-        for alpha in (0.25, 0.5, 0.75):
-            rep = harmonic_sum_check(alpha, t)
-            if not (rep.lower_ok and rep.upper_ok):
-                failures.append(f"harmonic T={t} alpha={alpha}")
-
-    cfg = PredictorConfig(xi=0.5)
-    for a, b, c_grow, nu in ((2.0, 500.0, 1.0, 0.3), (10.0, 1e5, 2.0, 0.7)):
-        threshold = tau2_threshold(a, b, c_grow, cfg.xi)
-        expected = 5 + math.ceil(threshold / math.log1p(nu))
-        if tau2_rounds(lambda t: nu, 5, a, b, c_grow, cfg) != expected:
-            failures.append(f"tau2 closed form a={a}")
-    for c, d, c_shrink, nu in ((250.0, 0.75, 0.5, 0.2), (4096.0, 12.0, 0.9, 0.05)):
-        threshold = tau3_threshold(c, d, c_shrink)
-        expected = 3 + math.ceil(threshold / -math.log1p(-nu))
-        if tau3_rounds(lambda t: nu, 3, c, d, c_shrink) != expected:
-            failures.append(f"tau3 closed form c={c}")
-
+    report = verify_suite("predictor_claims")
+    failures = [case for info in report.checks.values() for case in info["failing"]]
     elapsed = time.time() - start
-    ok = not failures and elapsed < 10
+    ok = report.ok and elapsed < 10
     _report(9, ok, f"{'all numeric claims hold' if ok else '; '.join(failures)}; {elapsed:.1f}s")
     assert ok, (
         "the stated few-product constant 1/2 does not satisfy its inequality "

@@ -89,6 +89,10 @@ class TestShrinkBounds:
             b = shrink_bounds(ProtocolKind.PUSH_PULL, 1.0, phi, 1)
             assert b.lower - 1e-12 <= phi <= b.upper + 1e-12
 
+    def test_degree_range(self):
+        with pytest.raises(RangeError):
+            shrink_bounds(ProtocolKind.PUSH, 0.5, 0.5, math.nan)
+
 
 def worst_ratios(kind, q, graphs):
     """Largest E|Delta|/|I| over all informed sets, and E|Delta|/|U| over those with |U| <= n/2."""

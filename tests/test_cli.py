@@ -176,7 +176,11 @@ def test_verify_exit_codes(capsys):
     # suite reports failure
     assert main(["verify", "--scope", "claims"]) == 1
     out = capsys.readouterr().out
-    assert "[FAIL] predictor_claims/multiplicative_product" in out
+    assert (
+        "[FAIL] predictor_claims/multiplicative_product: cases=2, failing=["
+        "'multiplicative few-product at log n=10 (log-product 16.38 > target 5.00)', "
+        "'multiplicative few-product at log n=20 (log-product 32.83 > target 10.00)']\n"
+    ) in out
 
 
 def _verify_scope_choices():

@@ -374,7 +374,7 @@ class TestGeneralLowerT:
         with pytest.raises(RangeError):
             general_lower_T(Constant(0.5), 1.0, 100, 1.5)
 
-    @pytest.mark.parametrize("psi, n", [(1.0, 0), (1.0, 1), (math.nan, 100)])
+    @pytest.mark.parametrize("psi, n", [(1.0, 0), (1.0, 1), (1.0, math.nan), (math.nan, 100)])
     def test_psi_and_n_validated(self, psi, n):
         with pytest.raises(RangeError):
             general_lower_T(Constant(0.5), psi, n, 0.5)
@@ -617,6 +617,24 @@ def test_predictor_config_validation():
         PredictorConfig(round_cap=0)
     with pytest.raises(RangeError):
         PredictorConfig(round_cap=math.nan)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fixed_q_runtime, (ProtocolKind.PUSH, 0.5, math.nan)),
+        (phase_schedule, (ProtocolKind.PUSH, 0.5, math.nan)),
+        (general_strong_T, (Constant(0.5), 0.1, math.inf, ProtocolKind.PULL)),
+        (powerlaw_thresholds, (0.5, 0.1, 1.0, math.nan)),
+        (additive_thresholds, (math.inf, 0.1, 1.0)),
+        (multiplicative_thresholds, (math.nan,)),
+        (harmonic_sum_check, (0.5, math.nan)),
+        (harmonic_sum_check, (0.5, 1.5)),
+    ],
+)
+def test_size_guards_reject_nan_inf_and_fractions(fn, args):
+    with pytest.raises(RangeError):
+        fn(*args)
 
 
 def test_table_credibility_supported_in_scans():

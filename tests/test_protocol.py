@@ -18,7 +18,7 @@ from gossipsim.graphs import (
     matching_graph,
     ordered_pairs_between,
 )
-from gossipsim.harness import iter_tiny_instances
+from gossipsim.harness import iter_tiny_instances, verify_suite
 from gossipsim.protocol import (
     ProcessState,
     ProtocolKind,
@@ -260,7 +260,7 @@ class TestSampledRounds:
         "regular64": generate_random_regular(64, 4, seed=0),
         "complete1024": complete_graph(1024),
     }
-    DIGEST = "739cb7744583071cce39d7348f31f6bdbeede7ec06b513bd4d958cc6b338807d"
+    DIGEST = "4588da51703349e4971190ce5508a685b4b42ca52a9f03b8656bc66d6fc363bd"
 
     def test_outputs_and_stream_position_match_their_digest(self):
         # each call's sizes, then the next float of its stream, so a change
@@ -326,20 +326,9 @@ class TestCompleteSizeLaw:
     """The exact one-round law of |Delta| on K_n, which gates the count chain."""
 
     def test_equals_enumeration_on_tiny_complete_graphs(self):
-        checked = 0
-        for name, g, informed, q, kind in iter_tiny_instances():
-            if not g.is_complete:
-                continue
-            law = complete_size_law(kind, g.n, int(informed.sum()), q)
-            enumerated = np.zeros(g.n + 1)
-            for members, p in enumerate_joint_distribution(kind, g, informed, q).support.items():
-                enumerated[len(members)] += p
-            assert len(law) == g.n - int(informed.sum()) + 1
-            assert np.abs(law - enumerated[: len(law)]).max() <= 1e-12, (name, kind, q, informed)
-            assert enumerated[len(law) :].sum() <= 1e-12
-            assert abs(law.sum() - 1.0) <= 1e-12
-            checked += 1
-        assert checked == 468
+        checks = verify_suite("complete_law").checks
+        assert checks["size_law_vs_enumeration"]["ok"] and checks["size_law_mass"]["ok"]
+        assert checks["size_law_vs_enumeration"]["instances"] == 468
 
     @pytest.mark.parametrize(
         "n,counts",
