@@ -168,8 +168,13 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
     K_n (a :class:`StaticGraph` of ``complete_graph(n)``) only |I| matters:
     the trial runs :func:`protocol.complete_chain` on it. Every other graph
     runs the mask engine round-major (:func:`_run_masks`). Either way a
-    trial's record is the same alone or beside others.
+    trial's record is the same alone or beside others. A trial index that is
+    not a non-negative ``int`` raises :class:`RangeError`, as the loaders
+    would refuse its record.
     """
+    for i in trials:
+        if type(i) is not int or i < 0:
+            raise RangeError(f"trial {i!r} is not a non-negative integer")
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
     budget = resolved_max_rounds(spec)

@@ -217,13 +217,23 @@ def growth_factor(kind: ProtocolKind, g: GraphSnapshot, informed, q: float) -> f
 # with probability i/(n-1); every transmission is accepted with probability q.
 
 
+def _check_complete_n(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise RangeError(f"K_n needs an integer n >= 2, got {n!r}")
+
+
 def complete_delta_expectation(kind: ProtocolKind, n: int, informed_count, q):
     """:func:`exact_delta_expectation` on K_n, elementwise over counts and q.
 
     Every uninformed vertex has k = i informed neighbors, so the per-vertex
-    probability is taken u times instead of summed over u.
+    probability is taken u times instead of summed over u. Each count must be
+    an integer in [1, n - 1], as for :func:`complete_size_law`.
     """
+    _check_complete_n(n)
     i = np.asarray(informed_count, dtype=np.float64)
+    outside = ~((1 <= i) & (i <= n - 1) & (i == np.floor(i)))
+    if outside.any():
+        raise SetRangeError(f"informed size {i[outside][0]:g} not an integer in [1, {n - 1}]")
     return (n - i) * _inform_probability(kind, q, i, n - 1.0)
 
 
@@ -330,9 +340,14 @@ def _binomial_at_least_one(rng: np.random.Generator, trials: int, p: float) -> i
 def _distinct(rng: np.random.Generator, balls: int, bins: int, scratch: np.ndarray) -> int:
     """Number of distinct bins that ``balls`` uniform draws into ``bins`` hit.
 
-    Each hit bin keeps one of the indices written to it, so the count needs
+    One ball hits one bin: its target is drawn as a scalar, the same draw as
+    a ``size=1`` array at a third of the cost, and dropped. For more balls,
+    each hit bin keeps one of the indices written to it, so the count needs
     no sort and ``scratch`` (at least ``bins`` long) no reset.
     """
+    if balls == 1:
+        rng.integers(bins)
+        return 1
     targets = rng.integers(bins, size=balls)
     index = np.arange(balls)
     scratch[targets] = index
@@ -356,15 +371,17 @@ def _informative_delta(kind, n, i, q, rng, scratch) -> int:
 
 
 def _quiet_hazards(kind: ProtocolKind, n: int, i: int, q: np.ndarray) -> np.ndarray:
-    """-log P(a round on K_n from i informed informs nobody), per q."""
+    """-log P(a round on K_n from i informed informs nobody), per q.
+
+    q = 1 from i = 1 gives PUSH log1p(-1) = -inf, so the caller ignores
+    division warnings.
+    """
     u = n - i
-    hazard = np.zeros(len(q))
-    with np.errstate(divide="ignore"):
-        if kind.does_push:
-            hazard -= i * np.log1p(-q * (u / (n - 1)))
-        if kind.does_pull:
-            hazard -= u * np.log1p(-q * (i / (n - 1)))
-    return hazard
+    if kind is ProtocolKind.PUSH:
+        return np.log1p(q * -(u / (n - 1))) * -i
+    if kind is ProtocolKind.PULL:
+        return np.log1p(q * -(i / (n - 1))) * -u
+    return np.log1p(q * -(u / (n - 1))) * -i + np.log1p(q * -(i / (n - 1))) * -u
 
 
 def complete_chain(kind: ProtocolKind, n: int, informed_count: int, q: np.ndarray, rng) -> list[int]:
@@ -373,32 +390,48 @@ def complete_chain(kind: ProtocolKind, n: int, informed_count: int, q: np.ndarra
     Round t has credibility ``q[t]``. Event-driven: one Exp(1) draw against
     the cumulative hazard of quiet rounds finds the next round that informs
     someone, the rounds before it repeat the count, and that round's |Delta|
-    is drawn from its law conditioned on being positive. A q outside [0, 1]
-    at a round the trial reaches raises :class:`RangeError`, as :func:`step`
-    does.
+    is drawn from its law conditioned on being positive. The hazards are
+    summed over windows of rounds [t, min(bad, 2t + 64)), where ``bad`` is the
+    first round with q outside [0, 1] (``len(q)`` if none); a window that
+    passes without an event takes its total off the threshold. A trial pays
+    one range test of q (a min and a max), then a few array calls per window
+    and a few scalar draws per informative round. A PUSH round's |Delta| is
+    the number of distinct vertices of U hit by its accepted pushes: 1 for
+    one push (its target drawn as a scalar), else counted by a scatter into
+    a scratch array.
+
+    n must be an integer >= 2 (:class:`RangeError`) and ``informed_count`` an
+    integer in [1, n] (:class:`SetRangeError`); a count of n returns ``[n]``.
+    A q outside [0, 1] at a round the trial reaches raises
+    :class:`RangeError`, as :func:`step` does.
     """
-    valid = (q >= 0.0) & (q <= 1.0)
-    bad = len(q) if valid.all() else int(np.argmin(valid))  # the first round with q outside [0, 1]
-    counts = [informed_count]
+    _check_complete_n(n)
+    if not isinstance(informed_count, (int, np.integer)) or not 1 <= informed_count <= n:
+        raise SetRangeError(f"initial informed count {informed_count!r} not an integer in [1, {n}]")
+    bad = len(q)
+    if bad and not (q.min() >= 0.0 and q.max() <= 1.0):
+        bad = int(np.argmin((q >= 0.0) & (q <= 1.0)))  # the first round with q outside [0, 1]
+    i, t = int(informed_count), 0
+    counts = [i]
     scratch = np.empty(n, dtype=np.int64)
-    i, t = informed_count, 0
     threshold = rng.standard_exponential()
-    while i < n and t < len(q):
-        if t == bad:
-            _check_q(float(q[t]))
-        stop = min(bad, 2 * t + 64)
-        cumulative = np.cumsum(_quiet_hazards(kind, n, i, q[t:stop]))
-        event = int(np.searchsorted(cumulative, threshold, side="right"))
-        if event < stop - t:
-            counts.extend([i] * event)
-            i += _informative_delta(kind, n, i, float(q[t + event]), rng, scratch)
-            counts.append(i)
-            t += event + 1
-            threshold = rng.standard_exponential()
-        else:
-            counts.extend([i] * (stop - t))
-            t = stop
-            threshold -= cumulative[-1]
+    with np.errstate(divide="ignore"):
+        while i < n and t < len(q):
+            if t == bad:
+                _check_q(float(q[t]))
+            stop = min(bad, 2 * t + 64)
+            cumulative = _quiet_hazards(kind, n, i, q[t:stop]).cumsum()
+            event = int(cumulative.searchsorted(threshold, side="right"))
+            if event < stop - t:
+                counts.extend([i] * event)
+                i += _informative_delta(kind, n, i, float(q[t + event]), rng, scratch)
+                counts.append(i)
+                t += event + 1
+                threshold = rng.standard_exponential()
+            else:
+                counts.extend([i] * (stop - t))
+                t = stop
+                threshold -= cumulative[-1]
     return counts
 
 

@@ -101,6 +101,18 @@ class TestRunTrial:
         assert record.informed_counts is None
         assert record.q_values is None
 
+    @pytest.mark.parametrize("trial", [-1, 2.0, True], ids=["negative", "float", "bool"])
+    def test_rejects_a_trial_index_the_loaders_refuse(self, trial):
+        with pytest.raises(RangeError, match="is not a non-negative integer"):
+            run_trial(small_spec(), trial)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_valid_trial_index_round_trips(self, tmp_path, fmt):
+        record = run_trial(small_spec(), 5)
+        path = tmp_path / f"records.{fmt}"
+        export_records([record], path, fmt=fmt)
+        loaded = load_records_csv(path) if fmt == "csv" else load_records_jsonl(path)
+        assert [(r.trial, r.informed_counts) for r in loaded] == [(5, record.informed_counts)]
 
     @pytest.mark.parametrize(
         "graph, budget",
@@ -602,6 +614,40 @@ class TestGoldenRecords:
                 master_seed=11,
             ),
             "21dba48b6661cebd19c87bfcb3f252842e88d8d5f6f3d533204217103f5fdeae",
+        ),
+        "complete1024-pull-const": (
+            ExperimentSpec(
+                graph=graphs.parse_graph_spec("complete:1024"),
+                protocol=ProtocolKind.PULL,
+                credibility=Constant(0.5),
+                trials=40,
+                max_rounds=500,
+                master_seed=11,
+            ),
+            "2efaf41d3ad6afb889df21eea162e93775f4d834717aa0b11474116148f68cc4",
+        ),
+        "complete1024-push-pull-power1": (
+            ExperimentSpec(
+                graph=graphs.parse_graph_spec("complete:1024"),
+                protocol=ProtocolKind.PUSH_PULL,
+                credibility=PowerLaw(1.0),
+                trials=40,
+                max_rounds=500,
+                master_seed=11,
+            ),
+            "901886cb9ede6562573b184ef97f56b9d20bdaccf5acd008b609e8459ec84789",
+        ),
+        # middle rounds accept ~1,000-13,000 pushes each, so many balls reach _distinct
+        "complete65536-push-const1": (
+            ExperimentSpec(
+                graph=graphs.parse_graph_spec("complete:65536"),
+                protocol=ProtocolKind.PUSH,
+                credibility=Constant(1.0),
+                trials=4,
+                max_rounds=100,
+                master_seed=11,
+            ),
+            "d77324468b73156c4f0f08f3936cd354d99f26380fd4fe4de01e0547a215ccbd",
         ),
     }
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from gossipsim.graphs import (
     matching_graph,
     ordered_pairs_between,
 )
+from gossipsim import protocol
 from gossipsim.harness import iter_tiny_instances, verify_suite
 from gossipsim.protocol import (
     ProcessState,
     ProtocolKind,
+    complete_chain,
     complete_delta_expectation,
     complete_final_law,
     complete_size_law,
@@ -358,6 +361,49 @@ class TestCompleteSizeLaw:
             complete_size_law(ProtocolKind.PUSH, 8, 8, 0.5)
         with pytest.raises(RangeError):
             complete_size_law(ProtocolKind.PULL, 8, 3, float("nan"))
+
+    @pytest.mark.parametrize(
+        "counts", [9, 8, 0, 2.5, [3, 9]], ids=["above-n", "everyone", "zero", "fraction", "one-of-many"]
+    )
+    def test_expectation_rejects_counts_outside_1_to_n_minus_1(self, counts):
+        with pytest.raises(SetRangeError):
+            complete_delta_expectation(ProtocolKind.PUSH, 8, counts, 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2.5], ids=["K1", "fraction"])
+    def test_expectation_rejects_n_not_an_integer_from_2(self, n):
+        with pytest.raises(RangeError):
+            complete_delta_expectation(ProtocolKind.PUSH, n, 1, 0.5)
+
+
+class TestCompleteChain:
+    """Direct calls of the K_n count chain; its laws are checked in test_harness."""
+
+    @pytest.mark.parametrize("n", [2, 1024])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_runtime_warning_at_q1_from_one_informed(self, kind, n):
+        # PUSH from i = 1 (and PULL on K_2) quiet-round hazard is -log1p(-1) = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = complete_chain(kind, n, 1, np.ones(200), rng_for(3, n))
+        assert counts[0] == 1 and counts[-1] == n
+
+    @pytest.mark.parametrize("informed", [0, 9, 2.5, -1], ids=["zero", "above-n", "fraction", "negative"])
+    def test_rejects_an_informed_count_outside_1_to_n(self, informed):
+        with pytest.raises(SetRangeError):
+            complete_chain(ProtocolKind.PUSH, 8, informed, np.full(6, 0.5), rng_for(0, 0))
+
+    @pytest.mark.parametrize("n", [1, 0, 8.0], ids=["K1", "K0", "float"])
+    def test_rejects_n_not_an_integer_from_2(self, n):
+        with pytest.raises(RangeError):
+            complete_chain(ProtocolKind.PUSH, n, 1, np.full(6, 0.5), rng_for(0, 0))
+
+    @pytest.mark.parametrize("balls", [1, 2, 33, 4000])
+    def test_distinct_counts_the_targets_of_one_array_draw(self, balls):
+        rng, ref = rng_for(9, balls), rng_for(9, balls)
+        bins = 1000
+        count = protocol._distinct(rng, balls, bins, np.empty(bins, dtype=np.int64))
+        assert count == len(np.unique(ref.integers(bins, size=balls)))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def reference_round(kind, g, informed, q, rng):
