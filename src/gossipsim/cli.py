@@ -20,7 +20,7 @@ from dataclasses import asdict
 from . import harness
 from .bounds import GROWTH_CONSTANT, basic_growth_bounds, refined_spectral_lower, shrink_bounds
 from .credibility import Constant, parse_credibility
-from .errors import DomainError, GossipSimError, IoError, RangeError
+from .errors import DomainError, GossipSimError, RangeError, _io_errors
 from .graphs import load_graph, parse_graph_spec, spectral_lambda
 from .plotting import plot_trajectories
 from .predictor import (
@@ -253,11 +253,8 @@ def _cmd_sweep(args) -> int:
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        with _io_errors(), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0

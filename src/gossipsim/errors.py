@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class GossipSimError(Exception):
     """Base class for all toolkit errors."""
@@ -73,6 +75,15 @@ class NonIntegerReciprocal(GossipSimError):
 
 class IoError(GossipSimError):
     """File could not be read or written."""
+
+
+@contextmanager
+def _io_errors():
+    """Re-raise an ``OSError`` from the block as :class:`IoError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
 
 
 class EmptyData(GossipSimError):

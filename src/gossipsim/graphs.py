@@ -26,11 +26,11 @@ import numpy as np
 from .errors import (
     DegreeError,
     EmptyOrFullSet,
-    IoError,
     ParityError,
     RangeError,
     RetryExhausted,
     SizeGuardExceeded,
+    _io_errors,
 )
 from .seeds import mix_seed, rng_for
 
@@ -490,21 +490,16 @@ def is_connected(g: GraphSnapshot) -> bool:
 
 def save_graph(g: GraphSnapshot, path) -> None:
     """Write the graph as a header line ``n d`` plus one ``u v`` line per edge."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{g.n} {g.d}\n")
-            for u, v in g.edges():
-                fh.write(f"{u} {v}\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with _io_errors(), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{g.n} {g.d}\n")
+        for u, v in g.edges():
+            fh.write(f"{u} {v}\n")
 
 
 def load_graph(path) -> GraphSnapshot:
     """Read the ``n d`` / ``u v`` format and validate all snapshot invariants."""
-    try:
+    with _io_errors():
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise RangeError(f"{path}: empty graph file")

@@ -19,12 +19,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import zip_longest
 
 import numpy as np
 
 from .bounds import basic_growth_bounds, shrink_bounds
 from .credibility import Constant, Credibility, PowerLaw, format_credibility
-from .errors import DomainError, IoError, RangeError
+from .errors import DomainError, RangeError, _io_errors
 from .graphs import (
     DynamicGraphSpec,
     StaticGraph,
@@ -115,6 +116,12 @@ class ExperimentSpec:
     record_level: RecordLevel = RecordLevel.PER_ROUND
 
     def __post_init__(self):
+        for name in ("initial_informed", "trials", "max_rounds"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name == "max_rounds"):
+                if not isinstance(value, np.integer):
+                    raise RangeError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))  # a numpy integer would reach the records
         if self.trials < 1:
             raise RangeError(f"trials must be >= 1, got {self.trials}")
         if self.max_rounds is not None and self.max_rounds < 1:
@@ -327,220 +334,207 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[TrialRecord], ExperimentS
 
 # -- persistence ---------------------------------------------------------------
 
-PER_ROUND_HEADER = ("trial", "round", "informed", "q_t", "n")
-SUMMARY_HEADER = ("trial", "completion", "final", "n")
+PER_ROUND_HEADER = ("trial", "round", "informed", "q_t", "n", "seed", "exact_delta")
+SUMMARY_HEADER = ("trial", "completion", "final", "n", "seed")
+_HEADERS = {h[:k]: h for h, widths in ((PER_ROUND_HEADER, (4, 5, 7)), (SUMMARY_HEADER, (3, 4, 5))) for k in widths}
+"""A header a CSV may have -> the header it begins; the shorter ones are those earlier versions wrote."""
 
 
-def _cell(value: int | None):
+def _blank_or(parse):
+    """``parse`` for a cell that may be blank, which reads as None."""
+    return lambda text: None if text == "" else parse(text)
+
+
+_PARSERS = {
+    PER_ROUND_HEADER: (int, int, int, _blank_or(float), _blank_or(int), _blank_or(int), _blank_or(float)),
+    SUMMARY_HEADER: (int, _blank_or(int), int, _blank_or(int), _blank_or(int)),
+}
+"""Each header -> how the cells of its columns parse."""
+
+
+def _cell(value: int | None) -> str:
     """A CSV cell for an optional integer: empty when unknown."""
-    return "" if value is None else value
+    return "" if value is None else str(value)
 
 
-def _optional_int(text: str) -> int | None:
-    return None if text == "" else int(text)
-
-
-def _count(text: str, n: int | None) -> int:
-    """An informed count, which may not exceed a known n."""
-    count = int(text)
-    if n is not None and count > n:
-        raise ValueError(f"informed count {count} exceeds n = {n}")
-    return count
-
-
-def _per_round_row(trial, rnd, informed, q_t, n=""):
-    n = _optional_int(n)
-    return int(trial), int(rnd), _count(informed, n), float(q_t) if q_t else None, n
-
-
-def _summary_row(trial, completion, final, n=""):
-    n = _optional_int(n)
-    return _consistent(
-        TrialRecord(trial=int(trial), n=n, final_informed=_count(final, n), completion_round=_optional_int(completion))
-    )
+def _checked(r: TrialRecord, where) -> TrialRecord:
+    """``r``, or RangeError ``"{where(index)}: {reason}"`` for its :func:`_record_fault`."""
+    fault = _record_fault(r)
+    if fault is not None:
+        raise RangeError(f"{where(fault[0])}: {fault[1]}")
+    return r
 
 
 def export_records(records: list[TrialRecord], path, fmt: str = "csv") -> None:
     """Write records as CSV or JSONL (UTF-8, LF newlines, headers present).
 
-    CSV uses per-round rows (trial, round, informed, q_t, n) when the records
-    carry trajectories, else summary rows (trial, completion, final, n); an
-    unknown n is left empty; a CSV export of both kinds of record raises
-    RangeError, since one header cannot hold them. JSONL writes one full
-    record object per line.
+    CSV uses per-round rows (trial, round, informed, q_t, n, seed,
+    exact_delta) when the records carry trajectories, else summary rows
+    (trial, completion, final, n, seed); an unknown value is left empty, as
+    is exact_delta on a trial's last row. JSONL writes one full record object
+    per line. A record that the loaders would refuse (:func:`_record_fault`),
+    or a CSV export of both kinds of record, which one header cannot hold,
+    raises RangeError before the file is opened.
     """
     if fmt not in ("csv", "jsonl"):
         raise RangeError(f"unknown export format {fmt!r}")
+    for r in records:
+        _checked(r, lambda _: f"record of trial {r.trial!r}")
     if fmt == "csv" and len({bool(r.informed_counts) for r in records}) > 1:
         raise RangeError("a CSV export cannot mix per-round and summary records")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if fmt == "jsonl":
-                for r in records:
-                    fh.write(json.dumps(_jsonable(asdict(r)), sort_keys=True) + "\n")
-                return
-            writer = csv.writer(fh, lineterminator="\n")
-            per_round = any(r.informed_counts for r in records)
-            if per_round or not records:
-                writer.writerow(PER_ROUND_HEADER)
-                for r in records:
-                    for t, informed in enumerate(r.informed_counts or ()):
-                        q_t = r.q_values[t] if r.q_values else ""
-                        writer.writerow([r.trial, t, informed, q_t, _cell(r.n)])
-            else:
-                writer.writerow(SUMMARY_HEADER)
-                for r in records:
-                    writer.writerow([r.trial, _cell(r.completion_round), r.final_informed, _cell(r.n)])
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with _io_errors(), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if fmt == "jsonl":
+            for r in records:
+                fh.write(json.dumps(_jsonable(asdict(r)), sort_keys=True) + "\n")
+            return
+        writer = csv.writer(fh, lineterminator="\n")
+        if not records or records[0].informed_counts:
+            writer.writerow(PER_ROUND_HEADER)
+            for r in records:
+                n, seed = _cell(r.n), _cell(r.seed)
+                cells = zip_longest(r.informed_counts, r.q_values or (), r.exact_deltas or (), fillvalue="")
+                for t, (informed, q_t, delta) in enumerate(cells):
+                    writer.writerow([r.trial, t, informed, q_t, n, seed, delta])
+        else:
+            writer.writerow(SUMMARY_HEADER)
+            for r in records:
+                writer.writerow([r.trial, _cell(r.completion_round), r.final_informed, _cell(r.n), _cell(r.seed)])
 
 
 def export_summary(summary: ExperimentSummary, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(summary.to_json() + "\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with _io_errors(), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(summary.to_json() + "\n")
 
 
-def _parse_rows(path, rows: list[list[str]], parse) -> list:
-    """``parse(*row)`` for each data row; a malformed row raises RangeError naming its line."""
-    width = len(rows[0])
-    parsed = []
+def load_records_csv(path) -> list[TrialRecord]:
+    """Re-import an exported CSV of either row schema; a column older files lack loads as None.
+
+    A per-round trial's rows, in any order, must hold rounds 0..k exactly
+    once each, else RangeError names the first offending line. Its completion
+    round is the first whose count reaches n; all-blank q_t or exact_delta
+    cells load as None, and exact_delta is blank on the last row. Then
+    RangeError names the line of a record's :func:`_record_fault`, and after
+    that a row whose n or seed differs from an earlier row of its trial.
+    """
+    with _io_errors(), open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise RangeError(f"{path}: missing header")
+    header = _HEADERS.get(tuple(rows[0]))
+    if header is None:
+        raise RangeError(f"{path}: unrecognized header {tuple(rows[0])}")
+    width, parsers = len(rows[0]), _PARSERS[header]
+    missing = [""] * (len(header) - width)
+    parsed = []  # per row: its line, then its cells' values in the columns of ``header``
     for line, row in enumerate(rows[1:], start=2):
         try:
             if len(row) != width:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
-            parsed.append(parse(*row))
+            parsed.append([line] + [parse(text) for parse, text in zip(parsers, row + missing)])
         except ValueError as exc:
             raise RangeError(f"{path}, line {line}: {exc}") from exc
-    return parsed
+    if header == SUMMARY_HEADER:
+        return [
+            _checked(TrialRecord(trial=trial, final_informed=final, completion_round=done, seed=seed, n=n),
+                     lambda _: f"{path}, line {line}")
+            for line, trial, done, final, n, seed in parsed
+        ]
+    by_trial: dict[int, list[list]] = {}
+    for entry in parsed:
+        by_trial.setdefault(entry[1], []).append(entry)
+    records = []
+    for trial in sorted(by_trial):
+        trial_rows = by_trial[trial]
+        lines, _, rounds, counts, q, _, _, deltas = map(list, zip(*sorted(trial_rows, key=lambda e: e[2])))
+        for k, rnd in enumerate(rounds):
+            if rnd != k:
+                raise RangeError(f"{path}, line {lines[k]}: trial {trial} needs round {k} here, got round {rnd}")
+        n, seed = trial_rows[0][5:7]
+        if deltas[-1] is None:
+            deltas.pop()
+        record = TrialRecord(
+            trial=trial,
+            final_informed=counts[-1],
+            completion_round=counts.index(n) if n in counts else None,
+            seed=seed,
+            n=n,
+            informed_counts=counts,
+            q_values=None if q.count(None) == len(q) else q,
+            exact_deltas=None if deltas.count(None) == len(deltas) else deltas,
+        )
+        records.append(_checked(record, lambda k: f"{path}, line {lines[k]}"))
+        for line, *_, row_n, row_seed, _ in trial_rows:
+            for name, value, first in (("n", row_n, n), ("seed", row_seed, seed)):
+                if value != first:
+                    raise RangeError(f"{path}, line {line}: trial {trial} has {name} = {value} here, "
+                                     f"but {name} = {first} before")
+    return records
 
 
-def load_records_csv(path) -> list[TrialRecord]:
-    """Re-import an exported CSV (either row schema, with or without the n column).
+def _record_fault(r: TrialRecord) -> tuple[int, str] | None:
+    """(index of its count, reason) for the first thing in ``r`` that no run writes, else None.
 
-    A per-round trial's rows, in any order, must hold rounds 0..k exactly
-    once each; a skipped or repeated round raises RangeError naming the first
-    offending line. Its completion round is the first round whose informed
-    count reaches n; without n it stays None. A trial whose q_t cells are all
-    blank loads with ``q_values=None``; a blank cell among filled ones raises
-    RangeError naming its line. So does a row whose n differs from an earlier
-    row of its trial, or whose informed count or final exceeds its n. After
-    those checks, so does each record that no run produces (:func:`_run_fault`).
+    Every loader and :func:`export_records` run it on every record. q is not
+    range-checked: a run exports q(budget), a round no trial steps.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    if not rows:
-        raise RangeError(f"{path}: missing header")
-    header = tuple(rows[0])
-    if header in (PER_ROUND_HEADER, PER_ROUND_HEADER[:-1]):
-        by_trial: dict[int, list[tuple[int, int, float | None, int]]] = {}
-        n_of: dict[int, int | None] = {}
-        for line, (trial, rnd, informed, q_t, n) in enumerate(_parse_rows(path, rows, _per_round_row), start=2):
-            by_trial.setdefault(trial, []).append((rnd, informed, q_t, line))
-            if n_of.setdefault(trial, n) != n:
-                raise RangeError(f"{path}, line {line}: trial {trial} has n = {n} here, but n = {n_of[trial]} before")
-        records = []
-        for trial in sorted(by_trial):
-            entries = sorted(by_trial[trial], key=lambda e: e[0])
-            for k, (rnd, _, _, line) in enumerate(entries):
-                if rnd != k:
-                    raise RangeError(f"{path}, line {line}: trial {trial} needs round {k} here, got round {rnd}")
-            n = n_of[trial]
-            blank = [line for _, _, q, line in entries if q is None]
-            if 0 < len(blank) < len(entries):
-                raise RangeError(f"{path}, line {blank[0]}: blank q_t, but trial {trial} has q_t in other rounds")
-            records.append(
-                TrialRecord(
-                    trial=trial,
-                    n=n,
-                    final_informed=entries[-1][1],
-                    completion_round=next((rnd for rnd, inf, _, _ in entries if inf == n), None),
-                    informed_counts=[inf for _, inf, _, _ in entries],
-                    q_values=None if blank else [q for _, _, q, _ in entries],
-                )
-            )
-            fault = _run_fault(records[-1])
-            if fault is not None:
-                raise RangeError(f"{path}, line {entries[fault[0]][3]}: {fault[1]}")
-        return records
-    if header in (SUMMARY_HEADER, SUMMARY_HEADER[:-1]):
-        return _parse_rows(path, rows, _summary_row)
-    raise RangeError(f"{path}: unrecognized header {header}")
-
-
-def _consistent(r: TrialRecord) -> TrialRecord:
-    """``r`` if its counts are integers within n that end in its final, with one q per count,
-    and a run could produce it (:func:`_run_fault`)."""
     counts = r.informed_counts
-    ints = [r.final_informed, *(counts or ())]
-    if any(type(x) is not int for x in ints) or type(r.n) not in (int, type(None)):
-        raise ValueError("n, informed counts and final_informed must be integers")
-    if r.n is not None and max(ints) > r.n:
-        raise ValueError(f"informed count {max(ints)} exceeds n = {r.n}")
+    if set(map(type, [r.final_informed, *(counts or ())])) != {int} or type(r.n) not in (int, type(None)):
+        return 0, "n, informed counts and final_informed must be integers"
     if counts is not None and counts[-1:] != [r.final_informed]:
-        raise ValueError(f"final_informed {r.final_informed} is not the last informed count")
-    if r.q_values is not None and len(r.q_values) != len(ints) - 1:
-        raise ValueError(f"{len(r.q_values)} q_values for {len(ints) - 1} informed counts")
-    fault = _run_fault(r)
-    if fault is not None:
-        raise ValueError(fault[1])
-    return r
-
-
-def _run_fault(r: TrialRecord) -> tuple[int, str] | None:
-    """(index of its count, reason) for the first thing in ``r`` that no run produces, else None.
-
-    q is not range-checked: a run exports q(budget), a round no trial steps.
-    """
-    counts = r.informed_counts or [r.final_informed]
-    done = r.completion_round
+        return 0, f"final_informed {r.final_informed} is not the last informed count"
+    rounds = len(counts or ())
+    stepped = max(rounds - 1, 0)
+    counts = counts or [r.final_informed]
+    if r.n is not None and max(counts) > r.n:
+        over = next(k for k, count in enumerate(counts) if count > r.n)
+        return over, f"informed count {counts[over]} exceeds n = {r.n}"
+    if r.q_values is not None and len(r.q_values) != rounds:
+        return len(counts) - 1, f"{len(r.q_values)} q_values for {rounds} informed counts"
+    if r.exact_deltas is not None and len(r.exact_deltas) != stepped:
+        return len(counts) - 1, f"{len(r.exact_deltas)} exact_deltas for {stepped} stepped rounds"
     if type(r.trial) is not int or r.trial < 0:
         return 0, f"trial {r.trial!r} is not a non-negative integer"
-    for k, count in enumerate(counts):
-        if count < 1:
-            return k, f"informed count {count} is below 1"
-        if k and count < counts[k - 1]:
-            return k, f"informed count {count} is below the count {counts[k - 1]} before it"
+    if counts[0] < 1 or counts != sorted(counts):
+        k = next(k for k, count in enumerate(counts) if count < 1 or k and count < counts[k - 1])
+        if counts[k] < 1:
+            return k, f"informed count {counts[k]} is below 1"
+        return k, f"informed count {counts[k]} is below the count {counts[k - 1]} before it"
+    done = r.completion_round
     if done is not None and (type(done) is not int or done < 0):
         return 0, f"completion round {done!r} is neither empty nor a non-negative integer"
     if r.n is not None:
-        reached = next((k for k, count in enumerate(counts) if count == r.n), None)
+        reached = counts.index(r.n) if r.n in counts else None
         if r.informed_counts is not None and done != reached:
             return 0, f"completion round {done}, but the first round whose count is n = {r.n} is {reached}"
         if (done is None) != (reached is None):
             return 0, f"completion round {done} disagrees with final {r.final_informed} and n = {r.n}"
-    if any(type(x) not in (int, float) for x in r.q_values or ()):
-        return 0, "q values must be numbers"
+    for name, values in (("q values", r.q_values), ("exact deltas", r.exact_deltas)):
+        if not set(map(type, values or ())) <= {int, float}:
+            bad = next(k for k, x in enumerate(values) if type(x) not in (int, float))
+            return bad, f"{name} must be numbers, got {values[bad]!r} at round {bad}"
+    if r.seed is not None and (type(r.seed) is not int or not 0 <= r.seed < 2**64):
+        return 0, f"seed {r.seed!r} is neither empty nor an integer in [0, 2^64)"
     return None
 
 
 def load_records_jsonl(path) -> list[TrialRecord]:
-    """Re-import an exported JSONL file; a malformed line raises RangeError naming it.
-
-    As in :func:`load_records_csv`, counts and the final must be integers no
-    larger than n, the final must be the last count, a record with q_values
-    needs one per count, and then the record must be one a run produces. A q
-    written as the text ``_jsonable`` gives a non-finite float loads as that float.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    """Re-import an exported JSONL file; a malformed line, or a record that
+    fails :func:`_record_fault`, raises RangeError naming the line. A q or
+    delta written as the text ``_jsonable`` gives a non-finite float loads as
+    that float."""
+    with _io_errors(), open(path, "r", encoding="utf-8") as fh:
+        lines = list(fh)
     records = []
     for line, text in enumerate(lines, start=1):
         if not text.strip():
             continue
         try:
             record = TrialRecord(**json.loads(text))
-            if isinstance(record.q_values, list):
-                record.q_values = [float(x) if x in ("nan", "inf", "-inf") else x for x in record.q_values]
-            records.append(_consistent(record))
+            for name in ("q_values", "exact_deltas"):
+                values = getattr(record, name)
+                if isinstance(values, list):
+                    setattr(record, name, [float(x) if x in ("nan", "inf", "-inf") else x for x in values])
+            records.append(_checked(record, lambda _: f"{path}, line {line}"))
         except (TypeError, ValueError) as exc:
             raise RangeError(f"{path}, line {line}: {exc}") from exc
     return records

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import EmptyData, IoError
+from .errors import EmptyData, _io_errors
 from .harness import TrialRecord
 from .predictor import PhasePlan
 
@@ -104,8 +104,5 @@ def plot_trajectories(
     n: int | None = None,
 ) -> None:
     svg = render_trajectories_svg(records, phases=phases, n=n)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with _io_errors(), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(svg)

@@ -29,7 +29,7 @@ def test_simulate_writes_records_and_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["trials"] == 3
     assert summary["fraction_completed"] == 1.0
-    assert out.read_text().startswith("trial,round,informed,q_t,n\n")
+    assert out.read_text().startswith("trial,round,informed,q_t,n,seed,exact_delta\n")
 
 
 def test_simulate_jsonl_and_summary_out(tmp_path, capsys):
@@ -281,6 +281,21 @@ def test_sweep_rows(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("alpha,seed,n,")
     assert len(lines) == 1 + 4
+
+
+def test_sweep_without_out_prints_its_csv(capsys):
+    argv = ["sweep", "--graph", "complete:16", "--protocol", "push", "--cred", "const:1", "--trials", "1",
+            "--max-rounds", "20", "--param", "seed", "--values", "1,2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("seed,n,fraction_completed,") and [line[:5] for line in lines[1:]] == ["1,16,", "2,16,"]
+
+
+def test_sweep_needs_a_values_flag_per_param(capsys):
+    argv = ["sweep", "--graph", "complete:16", "--protocol", "push", "--cred", "const:1", "--trials", "1",
+            "--param", "seed", "--param", "trials", "--values", "1,2"]
+    assert main(argv) == 2
+    assert "each --param needs a matching --values" in capsys.readouterr().err
 
 
 def test_plot_from_csv(tmp_path):

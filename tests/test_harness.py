@@ -784,7 +784,7 @@ class TestExports:
         path = tmp_path / "records.csv"
         export_records(records, path)
         text = path.read_text()
-        assert text.startswith("trial,round,informed,q_t,n\n")
+        assert text.startswith("trial,round,informed,q_t,n,seed,exact_delta\n")
         assert "\r" not in text
         loaded = load_records_csv(path)
         for orig, back in zip(records, loaded):
@@ -811,14 +811,14 @@ class TestExports:
     def test_empty_records_give_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         export_records([], path)
-        assert path.read_text() == "trial,round,informed,q_t,n\n"
+        assert path.read_text() == "trial,round,informed,q_t,n,seed,exact_delta\n"
 
     def test_summary_level_csv(self, tmp_path):
         spec = small_spec(trials=3, record_level=RecordLevel.SUMMARY)
         records = [run_trial(spec, i) for i in range(3)]
         path = tmp_path / "records.csv"
         export_records(records, path)
-        assert path.read_text().startswith("trial,completion,final,n\n")
+        assert path.read_text().startswith("trial,completion,final,n,seed\n")
         loaded = load_records_csv(path)
         assert [r.completion_round for r in loaded] == [r.completion_round for r in records]
         assert [r.final_informed for r in loaded] == [r.final_informed for r in records]
@@ -834,19 +834,98 @@ class TestExports:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("level", list(RecordLevel))
     @pytest.mark.parametrize(
-        "credibility,n", [(Constant(1.0), 64), (PowerLaw(2.0), 1024)], ids=["completes", "stalls"]
+        "graph, credibility, completes",
+        [("complete:64", Constant(1.0), True), ("complete:1024", PowerLaw(2.0), False),
+         ("regular:64,4", Constant(1.0), True), ("dynamic-regular:64,4", PowerLaw(2.0), False)],
+        ids=["chain-completes", "chain-stalls", "regular-completes", "dynamic-regular-stalls"],
     )
-    def test_records_round_trip(self, tmp_path, fmt, level, credibility, n):
-        graph = StaticGraph(complete_graph(n))
-        spec = small_spec(graph=graph, credibility=credibility, record_level=level)
+    def test_records_round_trip(self, tmp_path, fmt, level, graph, credibility, completes):
+        spec = small_spec(graph=graphs.parse_graph_spec(graph), credibility=credibility, record_level=level)
         records = [run_trial(spec, i) for i in range(3)]
-        assert all((r.completion_round is not None) == (n == 64) for r in records)
+        assert all((r.completion_round is not None) == completes for r in records)
         path = tmp_path / f"records.{fmt}"
         export_records(records, path, fmt=fmt)
         loaded = load_records_csv(path) if fmt == "csv" else load_records_jsonl(path)
-        fields = ("trial", "n", "final_informed", "completion_round", "informed_counts", "q_values")
-        for field in fields:
-            assert [getattr(r, field) for r in loaded] == [getattr(r, field) for r in records]
+        assert loaded == records
+        bits = [[float.hex(x) for x in (r.q_values or []) + (r.exact_deltas or [])] for r in records]
+        assert [[float.hex(x) for x in (r.q_values or []) + (r.exact_deltas or [])] for r in loaded] == bits
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("trial,round,informed,q_t\n0,1,2,0.5\n0,0,1,0.25\n",
+          [TrialRecord(0, 2, None, informed_counts=[1, 2], q_values=[0.25, 0.5])]),
+         ("trial,round,informed,q_t,n\n0,0,1,0.25,2\n0,1,2,0.5,2\n1,0,2,,2\n",
+          [TrialRecord(0, 2, 1, n=2, informed_counts=[1, 2], q_values=[0.25, 0.5]),
+           TrialRecord(1, 2, 0, n=2, informed_counts=[2])]),
+         ("trial,completion,final\n0,3,8\n1,,5\n", [TrialRecord(0, 8, 3), TrialRecord(1, 5, None)]),
+         ("trial,completion,final,n\n0,3,8,8\n1,,5,8\n", [TrialRecord(0, 8, 3, n=8), TrialRecord(1, 5, None, n=8)])],
+        ids=["per-round-without-n", "per-round-with-n", "summary-without-n", "summary-with-n"],
+    )
+    def test_headers_of_earlier_versions_still_load(self, tmp_path, text, expected):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        assert load_records_csv(path) == expected
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [("trial,round,informed,q_t,n,seed,exact_delta\n0,0,1,0.5,8,7,\n1,0,1,0.5,8,5,\n0,1,2,0.5,8,9,\n", 4,
+          "trial 0 has seed = 9 here, but seed = 7 before"),
+         ("trial,round,informed,q_t,n,seed,exact_delta\n0,0,1,0.5,8,7,0.5\n0,1,2,0.5,8,7,0.25\n", 3,
+          "2 exact_deltas for 1 stepped rounds"),
+         ("trial,round,informed,q_t,n,seed,exact_delta\n0,0,1,0.5,8,7,\n0,1,2,0.5,8,7,0.5\n0,2,3,0.5,8,7,\n", 2,
+          "exact deltas must be numbers"),
+         ("trial,round,informed,q_t,n,seed,exact_delta\n0,0,1,0.5,8,-7,\n", 2, "seed -7 is neither"),
+         ("trial,completion,final,n,seed\n0,,5,8,18446744073709551616\n", 2, "seed 18446744073709551616 is neither")],
+        ids=["seed-changes", "delta-on-last-row", "blank-delta-beside-filled", "negative-seed", "seed-past-2^64"],
+    )
+    def test_csv_seeds_and_deltas_must_be_ones_a_run_writes(self, tmp_path, text, line, message):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        with pytest.raises(RangeError, match=rf"line {line}: {message}"):
+            load_records_csv(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [('"seed": "x"', "seed 'x' is neither"), ('"seed": -1', "seed -1 is neither"),
+         ('"seed": 18446744073709551616', "seed 18446744073709551616 is neither"),
+         ('"exact_deltas": ["abc", 1, 2, 3]', "4 exact_deltas for 1 stepped rounds"),
+         ('"exact_deltas": []', "0 exact_deltas for 1 stepped rounds"),
+         ('"exact_deltas": ["abc"]', "exact deltas must be numbers"),
+         ('"exact_deltas": [null]', "exact deltas must be numbers")],
+        ids=["seed-not-int", "seed-negative", "seed-past-2^64", "deltas-too-many", "deltas-too-few",
+             "delta-not-number", "delta-null"],
+    )
+    def test_jsonl_seeds_and_deltas_must_be_ones_a_run_writes(self, tmp_path, fields, message):
+        path = tmp_path / "records.jsonl"
+        good = '{"trial": 0, "n": 8, "final_informed": 2, "completion_round": null, "informed_counts": [1, 2]'
+        path.write_text(f'{good}, "seed": 3, "exact_deltas": [0.5]}}\n{good}, {fields}}}\n')
+        with pytest.raises(RangeError, match=rf"line 2: {message}"):
+            load_records_jsonl(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_a_non_finite_delta_reloads_as_a_float(self, tmp_path, fmt, delta):
+        record = TrialRecord(trial=0, final_informed=2, completion_round=None, seed=3, n=8,
+                             informed_counts=[1, 2], q_values=[0.5, 0.5], exact_deltas=[delta])
+        path = tmp_path / f"records.{fmt}"
+        export_records([record], path, fmt=fmt)
+        loaded = load_records_csv(path) if fmt == "csv" else load_records_jsonl(path)
+        assert repr(loaded) == repr([record])
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "record, message",
+        [(TrialRecord(trial=0, final_informed=3, completion_round=None, n=8, informed_counts=[1, 2, 3],
+                      q_values=[1.0]), "record of trial 0: 1 q_values for 3 informed counts"),
+         (TrialRecord(trial=-1, final_informed=9, completion_round=None, n=8),
+          "record of trial -1: informed count 9 exceeds n = 8")],
+        ids=["q-length", "summary-final-exceeds-n"],
+    )
+    def test_export_refuses_a_record_the_loaders_refuse(self, tmp_path, fmt, record, message):
+        path = tmp_path / f"records.{fmt}"
+        with pytest.raises(RangeError, match=message):
+            export_records([record], path, fmt=fmt)
+        assert not path.exists()
 
     def test_csv_without_n_column_still_loads(self, tmp_path):
         per_round = tmp_path / "per_round.csv"
@@ -1064,6 +1143,23 @@ def test_spec_validation():
         small_spec(initial_informed=9)
     with pytest.raises(RangeError):
         small_spec(max_rounds=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 2.5), ("trials", math.nan), ("trials", True), ("max_rounds", 2.5), ("max_rounds", math.nan),
+     ("initial_informed", 2.5)],
+)
+def test_spec_counts_must_be_integers(field, value):
+    with pytest.raises(RangeError, match=f"{field} must be an integer"):
+        small_spec(**{field: value})
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    spec = small_spec(graph=StaticGraph(cycle_graph(8)), trials=np.int64(2), max_rounds=np.int32(5),
+                      initial_informed=np.int64(2))
+    assert [type(x) for x in (spec.trials, spec.max_rounds, spec.initial_informed)] == [int] * 3
+    assert all(type(c) is int for r in run_experiment(spec)[0] for c in r.informed_counts)
 
 
 def test_record_level_parsing():
