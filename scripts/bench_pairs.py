@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of ``perfbench/run.py`` for one workload.
+
+Usage:
+
+    python3 scripts/bench_pairs.py --parent ../parent-checkout --workload verify --pairs 10
+    python3 scripts/bench_pairs.py --parent A --change B --workload dynamic --seconds 8 --seed 9
+
+Each pair runs the benchmark once in each checkout, one after the other, with
+the same settings; which side runs first alternates from pair to pair, the
+parent first in pair 1. ``--change`` defaults to the checkout holding this
+script. For every end-to-end metric that ``BENCHMARK.json`` declares, the
+script prints each pair's values, each side's median and quartiles, and in
+how many pairs the change read better (ties count for neither side). Last it
+prints each side's pass digests, read from the report a run writes to
+``.perfbench/`` in its checkout, and whether they all match. It exits 1 when a
+run fails, reports failed checks, or a digest differs, between runs or between
+the passes of one run; it writes nothing under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, args) -> dict:
+    """One benchmark run in ``checkout``: its metric values, failures, digest and
+    whether all its passes agreed on that digest."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seconds", str(args.seconds)]
+    if args.seed is not None:
+        cmd += ["--seed", str(args.seed)]
+    if args.tiny:
+        cmd.append("--tiny")
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pairs: {' '.join(cmd)} failed in {checkout}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    # run.py names the seed it used on stderr ("verify seed=4: ...") and in its report's file name
+    seed = re.search(rf"^{re.escape(args.workload)} seed=(-?\d+):", proc.stderr, re.MULTILINE).group(1)
+    report = json.loads((checkout / ".perfbench" / f"{args.workload}-seed{seed}-trace0.json").read_text())
+    return {
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "failed": result["failed"],
+        "digest": report["digest"],
+        "agree": report["digests_agree"],
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(lower quartile, median, upper quartile); one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0, help="timed phase of each run")
+    parser.add_argument("--seed", type=int, default=None, help="workload seed (default: the workload's)")
+    parser.add_argument("--tiny", action="store_true", help="tiny inputs, for a smoke run")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(sides[side], args))
+        values = "  ".join(
+            f"{name} {runs['parent'][-1]['metrics'][name]:.6g}/{runs['change'][-1]['metrics'][name]:.6g}"
+            for name in better
+        )
+        print(f"pair {pair + 1} ({order[0]} first), parent/change: {values}", flush=True)
+
+    seed = "default" if args.seed is None else args.seed
+    print(f"\n{args.workload} seed={seed}: {args.pairs} pairs of {args.seconds:g} s runs")
+    print(f"{'metric':20s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} change better")
+    for name, direction in better.items():
+        cells = []
+        for side in ("parent", "change"):
+            q1, med, q3 = quartiles([r["metrics"][name] for r in runs[side]])
+            cells.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
+        wins = sum(
+            (c["metrics"][name] < p["metrics"][name]) if direction == "lower" else (c["metrics"][name] > p["metrics"][name])
+            for p, c in zip(runs["parent"], runs["change"])
+        )
+        print(f"{name:20s} {cells[0]:34s} {cells[1]:34s} {wins}/{args.pairs} ({direction} is better)")
+
+    digests = {side: sorted({r["digest"] for r in runs[side]}) for side in runs}
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    split = {side: sum(not r["agree"] for r in runs[side]) for side in runs}
+    match = digests["parent"] == digests["change"] and len(digests["parent"]) == 1 and not any(split.values())
+    print(f"digests: parent {', '.join(d[:16] for d in digests['parent'])}; "
+          f"change {', '.join(d[:16] for d in digests['change'])}; {'match' if match else 'DIFFER'}")
+    print(f"runs whose passes disagreed: parent {split['parent']}, change {split['change']}")
+    print(f"failed checks: parent {failed['parent']}, change {failed['change']}")
+    return 0 if match and not any(failed.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

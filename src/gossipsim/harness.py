@@ -373,15 +373,22 @@ def export_records(records: list[TrialRecord], path, fmt: str = "csv") -> None:
     (trial, completion, final, n, seed); an unknown value is left empty, as
     is exact_delta on a trial's last row. JSONL writes one full record object
     per line. A record that the loaders would refuse (:func:`_record_fault`),
-    or a CSV export of both kinds of record, which one header cannot hold,
-    raises RangeError before the file is opened.
+    a CSV export of both kinds of record, which one header cannot hold, or a
+    CSV export of an empty ``exact_deltas`` (a per-round-exact trial that
+    steps no round), which no cell can tell from a missing one, raises
+    RangeError before the file is opened.
     """
     if fmt not in ("csv", "jsonl"):
         raise RangeError(f"unknown export format {fmt!r}")
     for r in records:
         _checked(r, lambda _: f"record of trial {r.trial!r}")
-    if fmt == "csv" and len({bool(r.informed_counts) for r in records}) > 1:
-        raise RangeError("a CSV export cannot mix per-round and summary records")
+    if fmt == "csv":
+        if len({bool(r.informed_counts) for r in records}) > 1:
+            raise RangeError("a CSV export cannot mix per-round and summary records")
+        empty = next((r for r in records if r.exact_deltas == []), None)
+        if empty is not None:
+            raise RangeError(f"record of trial {empty.trial!r}: a CSV export cannot hold an empty exact_deltas, "
+                             "which reloads as none; export JSONL")
     with _io_errors(), open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "jsonl":
             for r in records:
@@ -614,7 +621,6 @@ def _verify_bound_sandwich() -> dict[str, dict]:
         if (n * d) % 2:
             n += 1
         g = generate_random_regular(n, d, seed=mix_seed(seed, i))
-        connected = is_connected(g)
         size = int(rng.integers(1, n))
         informed = np.zeros(n, dtype=bool)
         informed[rng.choice(n, size=size, replace=False)] = True
@@ -627,7 +633,7 @@ def _verify_bound_sandwich() -> dict[str, dict]:
             if size >= n / 2:
                 sb = shrink_bounds(kind, q, phi, d)
                 slacks.append(gf - sb.lower)
-                if not sb.upper_requires_connected or connected:
+                if not sb.upper_requires_connected or is_connected(g):
                     slacks.append(sb.upper - gf)
     violations = sum(slack < -1e-9 for slack in slacks)
     return {

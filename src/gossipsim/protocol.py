@@ -20,7 +20,6 @@ pass through q(t), and the event-driven count chain that samples it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -166,8 +165,10 @@ def sample_delta_sizes(
         stop = min(start + block, n_samples)
         mask = hit[: stop - start]
         mask[:] = False
+        # cell (r, v) of the contiguous block is r * n + v of its flat view
+        rows = np.arange(len(mask))[:, None] * g.n
         for receivers, accepted in _round_halves(kind, g, informed, q, rng, draws=len(mask)):
-            mask[np.nonzero(accepted)[0], receivers[accepted]] = True
+            mask.reshape(-1)[(receivers + rows)[accepted]] = True
         sizes[start:stop] = np.count_nonzero(mask, axis=1)
     return sizes
 
@@ -175,7 +176,7 @@ def sample_delta_sizes(
 def _proper_subset(g: GraphSnapshot, informed) -> tuple[np.ndarray, int]:
     """Mask and size of the informed set, which must be a nonempty proper subset."""
     informed = as_vertex_mask(g.n, informed)
-    size = int(informed.sum())
+    size = int(np.count_nonzero(informed))
     if not 1 <= size <= g.n - 1:
         raise SetRangeError(f"informed size {size} not in [1, {g.n - 1}]")
     return informed, size
@@ -191,7 +192,7 @@ def exact_delta_expectation(kind: ProtocolKind, g: GraphSnapshot, informed, q: f
     q = _check_q(q)
     informed, _ = _proper_subset(g, informed)
     k = g.marked_degrees(informed)[~informed].astype(np.float64)
-    return float(np.sum(_inform_probability(kind, q, k, float(g.d))))
+    return float(_inform_probability(kind, q, k, float(g.d)).sum())
 
 
 def _inform_probability(kind: ProtocolKind, q, k, d: float):
@@ -462,15 +463,17 @@ def _choice_branches(kind: ProtocolKind, g: GraphSnapshot, informed: np.ndarray)
 
     Each branch list holds (uninformed-slot or None, probability) pairs: the
     slot that receives one transmission, or None when the choice is wasted.
-    Choosers that cannot cause a transmission are dropped outright.
+    Choosers that cannot cause a transmission are dropped outright. The
+    uninformed vertices, slots and probabilities are Python numbers.
     """
-    uninformed = np.flatnonzero(~informed)
-    slot_of = {int(u): i for i, u in enumerate(uninformed)}
+    is_informed = informed.tolist()
+    uninformed = [u for u, x in enumerate(is_informed) if not x]
+    slot_of = {u: i for i, u in enumerate(uninformed)}
     d = g.d
     branches = []
     if kind.does_push:
-        for v in np.flatnonzero(informed):
-            slots = [slot_of[int(u)] for u in g.neighbors(v) if not informed[u]]
+        for v in [v for v, x in enumerate(is_informed) if x]:
+            slots = [slot_of[u] for u in g.neighbors(v).tolist() if not is_informed[u]]
             if not slots:
                 continue
             branch = [(s, 1.0 / d) for s in slots]
@@ -478,7 +481,7 @@ def _choice_branches(kind: ProtocolKind, g: GraphSnapshot, informed: np.ndarray)
                 branch.append((None, (d - len(slots)) / d))
             branches.append(branch)
     if kind.does_pull:
-        k = g.marked_degrees(informed)
+        k = g.marked_degrees(informed).tolist()
         for slot, u in enumerate(uninformed):
             hit = k[u] / d
             if hit == 0.0:
@@ -490,13 +493,49 @@ def _choice_branches(kind: ProtocolKind, g: GraphSnapshot, informed: np.ndarray)
     return uninformed, branches
 
 
-def _transmission_count_law(kind, g, informed) -> tuple[np.ndarray, dict[tuple, float]]:
+def _transmission_count_law(branches) -> tuple[int, dict[int, float]]:
     """Joint law of per-uninformed-vertex transmission counts.
 
     Convolves choosers one at a time; the number of *profiles* this covers is
-    the product of branch sizes (at most d per chooser), guarded at
-    ``ENUMERATION_PROFILE_GUARD``.
+    the product of branch sizes (at most d per chooser), which the caller
+    guards. A count vector is keyed by the mixed-radix int sum of
+    ``count[slot] * base**slot``: a chooser sends at most one transmission,
+    so ``base = len(branches) + 1`` exceeds every count. Returns ``base`` and
+    the law, in the order the profiles first appear.
     """
+    base = len(branches) + 1
+    law: dict[int, float] = {0: 1.0}
+    for branch in branches:
+        bumps = [(0 if slot is None else base**slot, bp) for slot, bp in branch]
+        nxt: dict[int, float] = {}
+        for key, p in law.items():
+            for bump, bp in bumps:
+                nxt[key + bump] = nxt.get(key + bump, 0.0) + p * bp
+        law = nxt
+    return base, law
+
+
+def _as_is(value):
+    """The identity: the type of every value of a law with no pull branch."""
+    return value
+
+
+def _informing_law(kind: ProtocolKind, g: GraphSnapshot, informed, q: float):
+    """The exact one-round law behind both tiny-instance oracles.
+
+    Returns the uninformed vertices (a list), the slots some profile reaches, per
+    transmission-count profile (probability, [1 - (1-q)**k per reachable
+    slot]), and the type the oracles return their values as. The profiles,
+    then the 2**r subsets of the r reachable slots, are guarded at
+    ``ENUMERATION_PROFILE_GUARD`` before any is enumerated.
+
+    Everything is computed on Python floats. The oracles return their values
+    as ``np.float64`` when a pull branch is in the law (a pulling protocol
+    with a reachable slot) and as computed otherwise, converting them on the
+    way out; the tests pin these types as well as the values.
+    """
+    q = _check_q(q)
+    informed, _ = _proper_subset(g, informed)
     uninformed, branches = _choice_branches(kind, g, informed)
     profiles = 1
     for branch in branches:
@@ -505,43 +544,18 @@ def _transmission_count_law(kind, g, informed) -> tuple[np.ndarray, dict[tuple, 
             raise SizeGuardExceeded(
                 f"would enumerate > {ENUMERATION_PROFILE_GUARD} choice profiles"
             )
-    law: dict[tuple, float] = {tuple([0] * len(uninformed)): 1.0}
-    for branch in branches:
-        nxt: dict[tuple, float] = {}
-        for kvec, p in law.items():
-            for slot, bp in branch:
-                if slot is None:
-                    key = kvec
-                else:
-                    bumped = list(kvec)
-                    bumped[slot] += 1
-                    key = tuple(bumped)
-                nxt[key] = nxt.get(key, 0.0) + p * bp
-        law = nxt
-    return uninformed, law
-
-
-def _informing_law(kind: ProtocolKind, g: GraphSnapshot, informed, q: float):
-    """The exact one-round law behind both tiny-instance oracles.
-
-    Returns the uninformed vertices, the slots some profile reaches, and per
-    transmission-count profile (probability, [1 - (1-q)**k per reachable
-    slot]). The 2**r subsets of the r reachable slots are guarded.
-    """
-    q = _check_q(q)
-    informed, _ = _proper_subset(g, informed)
-    uninformed, law = _transmission_count_law(kind, g, informed)
-    reachable = [
-        slot for slot in range(len(uninformed)) if any(kvec[slot] for kvec in law)
-    ]
+    # a branch's every slot is some profile's, so these are the slots the law reaches
+    reachable = sorted({slot for branch in branches for slot, _ in branch if slot is not None})
     if 2 ** len(reachable) > ENUMERATION_PROFILE_GUARD:
         raise SizeGuardExceeded(
             f"the subsets of {len(reachable)} reachable vertices exceed the guard"
         )
-    entries = [
-        (p, [1.0 - (1.0 - q) ** kvec[slot] for slot in reachable]) for kvec, p in law.items()
-    ]
-    return uninformed, reachable, entries
+    base, law = _transmission_count_law(branches)
+    inform = [1.0 - (1.0 - q) ** k for k in range(base)]
+    weights = [base**slot for slot in reachable]
+    entries = [(p, [inform[key // w % base] for w in weights]) for key, p in law.items()]
+    scalar = np.float64 if kind.does_pull and reachable else _as_is
+    return uninformed, reachable, entries, scalar
 
 
 def enumerate_joint_distribution(
@@ -551,28 +565,37 @@ def enumerate_joint_distribution(
 
     Given a profile, each uninformed vertex that received k transmissions is
     informed independently with probability 1 - (1-q)**k; the coins are never
-    enumerated.
+    enumerated. Subset ``bits`` of the r reachable vertices (bit j: the j-th
+    is informed) has probability p * f_0 * ... * f_{r-1}, multiplied left to
+    right, where f_j is the j-th informing probability or its complement. A
+    profile's 2**r products are built by doubling a list once per reachable
+    vertex, each new half being the old list times f_j; zero products are
+    skipped, and the rest added to the support in subset order, profile
+    after profile. The 2**r frozensets are built once per call.
     """
-    uninformed, reachable, entries = _informing_law(kind, g, informed, q)
-    marginals = {int(u): 0.0 for u in uninformed}
+    uninformed, reachable, entries, scalar = _informing_law(kind, g, informed, q)
+    marginals = {u: 0.0 for u in uninformed}
+    members = [uninformed[slot] for slot in reachable]
+    subsets: list[list[int]] = [[]]
+    for u in members:
+        subsets += [s + [u] for s in subsets]
+    keys = [frozenset(s) for s in subsets]
     support: dict[frozenset, float] = {}
     for p, inform_p in entries:
-        for slot, pu in zip(reachable, inform_p):
-            marginals[int(uninformed[slot])] += p * pu
-        for bits in range(2 ** len(reachable)):
-            prob = p
-            members = []
-            for j, slot in enumerate(reachable):
-                if bits >> j & 1:
-                    prob *= inform_p[j]
-                    members.append(int(uninformed[slot]))
-                else:
-                    prob *= 1.0 - inform_p[j]
-            if prob == 0.0:
-                continue
-            key = frozenset(members)
-            support[key] = support.get(key, 0.0) + prob
-    return DeltaDistribution(support=support, marginals=marginals)
+        for u, pu in zip(members, inform_p):
+            marginals[u] += p * pu
+        probs = [p]
+        for pu in inform_p:
+            miss = 1.0 - pu
+            probs = [x * miss for x in probs] + [x * pu for x in probs]
+        for key, prob in zip(keys, probs):
+            if prob != 0.0:
+                support[key] = support.get(key, 0.0) + prob
+    for u in members:
+        marginals[u] = scalar(marginals[u])
+    return DeltaDistribution(
+        support={key: scalar(prob) for key, prob in support.items()}, marginals=marginals
+    )
 
 
 @dataclass
@@ -597,35 +620,40 @@ def verify_process_properties(kind: ProtocolKind, g: GraphSnapshot, informed, q:
     """Check Pr[S in Delta] <= prod of marginals for every S, and Var <= E.
 
     Subsets containing an unreachable vertex hold with equality (both sides
-    are 0), so only subsets of reachable vertices are enumerated.
+    are 0), so only subsets of reachable vertices are enumerated. Each
+    profile's products of informing probabilities over every subset come
+    from one doubling list, as in :func:`enumerate_joint_distribution`, and
+    add to the subsets' joint probabilities in profile order.
     """
-    _, reachable, entries = _informing_law(kind, g, informed, q)
-    marginal = [sum(p * pu[j] for p, pu in entries) for j in range(len(reachable))]
-    mean = sum(marginal)
+    _, reachable, entries, scalar = _informing_law(kind, g, informed, q)
+    marginal = [0] * len(reachable)
+    joint = [0] * 2 ** len(reachable)
     second = 0.0
     for p, pu in entries:
+        marginal = [acc + p * x for acc, x in zip(marginal, pu)]
         m = sum(pu)
         var = sum(x * (1.0 - x) for x in pu)
         second += p * (var + m * m)
+        products = [1]
+        for x in pu:
+            products += [y * x for y in products]
+        joint = [acc + p * y for acc, y in zip(joint, products)]
+    mean = sum(marginal)
     variance = second - mean * mean
-
-    worst = -math.inf
-    checked = 0
-    for r in range(2, len(reachable) + 1):
-        for combo in itertools.combinations(range(len(reachable)), r):
-            joint = sum(p * math.prod(pu[j] for j in combo) for p, pu in entries)
-            product = math.prod(marginal[j] for j in combo)
-            worst = max(worst, joint - product)
-            checked += 1
-    if checked == 0:
-        worst = 0.0
+    product = [1]
+    for x in marginal:
+        product += [y * x for y in product]
+    # every subset of two or more reachable vertices: bits with two or more set
+    slacks = [joint[bits] - product[bits] for bits in range(len(joint)) if bits & (bits - 1)]
+    worst = scalar(max(slacks)) if slacks else 0.0
+    mean, variance = scalar(mean), scalar(variance)
 
     return ProcessPropertyReport(
         neg_corr_ok=worst <= 1e-12,
         var_ok=variance <= mean + 1e-12,
         worst_slack=worst,
         var_margin=mean - variance,
-        subsets_checked=checked,
+        subsets_checked=len(slacks),
         mean_size=mean,
         exact_mean=exact_delta_expectation(kind, g, informed, q),
     )

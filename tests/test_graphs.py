@@ -262,7 +262,8 @@ class TestGeneratorIdentity:
             return failed
 
     # Failure counts are the reference's; (64, 60), (40, 36) and (10, 9)
-    # pair the complement degree 3, 3 and 0.
+    # pair the complement degree 3, 3 and 0. The d = 16 cases are sandwich
+    # sizes whose attempts run many re-pairing passes before most rejections.
     @pytest.mark.parametrize(
         "n, d, seed, failed",
         [
@@ -276,6 +277,9 @@ class TestGeneratorIdentity:
             (40, 36, 10, 6),
             (10, 9, 0, 0),
             (512, 8, 3, 0),
+            (40, 16, 7, 11),
+            (48, 16, 3, 9),
+            (56, 16, 9, 9),
         ],
     )
     def test_attempts_draw_as_the_reference(self, n, d, seed, failed):

@@ -1044,6 +1044,22 @@ class TestExports:
         export_records([per_round, summary], tmp_path / "records.jsonl", fmt="jsonl")
         assert load_records_jsonl(tmp_path / "records.jsonl") == [per_round, summary]
 
+    def test_a_csv_export_of_an_empty_exact_deltas_raises(self, tmp_path):
+        # complete:8 with all 8 informed steps no round, so its exact deltas are []
+        record = run_trial(small_spec(initial_informed=8, record_level=RecordLevel.PER_ROUND_EXACT), 0)
+        assert (record.informed_counts, record.exact_deltas) == ([8], [])
+        path = tmp_path / "records.csv"
+        with pytest.raises(RangeError, match="record of trial 0: a CSV export cannot hold an empty exact_deltas"):
+            export_records([run_trial(small_spec(record_level=RecordLevel.PER_ROUND_EXACT), 1), record], path)
+        assert not path.exists()
+
+    def test_a_jsonl_export_keeps_an_empty_exact_deltas(self, tmp_path):
+        record = run_trial(small_spec(initial_informed=8, record_level=RecordLevel.PER_ROUND_EXACT), 0)
+        path = tmp_path / "records.jsonl"
+        export_records([record], path, fmt="jsonl")
+        assert load_records_jsonl(path) == [record]
+        assert load_records_jsonl(path)[0].exact_deltas == []
+
     def test_a_records_older_errors_come_first(self, tmp_path):
         # trial -1 is new to the checks; a final above n is the older error
         path = tmp_path / "records.csv"

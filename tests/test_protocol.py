@@ -221,6 +221,26 @@ class TestProcessProperties:
         assert rep.neg_corr_ok and rep.var_ok
 
 
+class TestTinyOraclesPinned:
+    """The tiny-instance oracles pinned bit for bit across commits. Reprs are
+    hashed, so a value that changes type (np.float64 to float, np.True_ to
+    True, 0 to 0.0) fails as a changed value would."""
+
+    DIGEST = "181f5a085bf544accfee063f562a53426ff0c7afe40900bfb191f0ebe6bf61aa"
+
+    def test_every_instance_and_the_suite_match_their_digest(self):
+        h = hashlib.sha256()
+        for name, g, informed, q, kind in iter_tiny_instances():
+            dist = enumerate_joint_distribution(kind, g, informed, q)
+            report = verify_process_properties(kind, g, informed, q)
+            # support and marginals in insertion order, then every report field
+            row = (name, informed.tolist(), q, kind.value, list(dist.support.items()),
+                   list(dist.marginals.items()), dist.mean_size(), report)
+            h.update(repr(row).encode())
+        h.update(repr(verify_suite("tiny_exhaustive").checks).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestSampling:
     @pytest.mark.parametrize(
         "kind,graph,informed,q",

@@ -42,3 +42,23 @@ def test_decay_dichotomies(tmp_path):
     assert families == ["multiplicative"] * 8 + ["additive"] * 4
     for line in lines[1:]:
         assert 0.0 < float(line.split(",")[-1]) <= 1.0
+
+
+def test_bench_pairs_smoke():
+    # one pair of tiny runs, both sides on this checkout: the digests must match
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--parent", str(ROOT), "--workload", "stall",
+         "--pairs", "1", "--seconds", "0", "--tiny"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("pair 1 (parent first), parent/change: run_s ")
+    for name in ("run_s", "trial_rounds_per_s", "checks_per_s", "peak_rss_mb", "setup_s"):
+        assert any(line.startswith(f"{name} ") and line.endswith("is better)") for line in lines)
+    assert "; match" in lines[-3] and lines[-2] == "runs whose passes disagreed: parent 0, change 0"
+    assert lines[-1] == "failed checks: parent 0, change 0"
