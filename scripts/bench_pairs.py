@@ -11,11 +11,15 @@ the same settings; which side runs first alternates from pair to pair, the
 parent first in pair 1. ``--change`` defaults to the checkout holding this
 script. For every end-to-end metric that ``BENCHMARK.json`` declares, the
 script prints each pair's values, each side's median and quartiles, and in
-how many pairs the change read better (ties count for neither side). Last it
-prints each side's pass digests, read from the report a run writes to
-``.perfbench/`` in its checkout, and whether they all match. It exits 1 when a
-run fails, reports failed checks, or a digest differs, between runs or between
-the passes of one run; it writes nothing under ``perfbench/``.
+how many pairs the change read better (ties count for neither side). A
+verdict line per metric then gives the median gap (positive when the change's
+median is better) against the parent's interquartile range, and whether a
+claimed gain would hold: the change better in at least 9 of every 10 pairs
+and the gap wider than that range. Last it prints each side's pass digests,
+read from the report a run writes to ``.perfbench/`` in its checkout, and
+whether they all match. It exits 1 when a run fails, reports failed checks,
+or a digest differs, between runs or between the passes of one run; it writes
+nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def compare(direction: str, parent: list[float], change: list[float]) -> tuple[int, float, float, bool]:
+    """For one metric over paired runs: the pairs the change read better (ties
+    count for neither side), the median gap (positive when the change's median
+    is better), the parent's interquartile range, and whether a claimed gain
+    holds: the change better in at least 9 of every 10 pairs and the gap wider
+    than that range."""
+    sign = -1 if direction == "lower" else 1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, med, q3 = quartiles(parent)
+    gap = sign * (quartiles(change)[1] - med)
+    return wins, gap, q3 - q1, 10 * wins >= 9 * len(parent) and gap > q3 - q1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -92,16 +109,17 @@ def main(argv=None) -> int:
     seed = "default" if args.seed is None else args.seed
     print(f"\n{args.workload} seed={seed}: {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':20s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} change better")
+    verdicts = []
     for name, direction in better.items():
-        cells = []
-        for side in ("parent", "change"):
-            q1, med, q3 = quartiles([r["metrics"][name] for r in runs[side]])
-            cells.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
-        wins = sum(
-            (c["metrics"][name] < p["metrics"][name]) if direction == "lower" else (c["metrics"][name] > p["metrics"][name])
-            for p, c in zip(runs["parent"], runs["change"])
-        )
+        values = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
+        cells = [f"{med:.6g} [{q1:.6g}, {q3:.6g}]" for q1, med, q3 in map(quartiles, values.values())]
+        wins, gap, iqr, holds = compare(direction, values["parent"], values["change"])
         print(f"{name:20s} {cells[0]:34s} {cells[1]:34s} {wins}/{args.pairs} ({direction} is better)")
+        verdicts.append(
+            f"verdict {name}: median gap {gap:+.6g} against parent IQR {iqr:.6g}, better in "
+            f"{wins}/{args.pairs}: claim {'holds' if holds else 'does not hold'}"
+        )
+    print("\n".join(verdicts))
 
     digests = {side: sorted({r["digest"] for r in runs[side]}) for side in runs}
     failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}

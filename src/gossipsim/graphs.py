@@ -72,8 +72,20 @@ LANCZOS_TOL = 1e-13
 COMPLEMENT_BLOCK = 1 << 22
 
 
+def _check_vertex_count(n: int) -> None:
+    """Raise :class:`RangeError` unless ``n`` is an integer of at least 2."""
+    if n < 2:
+        raise RangeError(f"need at least 2 vertices, got {n}")
+    # type() rather than isinstance(n, int), which would let a bool through
+    if type(n) is not int and not isinstance(n, np.integer):
+        raise RangeError(f"vertex count must be an integer, got {n!r}")
+
+
 def _check_regular(n: int, d: int) -> None:
     """Raise the typed error for an (n, d) that no d-regular graph has."""
+    _check_vertex_count(n)
+    if type(d) is not int and not isinstance(d, np.integer):
+        raise RangeError(f"degree must be an integer, got {d!r}")
     if (n * d) % 2 != 0:
         raise ParityError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
@@ -97,8 +109,6 @@ class GraphSnapshot:
     adj: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise RangeError(f"need at least 2 vertices, got {self.n}")
         _check_regular(self.n, self.d)
         if self.adj is not None:
             self.adj = np.ascontiguousarray(self.adj, dtype=np.int64)
@@ -119,11 +129,14 @@ class GraphSnapshot:
             raise RangeError("self-loop in adjacency")
         if self.d > 1 and not (adj[:, 1:] > adj[:, :-1]).all():
             raise RangeError("neighbor rows must be strictly ascending (sorted, no duplicates)")
-        # rows ascend, so the forward arc keys are already sorted
-        rows = np.repeat(ids, self.d)
-        forward = rows * self.n + adj.ravel()
-        backward = np.sort(adj.ravel() * self.n + rows)
-        if not (forward == backward).all():
+        # Rows ascend, so the arc keys u*n + v are sorted in row-major order;
+        # the graph is symmetric when the sorted reversed keys v*n + u are the
+        # same keys, row u being adj[u] + u*n.
+        backward = adj * self.n
+        backward += ids[:, None]
+        backward.ravel().sort()
+        backward -= ids[:, None] * self.n
+        if not (backward == adj).all():
             raise RangeError("adjacency is not symmetric")
 
     # -- queries ----------------------------------------------------------
@@ -194,7 +207,8 @@ def _kept_pairs(keys: np.ndarray, thrown: np.ndarray) -> tuple[np.ndarray, np.nd
     """Pairs ``lo <= hi``, keyed ``lo*n + hi``, added in order to an edge set,
     with ``thrown`` marking the self-loops: that mask with the later copies
     marked too (in place), and the kept keys, ascending."""
-    ordered = np.sort(keys[~thrown])
+    ordered = keys[~thrown]
+    ordered.sort()
     dup = ordered[1:] == ordered[:-1]
     repeated = ordered[1:][dup]
     if len(repeated):
@@ -237,18 +251,31 @@ def _snapshot_from_keys(n: int, keys: np.ndarray, complement: bool = False) -> G
     the complement of that graph.
 
     Both directions of every edge are sorted together in one pass, so each
-    vertex's neighbors come out as a contiguous ascending run.
+    vertex's neighbors come out as a contiguous ascending run; subtracting
+    row u's base u*n from that run, in place, leaves its adjacency row.
     """
-    lo = keys // n
-    arcs = np.sort(np.concatenate([keys, (keys - lo * n) * n + lo]))
-    rows = arcs // n
-    degrees = np.bincount(rows, minlength=n)
-    if len(degrees) == 0 or degrees.min() != degrees.max():
-        raise DegreeError(f"graph is not regular, degrees {np.unique(degrees).tolist()}")
-    adj = (arcs - rows * n).reshape(n, int(degrees[0]))
-    if complement:
-        adj = _complement_rows(n, adj)
-    return GraphSnapshot(n=n, d=adj.shape[1], adj=adj)
+    m = len(keys)
+    arcs = np.empty(2 * m, dtype=np.int64)
+    arcs[:m] = keys
+    reversed_keys = arcs[m:]
+    np.remainder(keys, n, out=reversed_keys)
+    reversed_keys *= n
+    reversed_keys += keys // n
+    arcs.sort()
+    d, extra = divmod(2 * m, n)
+    if not extra:
+        adj = arcs.reshape(n, d)
+        bases = np.arange(0, n * n, n)[:, None]
+        adj -= bases
+        # The sorted arcs give every vertex d neighbours exactly when each
+        # row's first and last arc lie in that row.
+        if d == 0 or (adj[:, 0].min() >= 0 and adj[:, -1].max() < n):
+            if complement:
+                adj = _complement_rows(n, adj)
+            return GraphSnapshot(n=n, d=adj.shape[1], adj=adj)
+        adj += bases
+    degrees = np.bincount(arcs // n, minlength=n)
+    raise DegreeError(f"graph is not regular, degrees {np.unique(degrees).tolist()}")
 
 
 def from_edge_list(n: int, edges) -> GraphSnapshot:
@@ -256,7 +283,12 @@ def from_edge_list(n: int, edges) -> GraphSnapshot:
 
     Errors name the first offending edge in input order.
     """
+    _check_vertex_count(n)
+    edges = list(edges)
     pairs = np.array([(int(u), int(v)) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+    inexact = next((e for e, p in zip(edges, pairs.tolist()) if list(e) != p), None)
+    if inexact is not None:
+        raise RangeError(f"edge ({inexact[0]},{inexact[1]}) has a non-integer vertex")
     outside = np.flatnonzero((pairs < 0).any(axis=1) | (pairs >= n).any(axis=1))
     if len(outside):
         u, v = pairs[outside[0]].tolist()
@@ -321,15 +353,19 @@ def _pair_stubs(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
     rng.shuffle(stubs)
     lo = np.minimum(stubs[0::2], stubs[1::2])
     hi = np.maximum(stubs[0::2], stubs[1::2])
-    keys = lo * n + hi
-    thrown, first = _kept_pairs(keys, lo == hi)
-    rlo, rhi = lo[thrown], hi[thrown]
+    del stubs
+    loops = lo == hi
+    keys = lo  # built in place; lo is read back as keys // n
+    keys *= n
+    keys += hi
+    thrown, first = _kept_pairs(keys, loops)
+    rlo, rhi = keys[thrown] // n, hi[thrown]
     left = np.zeros(n, dtype=bool)
     left[rlo] = True
     left[rhi] = True
     # A thrown pair adds nothing: a later copy has its kept copy's key, and a
     # self-loop's key is never looked up.
-    edges = set(keys[left[lo] & left[hi]].tolist())
+    edges = set(keys[left[keys // n] & left[hi]].tolist())
     later: list[int] = []
     # Each rejected pair's ends, smaller end first, in pair order.
     rejected = [v for pair in zip(rlo.tolist(), rhi.tolist()) for v in pair]
@@ -595,8 +631,7 @@ class MatchingSequence:
     seed: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise RangeError(f"need at least 2 vertices, got {self.n}")
+        _check_vertex_count(self.n)
         if self.n % 2 != 0:
             raise ParityError(f"matching sequence needs even n, got {self.n}")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -452,6 +453,20 @@ class TestSpectral:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_generator_working_memory_is_a_few_adjacencies(self):
+        # Pairing, arc sort and symmetry check work in place, so the peak is
+        # ~2.8x the adjacency; a fresh array per stage reads ~8x.
+        tracemalloc.start()
+        try:
+            g = generate_random_regular(16384, 32, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hashlib.sha256(g.adj.tobytes()).hexdigest() == (
+            "21a4ce452a614296ae572722a6e0e1c97d945bce3c016a0e3bfdd3c9992e3660"
+        )
+        assert peak < 4 * g.adj.nbytes
+
 
 def min_conductance(g, k):
     """phi_k: the least conductance over nonempty vertex sets of size <= k."""
@@ -652,6 +667,33 @@ class TestSnapshotValidation:
             GraphSnapshot(n, d)
 
 
+class TestIntegerSizes:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: generate_random_regular(10.0, 3, seed=1), "vertex count must be an integer, got 10.0"),
+            (lambda: generate_random_regular(10, 3.0, seed=1), "degree must be an integer, got 3.0"),
+            (lambda: generate_random_regular(4, True, seed=1), "degree must be an integer, got True"),
+            (lambda: generate_random_regular(math.nan, 3, seed=1), "vertex count must be an integer, got nan"),
+            (lambda: ResampledRegular(10.0, 3, 0), "vertex count must be an integer, got 10.0"),
+            (lambda: GraphSnapshot(n=4.0, d=3), "vertex count must be an integer, got 4.0"),
+            (lambda: complete_graph(4.0), "vertex count must be an integer, got 4.0"),
+            (lambda: MatchingSequence(8.0, 0), "vertex count must be an integer, got 8.0"),
+            (lambda: from_edge_list(4.0, [(0, 1), (1, 2), (2, 3), (3, 0)]), "vertex count must be an integer"),
+            (lambda: parse_graph_spec("regular:-8,3"), "need at least 2 vertices, got -8"),
+        ],
+        ids=["generator-n", "generator-d", "generator-bool-d", "generator-nan", "resampled", "snapshot",
+             "complete", "matching", "edge-list", "negative-n"],
+    )
+    def test_non_integer_sizes_raise_range_error(self, build, message):
+        with pytest.raises(RangeError, match=re.escape(message)):
+            build()
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        g = generate_random_regular(np.int64(10), np.int64(3), seed=1)
+        assert np.array_equal(g.adj, generate_random_regular(10, 3, seed=1).adj)
+
+
 class TestGraphFile:
     def test_roundtrip(self, tmp_path):
         g = generate_random_regular(20, 3, seed=1)
@@ -709,6 +751,23 @@ class TestGraphFile:
         with pytest.raises(error) as info:
             from_edge_list(n, edges)
         assert message in str(info.value)
+
+    def test_irregular_edge_list_with_a_whole_degree_names_the_degrees(self):
+        # 8 arcs on 4 vertices fill 4 rows of 2, but vertex 0 has 3 neighbours
+        with pytest.raises(DegreeError, match=re.escape("degrees [1, 2, 3]")):
+            from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0.5, 1), (1, 2), (2, 3), (3, 0)], "edge (0.5,1) has a non-integer vertex"),
+            ([(0, 1), (1, 2.25), (2, 9)], "edge (1,2.25) has a non-integer vertex"),
+        ],
+    )
+    def test_edge_list_rejects_fractional_vertices(self, edges, message):
+        # int() would truncate 0.5 to 0 and return the 4-cycle
+        with pytest.raises(RangeError, match=re.escape(message)):
+            from_edge_list(4, edges)
 
 
 class TestGraphSpecParsing:

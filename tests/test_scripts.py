@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -60,5 +61,25 @@ def test_bench_pairs_smoke():
     assert lines[0].startswith("pair 1 (parent first), parent/change: run_s ")
     for name in ("run_s", "trial_rounds_per_s", "checks_per_s", "peak_rss_mb", "setup_s"):
         assert any(line.startswith(f"{name} ") and line.endswith("is better)") for line in lines)
+        assert any(
+            line.startswith(f"verdict {name}: median gap ") and " against parent IQR 0, better in " in line
+            and line.endswith(("/1: claim holds", "/1: claim does not hold"))
+            for line in lines
+        )
     assert "; match" in lines[-3] and lines[-2] == "runs whose passes disagreed: parent 0, change 0"
     assert lines[-1] == "failed checks: parent 0, change 0"
+
+
+def test_bench_pairs_claim_rule():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    # parent median 11, quartiles 10 and 12
+    parent = [10.0] * 5 + [12.0] * 5
+    assert bench_pairs.compare("lower", parent, [8.0] * 10) == (10, 3.0, 2.0, True)
+    assert bench_pairs.compare("lower", parent, [8.0] * 9 + [13.0]) == (9, 3.0, 2.0, True)
+    assert bench_pairs.compare("lower", parent, [8.0] * 8 + [13.0] * 2) == (8, 3.0, 2.0, False)
+    assert bench_pairs.compare("lower", parent, [9.5] * 10) == (10, 1.5, 2.0, False)
+    assert bench_pairs.compare("lower", parent, parent) == (0, 0.0, 2.0, False)
+    assert bench_pairs.compare("higher", parent, [14.0] * 9 + [9.0]) == (9, 3.0, 2.0, True)
+    assert bench_pairs.compare("higher", parent, [8.0] * 10) == (0, -3.0, 2.0, False)
