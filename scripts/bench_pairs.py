@@ -15,11 +15,15 @@ how many pairs the change read better (ties count for neither side). A
 verdict line per metric then gives the median gap (positive when the change's
 median is better) against the parent's interquartile range, and whether a
 claimed gain would hold: the change better in at least 9 of every 10 pairs
-and the gap wider than that range. Last it prints each side's pass digests,
-read from the report a run writes to ``.perfbench/`` in its checkout, and
-whether they all match. It exits 1 when a run fails, reports failed checks,
-or a digest differs, between runs or between the passes of one run; it writes
-nothing under ``perfbench/``.
+and the gap wider than that range. A regression line per metric compares the
+change's median with the parent's against the metric's ``bound`` in
+``BENCHMARK.json``: ``unresolved`` when the parent's IQR/median is wider than
+the bound and not every change run beats every parent run, else ``regressed``
+when the change is worse by more than the bound, else ``within bound``. Last
+it prints each side's pass digests, read from the report a run writes to
+``.perfbench/`` in its checkout, and whether they all match. It exits 1 when
+a run fails, reports failed checks, or a digest differs, between runs or
+between the passes of one run; it writes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -79,6 +83,23 @@ def compare(direction: str, parent: list[float], change: list[float]) -> tuple[i
     return wins, gap, q3 - q1, 10 * wins >= 9 * len(parent) and gap > q3 - q1
 
 
+def regression(direction: str, bound: float, parent: list[float], change: list[float]) -> tuple[float, float, str]:
+    """For one metric over paired runs: how much worse the change's median is
+    than the parent's, as a fraction of the parent's (negative when better),
+    the parent's IQR/median, and the verdict against ``bound``: "unresolved"
+    when that spread is wider than the bound and not every change run beats
+    every parent run, else "regressed" when the change is worse by more than
+    the bound, else "within bound"."""
+    sign = -1 if direction == "lower" else 1
+    q1, med, q3 = quartiles(parent)
+    worse = sign * (med - quartiles(change)[1]) / med
+    spread = (q3 - q1) / med
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread > bound and not beats_all:
+        return worse, spread, "unresolved"
+    return worse, spread, "regressed" if worse > bound else "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -94,6 +115,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -115,10 +137,13 @@ def main(argv=None) -> int:
         cells = [f"{med:.6g} [{q1:.6g}, {q3:.6g}]" for q1, med, q3 in map(quartiles, values.values())]
         wins, gap, iqr, holds = compare(direction, values["parent"], values["change"])
         print(f"{name:20s} {cells[0]:34s} {cells[1]:34s} {wins}/{args.pairs} ({direction} is better)")
-        verdicts.append(
+        worse, spread, status = regression(direction, bounds[name], values["parent"], values["change"])
+        verdicts += [
             f"verdict {name}: median gap {gap:+.6g} against parent IQR {iqr:.6g}, better in "
-            f"{wins}/{args.pairs}: claim {'holds' if holds else 'does not hold'}"
-        )
+            f"{wins}/{args.pairs}: claim {'holds' if holds else 'does not hold'}",
+            f"regression {name}: change median {abs(worse):.1%} {'worse' if worse > 0 else 'better'}, "
+            f"parent IQR/median {spread:.1%}, bound {bounds[name]:.0%}: {status}",
+        ]
     print("\n".join(verdicts))
 
     digests = {side: sorted({r["digest"] for r in runs[side]}) for side in runs}

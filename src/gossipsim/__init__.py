@@ -57,7 +57,6 @@ from .harness import (
 from .plotting import plot_trajectories
 from .predictor import (
     PhasePlan,
-    PredictorConfig,
     additive_thresholds,
     fixed_q_runtime,
     general_lower_T,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import KindError, RangeError
+from .errors import DomainError, KindError, RangeError
 from .protocol import ProtocolKind
 
 __all__ = [
@@ -140,8 +140,13 @@ def shrink_bounds(kind: ProtocolKind, q: float, phi: float, d: int) -> BoundSet:
 def fixed_q_log_rates(kind: ProtocolKind, q: float) -> tuple[float, float]:
     """Leading-order (log-growth, log-shrink) rates per round at constant q in (0, 1].
 
-    PULL at q = 1 has no shrink rate (log(1 - q) diverges); callers reject it.
+    A q outside (0, 1] raises :class:`RangeError`; PULL at q = 1 has no shrink
+    rate (log(1 - q) diverges) and raises :class:`DomainError`.
     """
+    if not 0.0 < q <= 1.0:
+        raise RangeError(f"q must be in (0, 1], got {q}")
+    if kind is ProtocolKind.PULL and q == 1.0:
+        raise DomainError("PULL shrink rate undefined at q = 1 (log(1-q) diverges)")
     grow = math.log1p(GROWTH_CONSTANT[kind] * q)
     if kind is ProtocolKind.PUSH:
         return grow, q

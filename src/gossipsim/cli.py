@@ -129,8 +129,6 @@ def _cmd_predict(args) -> int:
     if n < 3:
         raise RangeError(f"need n >= 3, got {n}")
     lam = args.lam
-    if lam is not None and not 0.0 <= lam <= 1.0:
-        raise RangeError(f"lambda must be in [0, 1], got {lam}")
     if args.graph_file:
         g = load_graph(args.graph_file)
         if g.n != n:

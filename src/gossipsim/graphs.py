@@ -70,6 +70,8 @@ LANCZOS_TOL = 1e-13
 # Cells in one row block of a boolean (rows, n) scratch array: the complement
 # rows here and protocol.sample_delta_sizes' receiver mask.
 COMPLEMENT_BLOCK = 1 << 22
+# Whole-graph pairings generate_random_regular draws before it gives up.
+MAX_ATTEMPTS = 10_000
 
 
 def _check_vertex_count(n: int) -> None:
@@ -394,9 +396,7 @@ def _pair_stubs(n: int, d: int, rng: np.random.Generator) -> np.ndarray | None:
     return np.concatenate([first, np.array(later, dtype=np.int64)])
 
 
-def generate_random_regular(
-    n: int, d: int, seed: int, max_retries: int = 10_000
-) -> GraphSnapshot:
+def generate_random_regular(n: int, d: int, seed: int) -> GraphSnapshot:
     """Random simple d-regular graph from the stub-pairing model.
 
     Stubs are paired uniformly at random; pairs that would create a
@@ -405,17 +405,18 @@ def generate_random_regular(
     stubs exists (Steger & Wormald 1999). For d > (n-1)/2, where almost
     every pairing is rejected, the (n-1-d)-regular graph is paired from the
     same stream and its complement returned. Deterministic given ``seed``;
-    raises :class:`RetryExhausted` after ``max_retries`` whole-graph
+    raises :class:`RetryExhausted` after ``MAX_ATTEMPTS`` whole-graph
     rejections.
     """
     _check_regular(n, d)
     rng = rng_for(seed)
     complement = 2 * d > n - 1
-    for _ in range(max_retries):
+    attempts = MAX_ATTEMPTS
+    for _ in range(attempts):
         keys = _pair_stubs(n, n - 1 - d if complement else d, rng)
         if keys is not None:
             return _snapshot_from_keys(n, keys, complement)
-    raise RetryExhausted(f"no simple {d}-regular graph found in {max_retries} attempts")
+    raise RetryExhausted(f"no simple {d}-regular graph found in {attempts} attempts")
 
 
 # -- cuts and conductance ---------------------------------------------------

@@ -37,7 +37,6 @@ from .graphs import (
     matching_graph,
 )
 from .predictor import (
-    PredictorConfig,
     fixed_q_runtime,
     harmonic_sum_check,
     multiplicative_product_check,
@@ -676,14 +675,13 @@ def _verify_predictor_claims() -> dict[str, dict]:
     ]
 
     # At the theory's xi = 1e-30 every tau2 threshold sits at the 1/xi^2
-    # scale, far beyond any scan; a larger configured xi keeps the
-    # closed-form comparison meaningful.
-    cfg = PredictorConfig(xi=0.5)
+    # scale, far beyond any scan; a larger xi keeps the closed-form
+    # comparison meaningful.
     closed = [
         f"tau2 closed form a={a}"
         for a, b, c_grow, nu in ((2.0, 500.0, 1.0, 0.3), (10.0, 1e5, 2.0, 0.7))
-        if tau2_rounds(lambda t: nu, 5, a, b, c_grow, cfg)
-        != 5 + math.ceil(tau2_threshold(a, b, c_grow, cfg.xi) / math.log1p(nu))
+        if tau2_rounds(lambda t: nu, 5, a, b, c_grow, xi=0.5)
+        != 5 + math.ceil(tau2_threshold(a, b, c_grow, xi=0.5) / math.log1p(nu))
     ] + [
         f"tau3 closed form c={c}"
         for c, d_, c_shrink, nu in ((250.0, 0.75, 0.5, 0.2), (4096.0, 12.0, 0.9, 0.05))

@@ -5,12 +5,19 @@ The two aggregate stopping rules work on sums of logarithmic growth
 ``sum log(1 + nu_t)`` crosses a threshold depending on the size targets
 [A, B], and guarantees B informed vertices with high probability; the
 shrinking rule is the dual for the uninformed side over [C, D]. Their
-thresholds carry a correction factor ``(1 - (1-xi) A^-xi)^2`` with
-xi = 1e-30; evaluated naively in doubles that factor underflows to 0, so
-:func:`growth_correction` computes it through ``expm1``. With A = 1 the
-factor is xi**2 = 1e-60 and the threshold is astronomically large (still a
-representable float); starting phases at A = log n, as the phase schedule
-does, is the practical path.
+thresholds carry a correction factor ``(1 - (1-xi) A^-xi)^2``, xi a
+keyword of every predictor that reads it (default ``XI``, the theory's
+1e-30; :class:`RangeError` outside (0, 1)). Evaluated naively in doubles
+that factor underflows to 0, so :func:`growth_correction` computes it
+through ``expm1``. With A = 1 the factor is xi**2 = 1e-60 and the threshold
+is astronomically large (still a representable float); starting phases at
+A = log n, as the phase schedule does, is the practical path.
+
+Scans stop after ``ROUND_CAP`` rounds: the ``*_rounds`` scans and
+:func:`general_strong_T` then raise :class:`Unreached`, and
+:func:`general_lower_T` returns ``math.inf``. A constant q outside (0, 1]
+or a lambda outside [0, 1] ([0, 1) for :func:`general_strong_T`) raises
+:class:`RangeError`, and PULL at q = 1 :class:`DomainError`.
 
 Point predictions (fixed-q runtimes, phase durations) are leading-order:
 the vanishing correction factors are dropped, so experiments compare them
@@ -25,7 +32,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .bounds import GROWTH_CONSTANT, _check_size, basic_growth_bounds, fixed_q_log_rates, shrink_lower, spectral_factor
+from .bounds import GROWTH_CONSTANT, _check_size, _check_unit, basic_growth_bounds, fixed_q_log_rates
+from .bounds import shrink_lower, spectral_factor
 from .credibility import Additive, Constant, Credibility, Multiplicative, PowerLaw
 from .errors import (
     AlphaRange,
@@ -41,7 +49,6 @@ from .errors import (
 from .protocol import ProtocolKind
 
 __all__ = [
-    "PredictorConfig",
     "ThresholdScaleWarning",
     "growth_correction",
     "tau2_threshold",
@@ -75,21 +82,27 @@ __all__ = [
 # Euler-Maclaurin tail (see powerlaw_expectation_bound).
 ZETA_EXACT_TERMS = 4096
 
+# The theory's xi, the default of every predictor that takes one.
+XI = 1e-30
+# Rounds a scan covers before it gives up; read at call time.
+ROUND_CAP = 1_000_000
+
 
 class ThresholdScaleWarning(UserWarning):
     """The requested threshold is astronomically large (A = 1 regime)."""
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
-    xi: float = 1e-30
-    round_cap: int = 1_000_000
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where that overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
-    def __post_init__(self):
-        if not 0.0 < self.xi < 1.0:
-            raise RangeError(f"xi must be in (0, 1), got {self.xi}")
-        if not self.round_cap >= 1:
-            raise RangeError(f"round cap must be >= 1, got {self.round_cap}")
+
+def _check_xi(xi: float) -> None:
+    if not 0.0 < xi < 1.0:
+        raise RangeError(f"xi must be in (0, 1), got {xi}")
 
 
 def growth_correction(a: float, xi: float) -> float:
@@ -100,11 +113,12 @@ def growth_correction(a: float, xi: float) -> float:
     """
     if not a >= 1.0:
         raise RangeError(f"size threshold must be >= 1, got {a}")
+    _check_xi(xi)
     decayed = math.exp(-xi * math.log(a))
     return -math.expm1(-xi * math.log(a)) + xi * decayed
 
 
-def tau2_threshold(a: float, b: float, c_grow: float, xi: float = 1e-30) -> float:
+def tau2_threshold(a: float, b: float, c_grow: float, xi: float = XI) -> float:
     """Log-growth total that certifies going from A to B informed vertices.
 
     (log(B/A) + (log(B/A) + log(1 + c_grow) + 1)^(2/3)) / (1 - (1-xi) A^-xi)^2.
@@ -133,21 +147,14 @@ def tau3_threshold(c: float, d: float, c_shrink: float) -> float:
     return (ratio + (ratio - math.log(1.0 - c_shrink) + 1.0) ** (2.0 / 3.0)) / gamma
 
 
-def tau2_rounds(
-    nu,
-    t1: int,
-    a: float,
-    b: float,
-    c_grow: float,
-    cfg: PredictorConfig = PredictorConfig(),
-) -> int:
+def tau2_rounds(nu, t1: int, a: float, b: float, c_grow: float, xi: float = XI) -> int:
     """Minimal s >= t1 with sum_{t=t1}^{s-1} log(1 + nu(t)) >= tau2_threshold.
 
     ``nu`` maps a round index to the deterministic per-round growth lower
     bound. Raises :class:`Unreached` if the sum has not crossed after
-    ``cfg.round_cap`` scanned rounds.
+    ``ROUND_CAP`` scanned rounds.
     """
-    threshold = tau2_threshold(a, b, c_grow, cfg.xi)
+    threshold = tau2_threshold(a, b, c_grow, xi)
     if a == 1.0:
         warnings.warn(
             "A = 1 puts the threshold at the 1/xi^2 scale; phase plans starting "
@@ -156,35 +163,28 @@ def tau2_rounds(
             stacklevel=2,
         )
     acc = 0.0
-    for s in range(t1, t1 + cfg.round_cap + 1):
+    for s in range(t1, t1 + ROUND_CAP + 1):
         if acc >= threshold:
             return s
         rate = nu(s)
         if rate < 0:
             raise RangeError(f"nu({s}) = {rate} must be >= 0")
         acc += math.log1p(rate)
-    raise Unreached(cfg.round_cap)
+    raise Unreached(ROUND_CAP)
 
 
-def tau3_rounds(
-    nu,
-    t2: int,
-    c: float,
-    d: float,
-    c_shrink: float,
-    cfg: PredictorConfig = PredictorConfig(),
-) -> int:
+def tau3_rounds(nu, t2: int, c: float, d: float, c_shrink: float) -> int:
     """Minimal s >= t2 with sum_{t=t2}^{s-1} log(1 - nu(t)) <= -tau3_threshold."""
     threshold = tau3_threshold(c, d, c_shrink)
     acc = 0.0
-    for s in range(t2, t2 + cfg.round_cap + 1):
+    for s in range(t2, t2 + ROUND_CAP + 1):
         if acc <= -threshold:
             return s
         rate = nu(s)
         if not 0.0 <= rate < 1.0:
             raise RangeError(f"nu({s}) = {rate} must be in [0, 1)")
         acc += math.log1p(-rate)
-    raise Unreached(cfg.round_cap)
+    raise Unreached(ROUND_CAP)
 
 
 # -- fixed credibility --------------------------------------------------------
@@ -200,12 +200,8 @@ def fixed_q_runtime(kind: ProtocolKind, q: float, n: int) -> float:
     The (1 + o(1)) factor is dropped; treat the result as a leading-order
     point estimate, not a bound.
     """
-    if not 0.0 < q <= 1.0:
-        raise RangeError(f"q must be in (0, 1], got {q}")
-    _check_size("n", n, 2)
-    if kind is ProtocolKind.PULL and q == 1.0:
-        raise DomainError("PULL runtime undefined at q = 1 (log(1-q) diverges)")
     grow, shrink = fixed_q_log_rates(kind, q)
+    _check_size("n", n, 2)
     return (1.0 / grow + 1.0 / shrink) * math.log(n)
 
 
@@ -247,16 +243,11 @@ def phase_schedule(kind: ProtocolKind, q: float, n: int, lam: float = 0.0) -> Ph
     log log n scale. Duration bounds are leading-order.
     """
     _check_size("n", n, 3)
-    if not 0.0 <= lam <= 1.0:
-        raise RangeError(f"lambda must be in [0, 1], got {lam}")
-    if not 0.0 < q <= 1.0:
-        raise RangeError(f"q must be in (0, 1], got {q}")
-    if kind is ProtocolKind.PULL and q == 1.0:
-        raise DomainError("PULL schedule undefined at q = 1 (log(1-q) diverges)")
+    _check_unit("lambda", lam)
+    grow_den, shrink_den = fixed_q_log_rates(kind, q)
 
     log_n = math.log(n)
     log_log_n = math.log(log_n)
-    grow_den, shrink_den = fixed_q_log_rates(kind, q)
 
     # not refined_spectral_lower: its |I| <= n/2 guard rejects 1/log n for n <= 7
     if kind is ProtocolKind.PULL:
@@ -302,8 +293,8 @@ def _expander_threshold(log_n: float, gamma: float, xi: float) -> float:
     return (log_n + 7.0 * log_n ** (2.0 / 3.0)) / growth_correction(log_n, xi) ** 2 / gamma
 
 
-def _crossing(q: Credibility, scale: float, target: float, strict: bool, cfg: PredictorConfig) -> int | str:
-    """Least T <= cfg.round_cap with sum_{t<=T} log(1 + scale q(t)) >= target
+def _crossing(q: Credibility, scale: float, target: float, strict: bool) -> int | str:
+    """Least T <= ROUND_CAP with sum_{t<=T} log(1 + scale q(t)) >= target
     (> when ``strict``), or, as text, the reason no such T exists.
 
     A constant tail ends the scan with one division; each term is at most
@@ -311,7 +302,7 @@ def _crossing(q: Credibility, scale: float, target: float, strict: bool, cfg: Pr
     """
     const = q.constant_from()
     acc = 0.0
-    for t in range(cfg.round_cap + 1):
+    for t in range(ROUND_CAP + 1):
         if const is not None and t >= const[0]:
             inc = math.log1p(scale * const[1])
             if inc == 0.0:
@@ -320,7 +311,7 @@ def _crossing(q: Credibility, scale: float, target: float, strict: bool, cfg: Pr
             if jump == math.inf:
                 return "constant credibility too small to reach the threshold"
             return t + math.floor(jump) if strict else t + math.ceil(jump) - 1
-        if const is None and acc + math.log1p(scale) * (cfg.round_cap - t + 1) < target:
+        if const is None and acc + math.log1p(scale) * (ROUND_CAP - t + 1) < target:
             return "threshold beyond reach of the round cap"
         acc += math.log1p(scale * q.value_at(t))
         if (acc > target) if strict else (acc >= target):
@@ -328,16 +319,10 @@ def _crossing(q: Credibility, scale: float, target: float, strict: bool, cfg: Pr
         bound = acc + scale * q.tail_sum_bound(t + 1)
         if (bound <= target) if strict else (bound < target):
             return "log-growth series converges below the threshold"
-    return f"threshold not reached within {cfg.round_cap} rounds"
+    return f"threshold not reached within {ROUND_CAP} rounds"
 
 
-def general_strong_T(
-    q: Credibility,
-    lam: float,
-    n: int,
-    kind: ProtocolKind,
-    cfg: PredictorConfig = PredictorConfig(),
-) -> GeneralStrongResult:
+def general_strong_T(q: Credibility, lam: float, n: int, kind: ProtocolKind, xi: float = XI) -> GeneralStrongResult:
     """Minimal T with sum_{t=0}^{T} log(1 + q(t)) >= threshold(n, lambda, kind).
 
     The threshold is (1/gamma) (log n + 7 (log n)^(2/3)) / (1-(1-xi)(log n)^-xi)^2
@@ -357,21 +342,15 @@ def general_strong_T(
     gamma = _expander_gamma(kind, lam, log_n)
     if gamma <= 0.0:
         raise GammaNonpositive(f"gamma = {gamma} <= 0; spectral slack too large")
-    threshold = _expander_threshold(log_n, gamma, cfg.xi)
+    threshold = _expander_threshold(log_n, gamma, xi)
     epsilon = 1.0 - q.sup_from(math.ceil(log_n / (2.0 * math.log(2.0))))
-    rounds = _crossing(q, 1.0, threshold, False, cfg)
+    rounds = _crossing(q, 1.0, threshold, False)
     if isinstance(rounds, str):
-        raise Unreached(cfg.round_cap, rounds)
+        raise Unreached(ROUND_CAP, rounds)
     return GeneralStrongResult(rounds, threshold, gamma, epsilon, epsilon_ok=epsilon >= 1.0 / log_n)
 
 
-def general_lower_T(
-    q: Credibility,
-    psi: float,
-    n: int,
-    rho: float,
-    cfg: PredictorConfig = PredictorConfig(),
-) -> int | float:
+def general_lower_T(q: Credibility, psi: float, n: int, rho: float) -> int | float:
     """Maximal T with sum_{t=0}^{T-1} log(1 + psi q(t)) <= log n + log rho.
 
     Up to round T the expected informed count is still at most rho * n.
@@ -388,7 +367,7 @@ def general_lower_T(
     target = math.log(n) + math.log(rho)
     if target < 0.0:
         return 0
-    rounds = _crossing(q, psi, target, True, cfg)
+    rounds = _crossing(q, psi, target, True)
     return math.inf if isinstance(rounds, str) else rounds
 
 
@@ -420,10 +399,7 @@ def powerlaw_expectation_bound(alpha: float, c_grow: float) -> float:
         + cut ** (-alpha) / 2.0
         + alpha * cut ** (-alpha - 1.0) / 12.0
     )
-    try:
-        return math.exp(c_grow * (head + tail))
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(c_grow * (head + tail))
 
 
 @dataclass(frozen=True)
@@ -440,9 +416,7 @@ class PowerLawThresholds:
     alpha_one_branch: bool
 
 
-def powerlaw_thresholds(
-    alpha: float, phi_lb: float, psi_ub: float, n: int, xi: float = 1e-30
-) -> PowerLawThresholds:
+def powerlaw_thresholds(alpha: float, phi_lb: float, psi_ub: float, n: int, xi: float = XI) -> PowerLawThresholds:
     """Dichotomy rounds for power-law credibility with alpha in (0, 1].
 
     For alpha < 1: t1_max = k1 ((1/psi) log n)^(1/(1-alpha)) with
@@ -458,17 +432,12 @@ def powerlaw_thresholds(
     if not psi_ub > 0.0:
         raise RangeError(f"psi upper bound must be positive, got {psi_ub}")
     _check_size("n", n, 3)
+    _check_xi(xi)
     log_n = math.log(n)
 
-    def safe_exp(x: float) -> float:
-        try:
-            return math.exp(x)
-        except OverflowError:
-            return math.inf
-
     if alpha == 1.0:
-        t1 = safe_exp(log_n / (2.0 * psi_ub) - 1.0)
-        t2 = safe_exp((4.0 / phi_lb) * (2.0 / xi + 1.0) * log_n)
+        t1 = _exp_or_inf(log_n / (2.0 * psi_ub) - 1.0)
+        t2 = _exp_or_inf((4.0 / phi_lb) * (2.0 / xi + 1.0) * log_n)
         return PowerLawThresholds(t1_max=t1, t2_min=t2, alpha_one_branch=True)
 
     power = 1.0 / (1.0 - alpha)
@@ -477,7 +446,7 @@ def powerlaw_thresholds(
         math.log(16.0 * (1.0 - alpha) / (phi_lb * xi)) + math.log(log_n / phi_lb)
     )
     return PowerLawThresholds(
-        t1_max=safe_exp(log_t1), t2_min=safe_exp(log_t2), alpha_one_branch=False
+        t1_max=_exp_or_inf(log_t1), t2_min=_exp_or_inf(log_t2), alpha_one_branch=False
     )
 
 
@@ -493,9 +462,7 @@ class AdditiveThresholds:
     alpha_lower_regime: float
 
 
-def additive_thresholds(
-    n: int, zeta: float, gamma_p: float, xi: float = 1e-30
-) -> AdditiveThresholds:
+def additive_thresholds(n: int, zeta: float, gamma_p: float, xi: float = XI) -> AdditiveThresholds:
     """Both critical alpha values for the additive dichotomy.
 
     Few-informed boundary: log(4/e) / (log n + log zeta) for
@@ -550,6 +517,8 @@ def predictor_comparison(
     schedules. Conductance floors that need lambda are included only when a
     measured lambda is supplied. Values are raw floats (possibly inf).
     """
+    if lam is not None:
+        _check_unit("lambda", lam)
     psi = GROWTH_CONSTANT[kind]
     if isinstance(cred, Constant):
         try:

@@ -223,6 +223,11 @@ def _check_complete_n(n) -> None:
         raise RangeError(f"K_n needs an integer n >= 2, got {n!r}")
 
 
+def _check_initial_count(n: int, informed_count) -> None:
+    if not isinstance(informed_count, (int, np.integer)) or not 1 <= informed_count <= n:
+        raise SetRangeError(f"initial informed count {informed_count!r} not an integer in [1, {n}]")
+
+
 def complete_delta_expectation(kind: ProtocolKind, n: int, informed_count, q):
     """:func:`exact_delta_expectation` on K_n, elementwise over counts and q.
 
@@ -284,8 +289,9 @@ def complete_size_law(kind: ProtocolKind, n: int, informed_count: int, q: float)
     so far, a pusher informs a new one with probability q (u - j)/(n-1));
     PUSH-PULL that law run on from the pull binomial.
     """
+    _check_complete_n(n)
     q = _check_q(q)
-    if not 1 <= informed_count <= n - 1:
+    if not isinstance(informed_count, (int, np.integer)) or not 1 <= informed_count <= n - 1:
         raise SetRangeError(f"informed size {informed_count} not in [1, {n - 1}]")
     return _complete_size_laws(kind, n, np.array([informed_count]), q)[0]
 
@@ -299,8 +305,12 @@ def complete_final_law(kind: ProtocolKind, n: int, q_values, initial_informed: i
     Round t uses credibility ``q_values[t]``. Each round pushes the law of
     |I_t| through :func:`complete_size_law` for every live count at once;
     counts whose probability falls below ``FORWARD_PRUNE`` are dropped, and
-    their total is returned with the law (entry m is P(|I_T| = m)).
+    their total is returned with the law (entry m is P(|I_T| = m)). n must be
+    an integer >= 2 (:class:`RangeError`) and ``initial_informed`` an integer
+    in [1, n] (:class:`SetRangeError`).
     """
+    _check_complete_n(n)
+    _check_initial_count(n, initial_informed)
     law = np.zeros(n + 1)
     law[initial_informed] = 1.0
     dropped = 0.0
@@ -407,8 +417,7 @@ def complete_chain(kind: ProtocolKind, n: int, informed_count: int, q: np.ndarra
     :class:`RangeError`, as :func:`step` does.
     """
     _check_complete_n(n)
-    if not isinstance(informed_count, (int, np.integer)) or not 1 <= informed_count <= n:
-        raise SetRangeError(f"initial informed count {informed_count!r} not an integer in [1, {n}]")
+    _check_initial_count(n, informed_count)
     bad = len(q)
     if bad and not (q.min() >= 0.0 and q.max() <= 1.0):
         bad = int(np.argmin((q >= 0.0) & (q <= 1.0)))  # the first round with q outside [0, 1]

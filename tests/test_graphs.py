@@ -294,14 +294,16 @@ class TestGeneratorIdentity:
             n += 1
         self._failed_attempts(n, d, seed)
 
-    def test_single_attempt_rejection_raises(self):
+    def test_single_attempt_rejection_raises(self, monkeypatch):
         # Seed 2 on (8, 3): the first pairing leaves only adjacent stubs.
         with pytest.raises(RetryExhausted):
             reference_random_regular(8, 3, 2, max_retries=1)
-        with pytest.raises(RetryExhausted):
-            generate_random_regular(8, 3, seed=2, max_retries=1)
+        monkeypatch.setattr(graphs, "MAX_ATTEMPTS", 1)
+        with pytest.raises(RetryExhausted, match="in 1 attempts"):
+            generate_random_regular(8, 3, seed=2)
         expected = reference_random_regular(8, 3, 2, max_retries=2)
-        assert np.array_equal(generate_random_regular(8, 3, seed=2, max_retries=2).adj, expected)
+        monkeypatch.setattr(graphs, "MAX_ATTEMPTS", 2)
+        assert np.array_equal(generate_random_regular(8, 3, seed=2).adj, expected)
 
     def test_resampled_snapshot_calls_module_generator(self, monkeypatch):
         # The benchmark tracer counts builds by patching this module global.

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gossipsim import graphs, harness, plotting, predictor, protocol
-from gossipsim.credibility import Constant
-from gossipsim.errors import AlphaRange, IoError, RangeError, SetRangeError, SizeGuardExceeded
+from gossipsim import bounds, graphs, harness, plotting, predictor, protocol
+from gossipsim.credibility import Additive, Constant, PowerLaw, Table
+from gossipsim.errors import AlphaRange, DomainError, IoError, RangeError, SetRangeError, SizeGuardExceeded
 from gossipsim.protocol import ProtocolKind
 
 
@@ -45,6 +45,46 @@ GUARDS = {
     "general_strong_T-lambda-1": (
         lambda tmp: predictor.general_strong_T(Constant(0.5), 1.0, 1000, ProtocolKind.PUSH),
         RangeError, "lambda must be in"),
+    **{
+        f"{name}-xi-{xi}": (lambda tmp, call=call, xi=xi: call(xi), RangeError, "xi must be in \\(0, 1\\)")
+        for name, call in {
+            "tau2_threshold": lambda xi: predictor.tau2_threshold(2.0, 100.0, 1.0, xi=xi),
+            "powerlaw_thresholds": lambda xi: predictor.powerlaw_thresholds(0.5, 0.1, 1.0, 1000, xi=xi),
+            "additive_thresholds": lambda xi: predictor.additive_thresholds(1000, 0.1, 1.0, xi=xi),
+        }.items()
+        for xi in (0.0, float("nan"), 2.0)
+    },
+    "general_strong_T-xi-0": (
+        lambda tmp: predictor.general_strong_T(Constant(0.5), 0.1, 1000, ProtocolKind.PULL, xi=0.0),
+        RangeError, "xi must be in \\(0, 1\\)"),
+    **{
+        f"predictor_comparison-lambda-{name}": (
+            lambda tmp, cred=cred, lam=lam: predictor.predictor_comparison(ProtocolKind.PUSH, cred, 4096, lam=lam),
+            RangeError, "lambda must be in \\[0, 1\\]")
+        for name, cred, lam in (("additive", Additive(0.05), -0.5), ("power-law", PowerLaw(0.5), 2.0),
+                                ("table-nan", Table((0.5,)), float("nan")))
+    },
+    "fixed_q_log_rates-q-0": (lambda tmp: bounds.fixed_q_log_rates(ProtocolKind.PUSH, 0.0), RangeError,
+                              "q must be in \\(0, 1\\]"),
+    "fixed_q_log_rates-pull-q-1": (lambda tmp: bounds.fixed_q_log_rates(ProtocolKind.PULL, 1.0), DomainError,
+                                   "PULL shrink rate undefined at q = 1"),
+    **{
+        f"complete_final_law-{name}": (
+            lambda tmp, n=n, start=start: protocol.complete_final_law(ProtocolKind.PUSH, n, [0.5], start),
+            error, message)
+        for name, n, start, error, message in (
+            ("start--1", 8, -1, SetRangeError, "count -1 not an integer in \\[1, 8\\]"),
+            ("start-0", 8, 0, SetRangeError, "count 0 not an integer in \\[1, 8\\]"),
+            ("start-9", 8, 9, SetRangeError, "count 9 not an integer in \\[1, 8\\]"),
+            ("start-2.5", 8, 2.5, SetRangeError, "count 2.5 not an integer in \\[1, 8\\]"),
+            ("n-1", 1, 1, RangeError, "K_n needs an integer n >= 2, got 1"),
+            ("n-8.0", 8.0, 1, RangeError, "K_n needs an integer n >= 2, got 8.0"),
+        )
+    },
+    "complete_size_law-n-2.5": (lambda tmp: protocol.complete_size_law(ProtocolKind.PUSH, 2.5, 1, 0.5), RangeError,
+                                "K_n needs an integer n >= 2, got 2.5"),
+    "complete_size_law-count-2.5": (lambda tmp: protocol.complete_size_law(ProtocolKind.PUSH, 8, 2.5, 0.5),
+                                    SetRangeError, "informed size 2.5 not in \\[1, 7\\]"),
     "harmonic_sum_check-alpha": (lambda tmp: predictor.harmonic_sum_check(1.5, 10), AlphaRange,
                                  "needs alpha in \\(0, 1\\)"),
     "load_records_csv-empty": (lambda tmp: harness.load_records_csv(_file(tmp / "r.csv", "")), RangeError,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gossipsim import predictor
 from gossipsim.bounds import (
     GROWTH_CONSTANT,
     basic_growth_bounds,
@@ -25,7 +26,6 @@ from gossipsim.errors import (
 )
 from gossipsim.predictor import (
     ZETA_EXACT_TERMS,
-    PredictorConfig,
     ThresholdScaleWarning,
     additive_thresholds,
     fixed_q_runtime,
@@ -93,7 +93,7 @@ class TestTau2Threshold:
         assert tau2_threshold(8.0, 200.0, 1.0) > base
         assert tau2_threshold(16.0, 100.0, 1.0) < base
 
-    def test_range_errors(self):
+    def test_range_errors(self, monkeypatch):
         with pytest.raises(RangeError):
             tau2_threshold(0.5, 10.0, 1.0)
         with pytest.raises(RangeError):
@@ -101,8 +101,9 @@ class TestTau2Threshold:
         # a NaN c_grow would give a NaN threshold that no scan crosses
         with pytest.raises(RangeError):
             tau2_threshold(2.0, 100.0, math.nan)
+        monkeypatch.setattr(predictor, "ROUND_CAP", 10)
         with pytest.raises(RangeError):
-            tau2_rounds(lambda t: 0.3, 0, 2.0, 100.0, math.nan, PredictorConfig(round_cap=10))
+            tau2_rounds(lambda t: 0.3, 0, 2.0, 100.0, math.nan)
 
 
 class TestTau3Threshold:
@@ -143,28 +144,25 @@ class TestTau3Threshold:
 
 
 class TestStoppingTimeScans:
-    CFG = PredictorConfig(xi=0.5)
-
     def test_constant_rate_closed_form(self):
         for nu in (0.25, 0.6):
             threshold = tau2_threshold(4.0, 900.0, 1.0, xi=0.5)
             expected = 7 + math.ceil(threshold / math.log1p(nu))
-            assert tau2_rounds(lambda t: nu, 7, 4.0, 900.0, 1.0, self.CFG) == expected
+            assert tau2_rounds(lambda t: nu, 7, 4.0, 900.0, 1.0, xi=0.5) == expected
 
-    def test_zero_rate_unreached(self):
-        cfg = PredictorConfig(xi=0.5, round_cap=500)
+    def test_zero_rate_unreached(self, monkeypatch):
+        monkeypatch.setattr(predictor, "ROUND_CAP", 500)
         with pytest.raises(Unreached):
-            tau2_rounds(lambda t: 0.0, 0, 4.0, 900.0, 1.0, cfg)
+            tau2_rounds(lambda t: 0.0, 0, 4.0, 900.0, 1.0, xi=0.5)
 
-    def test_unit_start_warns_and_exhausts(self):
-        cfg = PredictorConfig(round_cap=50)
+    def test_unit_start_warns_and_exhausts(self, monkeypatch):
+        monkeypatch.setattr(predictor, "ROUND_CAP", 50)
         with pytest.warns(ThresholdScaleWarning):
             with pytest.raises(Unreached):
-                tau2_rounds(lambda t: 1.0, 0, 1.0, 8.0, 1.0, cfg)
+                tau2_rounds(lambda t: 1.0, 0, 1.0, 8.0, 1.0)
 
     def test_decaying_rate_matches_independent_partial_sums(self):
         # independent crossing search over explicitly accumulated sums
-        cfg = PredictorConfig(xi=0.9)
         a, b, c_grow = 50.0, 55.0, 1.0
         threshold = tau2_threshold(a, b, c_grow, xi=0.9)
         nu = lambda t: (t + 1) ** -0.5
@@ -172,17 +170,17 @@ class TestStoppingTimeScans:
         while acc < threshold:
             acc += math.log1p(nu(s))
             s += 1
-        assert tau2_rounds(nu, 0, a, b, c_grow, cfg) == s
+        assert tau2_rounds(nu, 0, a, b, c_grow, xi=0.9) == s
 
     def test_tau3_constant_rate_closed_form(self):
         threshold = tau3_threshold(300.0, 2.0, 0.4)
         expected = 2 + math.ceil(threshold / -math.log1p(-0.3))
         assert tau3_rounds(lambda t: 0.3, 2, 300.0, 2.0, 0.4) == expected
 
-    def test_tau3_zero_rate_unreached(self):
-        cfg = PredictorConfig(round_cap=200)
+    def test_tau3_zero_rate_unreached(self, monkeypatch):
+        monkeypatch.setattr(predictor, "ROUND_CAP", 200)
         with pytest.raises(Unreached):
-            tau3_rounds(lambda t: 0.0, 0, 300.0, 2.0, 0.4, cfg)
+            tau3_rounds(lambda t: 0.0, 0, 300.0, 2.0, 0.4)
 
     def test_tau3_geometric_rate_matches_partial_sums(self):
         nu = lambda t: 0.5 * 0.9**t
@@ -329,10 +327,10 @@ class TestGeneralStrongT:
             (Additive(0.001), 3, 10, "threshold not reached within 10 rounds"),
         ],
     )
-    def test_unreached_reasons_of_a_scanned_series(self, q, n, round_cap, reason):
-        cfg = PredictorConfig(xi=0.5, round_cap=round_cap)
+    def test_unreached_reasons_of_a_scanned_series(self, monkeypatch, q, n, round_cap, reason):
+        monkeypatch.setattr(predictor, "ROUND_CAP", round_cap)
         with pytest.raises(Unreached, match=f"^{reason}$"):
-            general_strong_T(q, 0.0, n, ProtocolKind.PULL, cfg)
+            general_strong_T(q, 0.0, n, ProtocolKind.PULL, xi=0.5)
 
     def test_push_gamma_guard(self):
         with pytest.raises(GammaNonpositive):
@@ -409,7 +407,7 @@ class TestScansMatchPartialSums:
     @pytest.mark.parametrize("q", SCANNED, ids=repr)
     @pytest.mark.parametrize("n", [10**3, 10**9])
     def test_strong(self, q, n):
-        res = general_strong_T(q, 0.1, n, ProtocolKind.PULL, PredictorConfig(xi=0.5))
+        res = general_strong_T(q, 0.1, n, ProtocolKind.PULL, xi=0.5)
         assert res.rounds == _first_crossing(q, res.threshold)
 
     @pytest.mark.parametrize("q", SCANNED, ids=repr)
@@ -418,12 +416,12 @@ class TestScansMatchPartialSums:
     def test_lower(self, q, psi, n, rho):
         assert general_lower_T(q, psi, n, rho) == _last_below(q, psi, n, rho)
 
-    def test_threshold_beyond_the_round_cap(self):
+    def test_threshold_beyond_the_round_cap(self, monkeypatch):
         # log(1 + q) <= log 2 per round, so 11 rounds sum to at most 7.6
-        cfg = PredictorConfig(xi=0.5, round_cap=10)
+        monkeypatch.setattr(predictor, "ROUND_CAP", 10)
         with pytest.raises(Unreached, match="beyond reach of the round cap"):
-            general_strong_T(PowerLaw(0.5), 0.1, 10**3, ProtocolKind.PULL, cfg)
-        assert general_lower_T(PowerLaw(0.5), 1.0, 10**9, 0.9, cfg) == math.inf
+            general_strong_T(PowerLaw(0.5), 0.1, 10**3, ProtocolKind.PULL, xi=0.5)
+        assert general_lower_T(PowerLaw(0.5), 1.0, 10**9, 0.9) == math.inf
 
 
 class TestPowerLawCalculators:
@@ -608,15 +606,6 @@ class TestClaimOracles:
                 total += math.log1p(term)
                 term *= ratio
             assert total <= 0.5 * log_n
-
-
-def test_predictor_config_validation():
-    with pytest.raises(RangeError):
-        PredictorConfig(xi=0.0)
-    with pytest.raises(RangeError):
-        PredictorConfig(round_cap=0)
-    with pytest.raises(RangeError):
-        PredictorConfig(round_cap=math.nan)
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,11 @@ def test_bench_pairs_smoke():
             and line.endswith(("/1: claim holds", "/1: claim does not hold"))
             for line in lines
         )
+        assert any(
+            line.startswith(f"regression {name}: change median ") and ", parent IQR/median 0.0%, bound " in line
+            and line.endswith(("%: within bound", "%: regressed"))
+            for line in lines
+        )
     assert "; match" in lines[-3] and lines[-2] == "runs whose passes disagreed: parent 0, change 0"
     assert lines[-1] == "failed checks: parent 0, change 0"
 
@@ -83,3 +88,21 @@ def test_bench_pairs_claim_rule():
     assert bench_pairs.compare("lower", parent, parent) == (0, 0.0, 2.0, False)
     assert bench_pairs.compare("higher", parent, [14.0] * 9 + [9.0]) == (9, 3.0, 2.0, True)
     assert bench_pairs.compare("higher", parent, [8.0] * 10) == (0, -3.0, 2.0, False)
+
+
+def test_bench_pairs_regression_rule():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    # parent median 10, quartiles 9 and 11: IQR/median 0.2
+    parent = [9.0] * 5 + [11.0] * 5
+    assert bench_pairs.regression("lower", 0.25, parent, [12.0] * 10) == (0.2, 0.2, "within bound")
+    assert bench_pairs.regression("lower", 0.25, parent, [13.0] * 10) == (0.3, 0.2, "regressed")
+    assert bench_pairs.regression("higher", 0.25, parent, [7.0] * 10) == (0.3, 0.2, "regressed")
+    assert bench_pairs.regression("higher", 0.25, parent, [13.0] * 10) == (-0.3, 0.2, "within bound")
+    # a parent spread wider than the bound leaves a verdict open ...
+    assert bench_pairs.regression("lower", 0.1, parent, [10.0] * 10) == (0.0, 0.2, "unresolved")
+    assert bench_pairs.regression("lower", 0.1, parent, [13.0] * 10) == (0.3, 0.2, "unresolved")
+    # ... unless every change run beats every parent run
+    assert bench_pairs.regression("lower", 0.1, parent, [8.0] * 10) == (-0.2, 0.2, "within bound")
+    assert bench_pairs.regression("higher", 0.1, parent, [12.0] * 10) == (-0.2, 0.2, "within bound")
