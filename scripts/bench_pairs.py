@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of ``perfbench/run.py`` for one workload.
+"""Alternating parent/change pairs of ``perfbench/run.py``, workload by workload.
 
 Usage:
 
+    python3 scripts/bench_pairs.py --parent ../parent-checkout --pairs 10
     python3 scripts/bench_pairs.py --parent ../parent-checkout --workload verify --pairs 10
     python3 scripts/bench_pairs.py --parent A --change B --workload dynamic --seconds 8 --seed 9
 
-Each pair runs the benchmark once in each checkout, one after the other, with
+Without ``--workload`` it runs the pairs of every workload that
+``BENCHMARK.json`` names, one workload after another, in the file's order;
+the report below is printed once per workload. Each pair runs the benchmark once in each checkout, one after the other, with
 the same settings; which side runs first alternates from pair to pair, the
 parent first in pair 1. ``--change`` defaults to the checkout holding this
 script. For every end-to-end metric that ``BENCHMARK.json`` declares, the
@@ -22,8 +25,9 @@ the bound and not every change run beats every parent run, else ``regressed``
 when the change is worse by more than the bound, else ``within bound``. Last
 it prints each side's pass digests, read from the report a run writes to
 ``.perfbench/`` in its checkout, and whether they all match. It exits 1 when
-a run fails, reports failed checks, or a digest differs, between runs or
-between the passes of one run; it writes nothing under ``perfbench/``.
+a run of any workload fails, reports failed checks, or a digest differs,
+between runs or between the passes of one run; it writes nothing under
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout: Path, args) -> dict:
-    """One benchmark run in ``checkout``: its metric values, failures, digest and
-    whether all its passes agreed on that digest."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seconds", str(args.seconds)]
+def run_once(checkout: Path, workload: str, args) -> dict:
+    """One benchmark run of ``workload`` in ``checkout``: its metric values,
+    failures, digest and whether all its passes agreed on that digest."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(args.seconds)]
     if args.seed is not None:
         cmd += ["--seed", str(args.seed)]
     if args.tiny:
@@ -52,8 +56,8 @@ def run_once(checkout: Path, args) -> dict:
         sys.exit(f"bench_pairs: {' '.join(cmd)} failed in {checkout}:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     # run.py names the seed it used on stderr ("verify seed=4: ...") and in its report's file name
-    seed = re.search(rf"^{re.escape(args.workload)} seed=(-?\d+):", proc.stderr, re.MULTILINE).group(1)
-    report = json.loads((checkout / ".perfbench" / f"{args.workload}-seed{seed}-trace0.json").read_text())
+    seed = re.search(rf"^{re.escape(workload)} seed=(-?\d+):", proc.stderr, re.MULTILINE).group(1)
+    report = json.loads((checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json").read_text())
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "failed": result["failed"],
@@ -100,28 +104,21 @@ def regression(direction: str, bound: float, parent: list[float], change: list[f
     return worse, spread, "regressed" if worse > bound else "within bound"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0, help="timed phase of each run")
-    parser.add_argument("--seed", type=int, default=None, help="workload seed (default: the workload's)")
-    parser.add_argument("--tiny", action="store_true", help="tiny inputs, for a smoke run")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+def workloads(spec: dict, chosen: str | None) -> list[str]:
+    """``[chosen]``, or without one every workload ``spec`` (``BENCHMARK.json``) names, in its order."""
+    return [chosen] if chosen is not None else [w["name"] for w in spec["workloads"]]
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+def pair_workload(workload: str, sides: dict[str, Path], spec: dict, args) -> bool:
+    """Run and report ``args.pairs`` pairs of ``workload``; True when the digests
+    match and no run reports a failed check."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(sides[side], args))
+            runs[side].append(run_once(sides[side], workload, args))
         values = "  ".join(
             f"{name} {runs['parent'][-1]['metrics'][name]:.6g}/{runs['change'][-1]['metrics'][name]:.6g}"
             for name in better
@@ -129,7 +126,7 @@ def main(argv=None) -> int:
         print(f"pair {pair + 1} ({order[0]} first), parent/change: {values}", flush=True)
 
     seed = "default" if args.seed is None else args.seed
-    print(f"\n{args.workload} seed={seed}: {args.pairs} pairs of {args.seconds:g} s runs")
+    print(f"\n{workload} seed={seed}: {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':20s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} change better")
     verdicts = []
     for name, direction in better.items():
@@ -154,7 +151,26 @@ def main(argv=None) -> int:
           f"change {', '.join(d[:16] for d in digests['change'])}; {'match' if match else 'DIFFER'}")
     print(f"runs whose passes disagreed: parent {split['parent']}, change {split['change']}")
     print(f"failed checks: parent {failed['parent']}, change {failed['change']}")
-    return 0 if match and not any(failed.values()) else 1
+    return match and not any(failed.values())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
+    parser.add_argument("--workload", help="one workload (default: every one BENCHMARK.json names)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0, help="timed phase of each run")
+    parser.add_argument("--seed", type=int, default=None, help="workload seed (default: the workload's)")
+    parser.add_argument("--tiny", action="store_true", help="tiny inputs, for a smoke run")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    passed = [pair_workload(workload, sides, spec, args) for workload in workloads(spec, args.workload)]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":

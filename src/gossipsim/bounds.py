@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, KindError, RangeError
+from .errors import DomainError, KindError, RangeError, _check_unit
 from .protocol import ProtocolKind
 
 __all__ = [
@@ -45,12 +45,6 @@ class BoundSet:
     def __post_init__(self):
         if self.lower > self.upper:
             raise RangeError(f"lower {self.lower} > upper {self.upper} ({self.source})")
-
-
-def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise RangeError(f"{name} must be in [0, 1], got {value}")
-    return float(value)
 
 
 def _check_size(name: str, value: float, least: int) -> None:

@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, _check_unit
 
 __all__ = [
     "Constant",
@@ -86,9 +86,7 @@ class Constant(_Schedule):
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", float(self.q))
-        if not 0.0 <= self.q <= 1.0:
-            raise RangeError(f"constant credibility must be in [0, 1], got {self.q}")
+        object.__setattr__(self, "q", _check_unit("constant credibility", float(self.q)))
 
     def value_at(self, t: int) -> float:
         return self.q
@@ -175,8 +173,7 @@ class Table(_Schedule):
         tail = self.values[-1] if self.tail is None else float(self.tail)
         object.__setattr__(self, "tail", tail)
         for v in (*self.values, tail):
-            if not 0.0 <= v <= 1.0:
-                raise RangeError(f"table credibility values must be in [0, 1], got {v}")
+            _check_unit("table credibility values", v)
 
     def value_at(self, t: int) -> float:
         if t < len(self.values):

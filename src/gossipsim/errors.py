@@ -1,8 +1,12 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the input checks they share:
+an integer is an ``int`` or numpy integer (never a bool, float or str), and a
+[0, 1] value fails outside [0, 1], nan included; both raise :class:`RangeError`."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class GossipSimError(Exception):
@@ -88,3 +92,14 @@ def _io_errors():
 
 class EmptyData(GossipSimError):
     """No usable records were supplied."""
+
+
+def _is_integer(x) -> bool:
+    """A Python ``int`` or numpy integer, or an array of them (an integer dtype); no bool, float or str."""
+    return type(x) is int or isinstance(x, np.integer) or isinstance(x, np.ndarray) and x.dtype.kind in "iu"
+
+
+def _check_unit(name: str, value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise RangeError(f"{name} must be in [0, 1], got {value}")
+    return float(value)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .errors import (
     RetryExhausted,
     SizeGuardExceeded,
     _io_errors,
+    _is_integer,
 )
 from .seeds import mix_seed, rng_for
 
@@ -76,17 +78,16 @@ MAX_ATTEMPTS = 10_000
 
 def _check_vertex_count(n: int) -> None:
     """Raise :class:`RangeError` unless ``n`` is an integer of at least 2."""
+    if not _is_integer(n):
+        raise RangeError(f"vertex count must be an integer, got {n!r}")
     if n < 2:
         raise RangeError(f"need at least 2 vertices, got {n}")
-    # type() rather than isinstance(n, int), which would let a bool through
-    if type(n) is not int and not isinstance(n, np.integer):
-        raise RangeError(f"vertex count must be an integer, got {n!r}")
 
 
 def _check_regular(n: int, d: int) -> None:
     """Raise the typed error for an (n, d) that no d-regular graph has."""
     _check_vertex_count(n)
-    if type(d) is not int and not isinstance(d, np.integer):
+    if not _is_integer(d):
         raise RangeError(f"degree must be an integer, got {d!r}")
     if (n * d) % 2 != 0:
         raise ParityError(f"n*d must be even, got n={n}, d={d}")
@@ -113,7 +114,10 @@ class GraphSnapshot:
     def __post_init__(self):
         _check_regular(self.n, self.d)
         if self.adj is not None:
-            self.adj = np.ascontiguousarray(self.adj, dtype=np.int64)
+            adj = np.asarray(self.adj)
+            if not _is_integer(adj):
+                raise RangeError(f"adjacency entries must be integers, got dtype {adj.dtype}")
+            self.adj = np.ascontiguousarray(adj, dtype=np.int64)
             self._validate_adjacency()
 
     @property
@@ -189,16 +193,28 @@ class SpectralReport:
 
 
 def as_vertex_mask(n: int, s) -> np.ndarray:
-    """Normalize a vertex set (bool mask or iterable of ints) to a bool mask."""
-    if isinstance(s, np.ndarray) and s.dtype == bool:
+    """The vertex set ``s`` as a bool mask: a bool array or list is a mask of
+    length n, integers (:func:`errors._is_integer`) are distinct vertex ids in
+    [0, n), and anything else, an int 0/1 array too, raises :class:`RangeError`."""
+    if not isinstance(s, np.ndarray):
+        items = list(s) if isinstance(s, Iterable) else [None]
+        is_mask = len(items) > 0 and all(type(x) in (bool, np.bool_) for x in items)
+        if not is_mask and not all(map(_is_integer, items)):
+            raise RangeError(f"a vertex set is a bool mask or integer vertex ids, got {s!r}")
+        s = np.array(items, dtype=bool if is_mask else np.int64)
+    if s.dtype == bool:
         if s.shape != (n,):
             raise RangeError(f"mask length {s.shape} != ({n},)")
         return s
-    mask = np.zeros(n, dtype=bool)
-    idx = np.asarray(list(s), dtype=np.int64)
-    if len(idx) and (idx.min() < 0 or idx.max() >= n):
+    if s.ndim != 1 or not _is_integer(s):
+        raise RangeError(f"a vertex set is a bool mask or integer vertex ids, got a {s.ndim}-d {s.dtype} array")
+    if len(s) and (s.min() < 0 or s.max() >= n):
         raise RangeError("vertex id out of range")
-    mask[idx] = True
+    mask = np.zeros(n, dtype=bool)
+    mask[s] = True
+    if np.count_nonzero(mask) != len(s):
+        ids, uses = np.unique(s, return_counts=True)
+        raise RangeError(f"vertex id {ids[uses > 1][0]} appears more than once")
     return mask
 
 
@@ -287,10 +303,10 @@ def from_edge_list(n: int, edges) -> GraphSnapshot:
     """
     _check_vertex_count(n)
     edges = list(edges)
-    pairs = np.array([(int(u), int(v)) for u, v in edges], dtype=np.int64).reshape(-1, 2)
-    inexact = next((e for e, p in zip(edges, pairs.tolist()) if list(e) != p), None)
+    inexact = next((e for e in edges if not all(map(_is_integer, e))), None)
     if inexact is not None:
         raise RangeError(f"edge ({inexact[0]},{inexact[1]}) has a non-integer vertex")
+    pairs = np.array([(u, v) for u, v in edges], dtype=np.int64).reshape(-1, 2)
     outside = np.flatnonzero((pairs < 0).any(axis=1) | (pairs >= n).any(axis=1))
     if len(outside):
         u, v = pairs[outside[0]].tolist()
@@ -313,6 +329,7 @@ def complete_graph(n: int) -> GraphSnapshot:
 
 
 def cycle_graph(n: int) -> GraphSnapshot:
+    _check_vertex_count(n)
     if n < 3:
         raise RangeError(f"cycle needs n >= 3, got {n}")
     ids = np.arange(n, dtype=np.int64)
@@ -321,11 +338,17 @@ def cycle_graph(n: int) -> GraphSnapshot:
 
 
 def matching_graph(pairs) -> GraphSnapshot:
-    """Perfect matching (d = 1) from a list of disjoint vertex pairs."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    """Perfect matching (d = 1) from disjoint integer vertex pairs covering 0..n-1."""
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    if len(pairs) and not _is_integer(pairs):
+        raise RangeError(f"matching pairs must be integer vertex ids, got dtype {pairs.dtype}")
     n = 2 * len(pairs)
     if n and (pairs.min() < 0 or pairs.max() >= n):
         raise RangeError(f"matching vertex out of range for n = {n}")
+    uses = np.bincount(pairs.ravel().astype(np.int64), minlength=n)
+    if (uses != 1).any():
+        v = int(np.argmax(uses != 1))
+        raise RangeError(f"matching vertex {v} appears {uses[v]} times, not exactly once")
     adj = np.full((n, 1), -1, dtype=np.int64)
     adj[pairs[:, 0], 0] = pairs[:, 1]
     adj[pairs[:, 1], 0] = pairs[:, 0]
@@ -616,6 +639,7 @@ class ResampledRegular:
 
     def __post_init__(self):
         _check_regular(self.n, self.d)
+        mix_seed(self.seed)  # the seed check, at construction rather than round 0
 
     def snapshot(self, t: int) -> GraphSnapshot:
         return generate_random_regular(self.n, self.d, seed=mix_seed(self.seed, t))
@@ -635,6 +659,7 @@ class MatchingSequence:
         _check_vertex_count(self.n)
         if self.n % 2 != 0:
             raise ParityError(f"matching sequence needs even n, got {self.n}")
+        mix_seed(self.seed)  # the seed check, at construction rather than round 0
 
     def snapshot(self, t: int) -> GraphSnapshot:
         perm = rng_for(mix_seed(self.seed, t)).permutation(self.n)

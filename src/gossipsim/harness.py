@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import basic_growth_bounds, shrink_bounds
 from .credibility import Constant, Credibility, PowerLaw, format_credibility
-from .errors import DomainError, RangeError, _io_errors
+from .errors import DomainError, RangeError, _io_errors, _is_integer
 from .graphs import (
     DynamicGraphSpec,
     StaticGraph,
@@ -115,11 +115,11 @@ class ExperimentSpec:
     record_level: RecordLevel = RecordLevel.PER_ROUND
 
     def __post_init__(self):
-        for name in ("initial_informed", "trials", "max_rounds"):
+        for name in ("initial_informed", "trials", "max_rounds", "master_seed"):
             value = getattr(self, name)
-            if type(value) is not int and not (value is None and name == "max_rounds"):
-                if not isinstance(value, np.integer):
-                    raise RangeError(f"{name} must be an integer, got {value!r}")
+            if not _is_integer(value) and not (value is None and name == "max_rounds"):
+                raise RangeError(f"{name} must be an integer, got {value!r}")
+            if value is not None:
                 object.__setattr__(self, name, int(value))  # a numpy integer would reach the records
         if self.trials < 1:
             raise RangeError(f"trials must be >= 1, got {self.trials}")
@@ -175,12 +175,13 @@ def _run_lockstep(spec: ExperimentSpec, trials: Sequence[int]) -> list[TrialReco
     the trial runs :func:`protocol.complete_chain` on it. Every other graph
     runs the mask engine round-major (:func:`_run_masks`). Either way a
     trial's record is the same alone or beside others. A trial index that is
-    not a non-negative ``int`` raises :class:`RangeError`, as the loaders
-    would refuse its record.
+    not a non-negative integer raises :class:`RangeError`, as the loaders
+    would refuse its record; a numpy integer is read as an ``int``.
     """
     for i in trials:
-        if type(i) is not int or i < 0:
+        if not _is_integer(i) or i < 0:
             raise RangeError(f"trial {i!r} is not a non-negative integer")
+    trials = [int(i) for i in trials]
     n = spec.graph.n
     exact = spec.record_level is RecordLevel.PER_ROUND_EXACT
     budget = resolved_max_rounds(spec)

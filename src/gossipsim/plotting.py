@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import EmptyData, _io_errors
+from .errors import EmptyData, RangeError, _io_errors
 from .harness import TrialRecord
 from .predictor import PhasePlan
 
@@ -35,8 +35,10 @@ def render_trajectories_svg(
     traced = [r for r in records if r.informed_counts]
     if not traced:
         raise EmptyData("no per-round trajectories to plot")
-    if n is None:
-        n = max(r.n if r.n else max(r.informed_counts) for r in traced)
+    most = max(max(r.informed_counts) for r in traced)
+    n = max(r.n or most for r in traced) if n is None else n
+    if n < most:
+        raise RangeError(f"n = {n} is below the largest informed count plotted, {most}")
     horizon = max(len(r.informed_counts) - 1 for r in traced)
     horizon = max(horizon, 1)
 

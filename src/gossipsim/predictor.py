@@ -32,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .bounds import GROWTH_CONSTANT, _check_size, _check_unit, basic_growth_bounds, fixed_q_log_rates
+from .bounds import GROWTH_CONSTANT, _check_size, basic_growth_bounds, fixed_q_log_rates
 from .bounds import shrink_lower, spectral_factor
 from .credibility import Additive, Constant, Credibility, Multiplicative, PowerLaw
 from .errors import (
@@ -45,6 +45,7 @@ from .errors import (
     RangeError,
     Unreached,
     ZetaRange,
+    _check_unit,
 )
 from .protocol import ProtocolKind
 

@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RangeError, SetRangeError, SizeGuardExceeded
-from .graphs import COMPLEMENT_BLOCK, GraphSnapshot, as_vertex_mask
+from .errors import RangeError, SetRangeError, SizeGuardExceeded, _check_unit, _is_integer
+from .graphs import COMPLEMENT_BLOCK, GraphSnapshot, _check_vertex_count, as_vertex_mask
 
 __all__ = [
     "ProtocolKind",
@@ -84,17 +84,23 @@ class ProcessState:
 
 
 def initial_state(n: int, informed_count: int = 1) -> ProcessState:
-    if not 1 <= informed_count <= n:
-        raise SetRangeError(f"initial informed count {informed_count} not in [1, {n}]")
+    _check_initial_count(n, informed_count)
     informed = np.zeros(n, dtype=bool)
     informed[:informed_count] = True
     return ProcessState(t=0, informed=informed)
 
 
-def _check_q(q: float) -> float:
-    if not 0.0 <= q <= 1.0:
-        raise RangeError(f"credibility must be in [0, 1], got {q}")
-    return float(q)
+def _check_initial_count(most: int, informed_count) -> None:
+    if not _is_integer(informed_count) or not 1 <= informed_count <= most:
+        raise SetRangeError(f"initial informed count {informed_count!r} not an integer in [1, {most}]")
+
+
+def _round_state(g: GraphSnapshot, informed) -> np.ndarray:
+    """The informed set a round starts from, as a mask; it must be nonempty."""
+    informed = as_vertex_mask(g.n, informed)
+    if not informed.any():
+        raise SetRangeError("informed set must be nonempty")
+    return informed
 
 
 def _round_halves(kind, g, informed, q, rng, draws: int = 1):
@@ -126,12 +132,8 @@ def step(
     rng: np.random.Generator,
 ) -> ProcessState:
     """Run one synchronous round and return the state at t + 1."""
-    q = _check_q(q)
-    informed = state.informed
-    if informed.shape != (g.n,):
-        raise SetRangeError(f"state has {informed.shape[0]} vertices, graph has {g.n}")
-    if not informed.any():
-        raise SetRangeError("informed set must be nonempty")
+    q = _check_unit("credibility", q)
+    informed = _round_state(g, state.informed)
     new = informed.copy()
     for receivers, accepted in _round_halves(kind, g, informed, q, rng):
         new[receivers[accepted]] = True
@@ -156,8 +158,10 @@ def sample_delta_sizes(
     most ``COMPLEMENT_BLOCK // n`` rows is cleared and reused block after
     block, so large graphs never get an ``(n_samples, n)`` array.
     """
-    q = _check_q(q)
-    informed = as_vertex_mask(g.n, informed)
+    q = _check_unit("credibility", q)
+    informed = _round_state(g, informed)
+    if not _is_integer(n_samples) or n_samples < 0:
+        raise RangeError(f"n_samples must be a non-negative integer, got {n_samples!r}")
     block = max(1, COMPLEMENT_BLOCK // g.n)
     hit = np.empty((min(block, n_samples), g.n), dtype=bool)
     sizes = np.empty(n_samples, dtype=np.int64)
@@ -189,7 +193,7 @@ def exact_delta_expectation(kind: ProtocolKind, g: GraphSnapshot, informed, q: f
     probability q*k/d, PUSH with 1 - (1 - q/d)**k, and PUSH-PULL with
     1 - (1 - q/d)**k * (1 - q*k/d) (push and pull failures are independent).
     """
-    q = _check_q(q)
+    q = _check_unit("credibility", q)
     informed, _ = _proper_subset(g, informed)
     k = g.marked_degrees(informed)[~informed].astype(np.float64)
     return float(_inform_probability(kind, q, k, float(g.d)).sum())
@@ -218,16 +222,6 @@ def growth_factor(kind: ProtocolKind, g: GraphSnapshot, informed, q: float) -> f
 # with probability i/(n-1); every transmission is accepted with probability q.
 
 
-def _check_complete_n(n) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise RangeError(f"K_n needs an integer n >= 2, got {n!r}")
-
-
-def _check_initial_count(n: int, informed_count) -> None:
-    if not isinstance(informed_count, (int, np.integer)) or not 1 <= informed_count <= n:
-        raise SetRangeError(f"initial informed count {informed_count!r} not an integer in [1, {n}]")
-
-
 def complete_delta_expectation(kind: ProtocolKind, n: int, informed_count, q):
     """:func:`exact_delta_expectation` on K_n, elementwise over counts and q.
 
@@ -235,11 +229,11 @@ def complete_delta_expectation(kind: ProtocolKind, n: int, informed_count, q):
     probability is taken u times instead of summed over u. Each count must be
     an integer in [1, n - 1], as for :func:`complete_size_law`.
     """
-    _check_complete_n(n)
-    i = np.asarray(informed_count, dtype=np.float64)
-    outside = ~((1 <= i) & (i <= n - 1) & (i == np.floor(i)))
+    _check_vertex_count(n)
+    i = np.asarray(informed_count)
+    outside = ~((1 <= i) & (i <= n - 1) & _is_integer(i))
     if outside.any():
-        raise SetRangeError(f"informed size {i[outside][0]:g} not an integer in [1, {n - 1}]")
+        raise SetRangeError(f"informed size {i[outside].flat[0]} not an integer in [1, {n - 1}]")
     return (n - i) * _inform_probability(kind, q, i, n - 1.0)
 
 
@@ -289,10 +283,9 @@ def complete_size_law(kind: ProtocolKind, n: int, informed_count: int, q: float)
     so far, a pusher informs a new one with probability q (u - j)/(n-1));
     PUSH-PULL that law run on from the pull binomial.
     """
-    _check_complete_n(n)
-    q = _check_q(q)
-    if not isinstance(informed_count, (int, np.integer)) or not 1 <= informed_count <= n - 1:
-        raise SetRangeError(f"informed size {informed_count} not in [1, {n - 1}]")
+    _check_vertex_count(n)
+    q = _check_unit("credibility", q)
+    _check_initial_count(n - 1, informed_count)
     return _complete_size_laws(kind, n, np.array([informed_count]), q)[0]
 
 
@@ -309,7 +302,7 @@ def complete_final_law(kind: ProtocolKind, n: int, q_values, initial_informed: i
     an integer >= 2 (:class:`RangeError`) and ``initial_informed`` an integer
     in [1, n] (:class:`SetRangeError`).
     """
-    _check_complete_n(n)
+    _check_vertex_count(n)
     _check_initial_count(n, initial_informed)
     law = np.zeros(n + 1)
     law[initial_informed] = 1.0
@@ -322,7 +315,7 @@ def complete_final_law(kind: ProtocolKind, n: int, q_values, initial_informed: i
         live = live[~small]
         if not len(live):
             break
-        rows = _complete_size_laws(kind, n, live, _check_q(q))
+        rows = _complete_size_laws(kind, n, live, _check_unit("credibility", q))
         weights = law[live, None] * rows
         law[live] = 0.0
         targets = np.minimum(live[:, None] + np.arange(rows.shape[1]), n)
@@ -416,7 +409,7 @@ def complete_chain(kind: ProtocolKind, n: int, informed_count: int, q: np.ndarra
     A q outside [0, 1] at a round the trial reaches raises
     :class:`RangeError`, as :func:`step` does.
     """
-    _check_complete_n(n)
+    _check_vertex_count(n)
     _check_initial_count(n, informed_count)
     bad = len(q)
     if bad and not (q.min() >= 0.0 and q.max() <= 1.0):
@@ -428,7 +421,7 @@ def complete_chain(kind: ProtocolKind, n: int, informed_count: int, q: np.ndarra
     with np.errstate(divide="ignore"):
         while i < n and t < len(q):
             if t == bad:
-                _check_q(float(q[t]))
+                _check_unit("credibility", float(q[t]))
             stop = min(bad, 2 * t + 64)
             cumulative = _quiet_hazards(kind, n, i, q[t:stop]).cumsum()
             event = int(cumulative.searchsorted(threshold, side="right"))
@@ -543,7 +536,7 @@ def _informing_law(kind: ProtocolKind, g: GraphSnapshot, informed, q: float):
     with a reachable slot) and as computed otherwise, converting them on the
     way out; the tests pin these types as well as the values.
     """
-    q = _check_q(q)
+    q = _check_unit("credibility", q)
     informed, _ = _proper_subset(g, informed)
     uninformed, branches = _choice_branches(kind, g, informed)
     profiles = 1

@@ -5,11 +5,17 @@ tuple of integers (e.g. ``(master_seed, trial)`` or ``(graph_seed, round)``)
 to an independent ``numpy.random.Generator``. The mapping is a fixed
 splitmix64 chain, so sequences are reproducible across runs and platforms and
 disjoint streams can be handed to concurrent trials without coordination.
+
+:func:`mix_seed` is the one seed check: a part that is not an integer
+(:func:`errors._is_integer`) raises :class:`RangeError`. A part is read
+modulo 2**64, so a negative seed is valid.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import RangeError, _is_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -27,6 +33,8 @@ def mix_seed(*parts: int) -> int:
     """Fold integer parts into a single 64-bit seed, order-sensitively."""
     acc = 0x243F6A8885A308D3  # pi fraction, fixed starting state
     for part in parts:
+        if not _is_integer(part):
+            raise RangeError(f"seed part {part!r} is not an integer")
         acc = splitmix64(acc ^ (int(part) & _MASK64))
     return acc
 

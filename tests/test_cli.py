@@ -313,6 +313,17 @@ def test_plot_from_csv(tmp_path):
     assert root.tag.endswith("svg")
 
 
+@pytest.mark.parametrize("n", ["0", "3", "-4"])
+def test_plot_rejects_an_n_below_the_plotted_counts(tmp_path, capsys, n):
+    records = tmp_path / "records.csv"
+    assert main(["simulate", "--graph", "complete:16", "--protocol", "push", "--cred", "const:1",
+                 "--out", str(records)]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--in", str(records), "--out", str(tmp_path / "chart.svg"), "--n", n]) == 2
+    assert f"error: n = {n} is below the largest informed count plotted, 16" in capsys.readouterr().err
+    assert not (tmp_path / "chart.svg").exists()
+
+
 @pytest.mark.parametrize(
     "name,text",
     [

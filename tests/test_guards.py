@@ -5,9 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gossipsim import bounds, graphs, harness, plotting, predictor, protocol
+from gossipsim import bounds, graphs, harness, plotting, predictor, protocol, seeds
 from gossipsim.credibility import Additive, Constant, PowerLaw, Table
-from gossipsim.errors import AlphaRange, DomainError, IoError, RangeError, SetRangeError, SizeGuardExceeded
+from gossipsim.errors import (
+    AlphaRange,
+    DomainError,
+    IoError,
+    RangeError,
+    SetRangeError,
+    SizeGuardExceeded,
+    _is_integer,
+)
 from gossipsim.protocol import ProtocolKind
 
 
@@ -29,11 +37,53 @@ GUARDS = {
                                "malformed line"),
     "cycle_graph-2": (lambda tmp: graphs.cycle_graph(2), RangeError, "cycle needs n >= 3"),
     "CyclicGraphs-empty": (lambda tmp: graphs.CyclicGraphs(()), RangeError, "at least one snapshot"),
-    "initial_state-0": (lambda tmp: protocol.initial_state(8, 0), SetRangeError, "not in \\[1, 8\\]"),
+    "initial_state-0": (lambda tmp: protocol.initial_state(8, 0), SetRangeError, "not an integer in \\[1, 8\\]"),
+    "initial_state-2.5": (lambda tmp: protocol.initial_state(5, 2.5), SetRangeError,
+                          "count 2.5 not an integer in \\[1, 5\\]"),
     "step-state-size": (
         lambda tmp: protocol.step(ProtocolKind.PUSH, graphs.complete_graph(8), protocol.initial_state(7),
                                   0.5, np.random.default_rng(0)),
-        SetRangeError, "state has 7 vertices, graph has 8"),
+        RangeError, "mask length \\(7,\\) != \\(8,\\)"),
+    **{
+        f"sample_delta_sizes-{name}": (
+            lambda tmp, informed=informed, draws=draws: protocol.sample_delta_sizes(
+                ProtocolKind.PUSH, graphs.complete_graph(4), informed, 0.5, np.random.default_rng(0), draws),
+            error, message)
+        for name, informed, draws, error, message in (
+            ("samples--1", [0], -1, RangeError, "n_samples must be a non-negative integer, got -1"),
+            ("samples-2.5", [0], 2.5, RangeError, "n_samples must be a non-negative integer, got 2.5"),
+            ("empty-set", [], 3, SetRangeError, "informed set must be nonempty"),
+        )
+    },
+    **{
+        f"seed-{name}": (lambda tmp, seed=seed: graphs.generate_random_regular(10, 3, seed=seed), RangeError,
+                         f"seed part {seed!r} is not an integer")
+        for name, seed in (("str", "5"), ("none", None), ("nan", float("nan")))
+    },
+    "ResampledRegular-seed-2.5": (lambda tmp: graphs.ResampledRegular(10, 3, 2.5), RangeError,
+                                  "seed part 2.5 is not an integer"),
+    "MatchingSequence-seed-2.5": (lambda tmp: graphs.MatchingSequence(10, 2.5), RangeError,
+                                  "seed part 2.5 is not an integer"),
+    "cycle_graph-str": (lambda tmp: graphs.cycle_graph("6"), RangeError, "vertex count must be an integer, got '6'"),
+    **{
+        f"as_vertex_mask-{name}": (lambda tmp, s=s: graphs.as_vertex_mask(6, s), RangeError, message)
+        for name, s, message in (
+            ("scalar", 3, "a vertex set is a bool mask or integer vertex ids, got 3"),
+            ("2d-ids", np.array([[0, 1]]), "integer vertex ids, got a 2-d int64 array"),
+        )
+    },
+    **{
+        f"matching_graph-{name}": (lambda tmp, pairs=pairs: graphs.matching_graph(pairs), RangeError, message)
+        for name, pairs, message in (
+            ("overlap", [(0, 1), (1, 2)], "matching vertex 1 appears 2 times, not exactly once"),
+            ("repeat", [(0, 1), (0, 1)], "matching vertex 0 appears 2 times, not exactly once"),
+        )
+    },
+    **{
+        f"render_trajectories_svg-n-{n}": (lambda tmp, n=n: plotting.render_trajectories_svg([RECORD], n=n),
+                                           RangeError, f"n = {n} is below the largest informed count plotted, 2")
+        for n in (0, 1, -4)
+    },
     "tau2_rounds-negative-nu": (lambda tmp: predictor.tau2_rounds(lambda t: -0.1, 0, 2.0, 100.0, 1.0), RangeError,
                                 "must be >= 0"),
     "tau3_rounds-nu-1": (lambda tmp: predictor.tau3_rounds(lambda t: 1.0, 0, 250.0, 0.75, 0.5), RangeError,
@@ -77,14 +127,16 @@ GUARDS = {
             ("start-0", 8, 0, SetRangeError, "count 0 not an integer in \\[1, 8\\]"),
             ("start-9", 8, 9, SetRangeError, "count 9 not an integer in \\[1, 8\\]"),
             ("start-2.5", 8, 2.5, SetRangeError, "count 2.5 not an integer in \\[1, 8\\]"),
-            ("n-1", 1, 1, RangeError, "K_n needs an integer n >= 2, got 1"),
-            ("n-8.0", 8.0, 1, RangeError, "K_n needs an integer n >= 2, got 8.0"),
+            ("n-1", 1, 1, RangeError, "need at least 2 vertices, got 1"),
+            ("n-8.0", 8.0, 1, RangeError, "vertex count must be an integer, got 8.0"),
         )
     },
     "complete_size_law-n-2.5": (lambda tmp: protocol.complete_size_law(ProtocolKind.PUSH, 2.5, 1, 0.5), RangeError,
-                                "K_n needs an integer n >= 2, got 2.5"),
+                                "vertex count must be an integer, got 2.5"),
     "complete_size_law-count-2.5": (lambda tmp: protocol.complete_size_law(ProtocolKind.PUSH, 8, 2.5, 0.5),
-                                    SetRangeError, "informed size 2.5 not in \\[1, 7\\]"),
+                                    SetRangeError, "count 2.5 not an integer in \\[1, 7\\]"),
+    "complete_size_law-count-True": (lambda tmp: protocol.complete_size_law(ProtocolKind.PUSH, 8, True, 0.5),
+                                     SetRangeError, "count True not an integer in \\[1, 7\\]"),
     "harmonic_sum_check-alpha": (lambda tmp: predictor.harmonic_sum_check(1.5, 10), AlphaRange,
                                  "needs alpha in \\(0, 1\\)"),
     "load_records_csv-empty": (lambda tmp: harness.load_records_csv(_file(tmp / "r.csv", "")), RangeError,
@@ -102,6 +154,61 @@ def test_guard_raises_its_type(tmp_path, name):
     call, error, message = GUARDS[name]
     with pytest.raises(error, match=message):
         call(tmp_path)
+
+
+def _spec(**fields):
+    return harness.ExperimentSpec(graphs.StaticGraph(graphs.cycle_graph(8)), ProtocolKind.PUSH, Constant(0.5),
+                                  **fields)
+
+
+C4_ROWS = np.array([[1, 3], [0, 2], [1, 3], [0, 2]])
+MISREADS = {
+    "conductance-int-0/1-array": (
+        lambda: graphs.conductance(graphs.cycle_graph(6), np.array([0, 0, 1, 0, 0, 0])), RangeError),
+    "vertex-set-float-ids": (lambda: graphs.as_vertex_mask(6, np.array([1.0, 2.0])), RangeError),
+    "vertex-set-bool-among-ids": (lambda: graphs.as_vertex_mask(6, [True, 2]), RangeError),
+    "generator-float-seed": (lambda: graphs.generate_random_regular(10, 3, seed=2.7), RangeError),
+    "rng_for-float-part": (lambda: seeds.rng_for(1, 2.0), RangeError),
+    "spec-master-seed-2.5": (lambda: _spec(master_seed=2.5), RangeError),
+    "snapshot-float-adjacency": (lambda: graphs.GraphSnapshot(4, 2, C4_ROWS + 0.25), RangeError),
+    "matching-float-pairs": (lambda: graphs.matching_graph([(0.5, 1), (2, 3)]), RangeError),
+    "edge-list-float-vertex": (lambda: graphs.from_edge_list(4, [(0, 1.0), (1, 2), (2, 3), (3, 0)]), RangeError),
+    "complete_delta_expectation-bool-count": (
+        lambda: protocol.complete_delta_expectation(ProtocolKind.PUSH, 8, True, 0.5), SetRangeError),
+    "complete_chain-bool-count": (
+        lambda: protocol.complete_chain(ProtocolKind.PUSH, 8, True, np.full(4, 0.5), seeds.rng_for(0)),
+        SetRangeError),
+}
+
+
+@pytest.mark.parametrize("name", list(MISREADS))
+def test_an_input_once_read_as_another_raises(name):
+    # each of these was coerced (truncated, or a bool read as 1) and run as some other input
+    call, error = MISREADS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_a_bool_list_is_a_mask_not_ids():
+    # [False, False, True, ...] is the set {2}, once read as the ids {0, 1}
+    informed = [False, False, True, False, False, False]
+    assert graphs.conductance(graphs.cycle_graph(6), informed) == 1.0
+    assert graphs.conductance(graphs.cycle_graph(6), [2]) == 1.0
+
+
+def test_a_numpy_integer_trial_index_runs_as_an_int():
+    record = harness.run_trial(_spec(), np.int64(3))
+    assert type(record.trial) is int and record == harness.run_trial(_spec(), 3)
+
+
+@pytest.mark.parametrize("x", [0, -7, 2**70, np.int64(3), np.uint8(1)])
+def test_is_integer_accepts_python_and_numpy_integers(x):
+    assert _is_integer(x)
+
+
+@pytest.mark.parametrize("x", [True, np.True_, 2.0, np.float64(2.0), "2", None])
+def test_is_integer_refuses_bools_floats_and_strings(x):
+    assert not _is_integer(x)
 
 
 def test_a_complete_graph_is_connected():

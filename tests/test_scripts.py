@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -75,10 +76,24 @@ def test_bench_pairs_smoke():
     assert lines[-1] == "failed checks: parent 0, change 0"
 
 
-def test_bench_pairs_claim_rule():
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_workload_list():
+    bench_pairs = _bench_pairs()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # without --workload every declared workload is paired, in the file's order
+    assert bench_pairs.workloads(spec, None) == [w["name"] for w in spec["workloads"]]
+    assert bench_pairs.workloads(spec, None) == ["stall", "spread", "dynamic", "verify"]
+    assert bench_pairs.workloads(spec, "dynamic") == ["dynamic"]
+
+
+def test_bench_pairs_claim_rule():
+    bench_pairs = _bench_pairs()
     # parent median 11, quartiles 10 and 12
     parent = [10.0] * 5 + [12.0] * 5
     assert bench_pairs.compare("lower", parent, [8.0] * 10) == (10, 3.0, 2.0, True)
@@ -91,9 +106,7 @@ def test_bench_pairs_claim_rule():
 
 
 def test_bench_pairs_regression_rule():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    bench_pairs = _bench_pairs()
     # parent median 10, quartiles 9 and 11: IQR/median 0.2
     parent = [9.0] * 5 + [11.0] * 5
     assert bench_pairs.regression("lower", 0.25, parent, [12.0] * 10) == (0.2, 0.2, "within bound")
