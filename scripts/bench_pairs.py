@@ -9,7 +9,9 @@ Usage:
 
 Without ``--workload`` it runs the pairs of every workload that
 ``BENCHMARK.json`` names, one workload after another, in the file's order;
-the report below is printed once per workload. Each pair runs the benchmark once in each checkout, one after the other, with
+the report below is printed once per workload.
+
+Each pair runs the benchmark once in each checkout, one after the other, with
 the same settings; which side runs first alternates from pair to pair, the
 parent first in pair 1. ``--change`` defaults to the checkout holding this
 script. For every end-to-end metric that ``BENCHMARK.json`` declares, the

@@ -639,7 +639,6 @@ class ResampledRegular:
 
     def __post_init__(self):
         _check_regular(self.n, self.d)
-        mix_seed(self.seed)  # the seed check, at construction rather than round 0
 
     def snapshot(self, t: int) -> GraphSnapshot:
         return generate_random_regular(self.n, self.d, seed=mix_seed(self.seed, t))
@@ -659,7 +658,6 @@ class MatchingSequence:
         _check_vertex_count(self.n)
         if self.n % 2 != 0:
             raise ParityError(f"matching sequence needs even n, got {self.n}")
-        mix_seed(self.seed)  # the seed check, at construction rather than round 0
 
     def snapshot(self, t: int) -> GraphSnapshot:
         perm = rng_for(mix_seed(self.seed, t)).permutation(self.n)

@@ -119,7 +119,7 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not _is_integer(value) and not (value is None and name == "max_rounds"):
                 raise RangeError(f"{name} must be an integer, got {value!r}")
-            if value is not None:
+            if isinstance(value, np.integer):
                 object.__setattr__(self, name, int(value))  # a numpy integer would reach the records
         if self.trials < 1:
             raise RangeError(f"trials must be >= 1, got {self.trials}")

@@ -84,6 +84,7 @@ class ProcessState:
 
 
 def initial_state(n: int, informed_count: int = 1) -> ProcessState:
+    _check_vertex_count(n)
     _check_initial_count(n, informed_count)
     informed = np.zeros(n, dtype=bool)
     informed[:informed_count] = True

@@ -1,4 +1,4 @@
-"""Typed-error guards that no other test reaches, and the one file-error wrapper."""
+"""Typed-error guards that no other test reaches, inputs once silently misread, and the one file-error wrapper."""
 
 from __future__ import annotations
 
@@ -40,6 +40,8 @@ GUARDS = {
     "initial_state-0": (lambda tmp: protocol.initial_state(8, 0), SetRangeError, "not an integer in \\[1, 8\\]"),
     "initial_state-2.5": (lambda tmp: protocol.initial_state(5, 2.5), SetRangeError,
                           "count 2.5 not an integer in \\[1, 5\\]"),
+    "initial_state-n-2.5": (lambda tmp: protocol.initial_state(2.5, 1), RangeError,
+                            "vertex count must be an integer, got 2.5"),
     "step-state-size": (
         lambda tmp: protocol.step(ProtocolKind.PUSH, graphs.complete_graph(8), protocol.initial_state(7),
                                   0.5, np.random.default_rng(0)),
@@ -60,9 +62,9 @@ GUARDS = {
                          f"seed part {seed!r} is not an integer")
         for name, seed in (("str", "5"), ("none", None), ("nan", float("nan")))
     },
-    "ResampledRegular-seed-2.5": (lambda tmp: graphs.ResampledRegular(10, 3, 2.5), RangeError,
+    "ResampledRegular-seed-2.5": (lambda tmp: graphs.ResampledRegular(10, 3, 2.5).snapshot(0), RangeError,
                                   "seed part 2.5 is not an integer"),
-    "MatchingSequence-seed-2.5": (lambda tmp: graphs.MatchingSequence(10, 2.5), RangeError,
+    "MatchingSequence-seed-2.5": (lambda tmp: graphs.MatchingSequence(10, 2.5).snapshot(0), RangeError,
                                   "seed part 2.5 is not an integer"),
     "cycle_graph-str": (lambda tmp: graphs.cycle_graph("6"), RangeError, "vertex count must be an integer, got '6'"),
     **{
@@ -201,12 +203,12 @@ def test_a_numpy_integer_trial_index_runs_as_an_int():
     assert type(record.trial) is int and record == harness.run_trial(_spec(), 3)
 
 
-@pytest.mark.parametrize("x", [0, -7, 2**70, np.int64(3), np.uint8(1)])
+@pytest.mark.parametrize("x", [0, -7, 2**70, np.int64(3), np.uint8(1), np.array([1, 2]), np.array([], np.uint64)])
 def test_is_integer_accepts_python_and_numpy_integers(x):
     assert _is_integer(x)
 
 
-@pytest.mark.parametrize("x", [True, np.True_, 2.0, np.float64(2.0), "2", None])
+@pytest.mark.parametrize("x", [True, np.True_, 2.0, np.float64(2.0), "2", None, np.array([True]), np.array([1.0])])
 def test_is_integer_refuses_bools_floats_and_strings(x):
     assert not _is_integer(x)
 
