@@ -30,6 +30,12 @@ it prints each side's pass digests, read from the report a run writes to
 a run of any workload fails, reports failed checks, or a digest differs,
 between runs or between the passes of one run; it writes nothing under
 ``perfbench/``.
+
+Each report's header also gives both checkouts' bytecode caches
+(``src/gossipsim/__pycache__``) as found at the start. A side that holds a
+cache imports the package without compiling it, which shows in its timings and
+``peak_rss_mb``, so the script refuses to start, naming the checkout, when
+exactly one side holds one.
 """
 
 from __future__ import annotations
@@ -66,6 +72,12 @@ def run_once(checkout: Path, workload: str, args) -> dict:
         "digest": report["digest"],
         "agree": report["digests_agree"],
     }
+
+
+def bytecode_cache(checkout: Path) -> str:
+    """``checkout``'s package bytecode cache: "none", or how many compiled files it holds."""
+    files = len(list((checkout / "src" / "gossipsim" / "__pycache__").glob("*.pyc")))
+    return f"{files} .pyc files" if files else "none"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -111,9 +123,10 @@ def workloads(spec: dict, chosen: str | None) -> list[str]:
     return [chosen] if chosen is not None else [w["name"] for w in spec["workloads"]]
 
 
-def pair_workload(workload: str, sides: dict[str, Path], spec: dict, args) -> bool:
+def pair_workload(workload: str, sides: dict[str, Path], caches: dict[str, str], spec: dict, args) -> bool:
     """Run and report ``args.pairs`` pairs of ``workload``; True when the digests
-    match and no run reports a failed check."""
+    match and no run reports a failed check. ``caches`` holds each side's
+    :func:`bytecode_cache` at the start, for the report's header."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -129,6 +142,7 @@ def pair_workload(workload: str, sides: dict[str, Path], spec: dict, args) -> bo
 
     seed = "default" if args.seed is None else args.seed
     print(f"\n{workload} seed={seed}: {args.pairs} pairs of {args.seconds:g} s runs")
+    print(f"bytecode caches at the start: parent {caches['parent']}, change {caches['change']}")
     print(f"{'metric':20s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} change better")
     verdicts = []
     for name, direction in better.items():
@@ -169,9 +183,16 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    passed = [pair_workload(workload, sides, spec, args) for workload in workloads(spec, args.workload)]
+    caches = {side: bytecode_cache(path) for side, path in sides.items()}
+    cached = [side for side in sides if caches[side] != "none"]
+    if len(cached) == 1:
+        (side,) = cached
+        sys.exit(f"bench_pairs: the {side} checkout {sides[side]} holds a bytecode cache "
+                 f"({caches[side]} in src/gossipsim/__pycache__) and the other does not; "
+                 "remove it, or give both sides one, before comparing")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    passed = [pair_workload(workload, sides, caches, spec, args) for workload in workloads(spec, args.workload)]
     return 0 if all(passed) else 1
 
 

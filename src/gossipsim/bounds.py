@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, KindError, RangeError, _check_unit
+from .errors import DomainError, KindError, RangeError, _check_unit, _is_integer
 from .protocol import ProtocolKind
 
 __all__ = [
@@ -115,7 +115,8 @@ def shrink_bounds(kind: ProtocolKind, q: float, phi: float, d: int) -> BoundSet:
     """
     q = _check_unit("q", q)
     phi = _check_unit("phi", phi)
-    _check_size("degree", d, 1)
+    if not _is_integer(d) or d < 1:
+        raise RangeError(f"degree must be an integer >= 1, got {d!r}")
     lower = shrink_lower(kind, q, phi)
     if kind is ProtocolKind.PULL:
         return BoundSet(lower, lower, "shrink/pull")

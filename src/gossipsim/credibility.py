@@ -86,7 +86,7 @@ class Constant(_Schedule):
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _check_unit("constant credibility", float(self.q)))
+        object.__setattr__(self, "q", _check_unit("constant credibility", self.q))
 
     def value_at(self, t: int) -> float:
         return self.q
@@ -169,11 +169,10 @@ class Table(_Schedule):
     def __post_init__(self):
         if len(self.values) == 0:
             raise RangeError("table credibility needs at least one value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        tail = self.values[-1] if self.tail is None else float(self.tail)
+        values = tuple(_check_unit("table credibility values", v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        tail = values[-1] if self.tail is None else _check_unit("table credibility values", self.tail)
         object.__setattr__(self, "tail", tail)
-        for v in (*self.values, tail):
-            _check_unit("table credibility values", v)
 
     def value_at(self, t: int) -> float:
         if t < len(self.values):

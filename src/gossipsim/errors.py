@@ -1,6 +1,7 @@
 """Exception types raised across the toolkit, and the input checks they share:
 an integer is an ``int`` or numpy integer (never a bool, float or str), and a
-[0, 1] value fails outside [0, 1], nan included; both raise :class:`RangeError`."""
+[0, 1] value fails outside [0, 1], nan and non-numbers (a str too) included;
+both raise :class:`RangeError`."""
 
 from __future__ import annotations
 
@@ -100,6 +101,11 @@ def _is_integer(x) -> bool:
 
 
 def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
+    """``value`` as a float; :class:`RangeError` unless it is a number in [0, 1] (a str is not)."""
+    try:
+        inside = 0.0 <= value <= 1.0
+    except TypeError:
+        raise RangeError(f"{name} must be a number in [0, 1], got {value!r}") from None
+    if not inside:
         raise RangeError(f"{name} must be in [0, 1], got {value}")
     return float(value)

@@ -104,7 +104,10 @@ class GraphSnapshot:
     ``adj`` is an ``(n, d)`` array whose row ``v`` lists the neighbors of
     ``v`` in ascending order, or ``None`` for the implicit complete graph
     (every other vertex is a neighbor). Construction validates regularity,
-    symmetry and simplicity.
+    simplicity (:meth:`_check_rows`) and symmetry (:meth:`_check_symmetric`).
+    The generator's and the edge list's snapshots, whose arcs come in both
+    directions by construction, are built by ``_snapshot_from_keys`` and run
+    every check but the symmetry sort.
     """
 
     n: int
@@ -118,26 +121,31 @@ class GraphSnapshot:
             if not _is_integer(adj):
                 raise RangeError(f"adjacency entries must be integers, got dtype {adj.dtype}")
             self.adj = np.ascontiguousarray(adj, dtype=np.int64)
-            self._validate_adjacency()
+            self._check_rows()
+            self._check_symmetric()
 
     @property
     def is_complete(self) -> bool:
         return self.adj is None
 
-    def _validate_adjacency(self):
+    def _check_rows(self):
+        """Shape, neighbor range, no self-loop and strictly ascending rows."""
         adj = self.adj
         if adj.shape != (self.n, self.d):
             raise DegreeError(f"adjacency shape {adj.shape} != ({self.n}, {self.d})")
         if adj.min() < 0 or adj.max() >= self.n:
             raise RangeError("neighbor index out of range")
-        ids = np.arange(self.n)
-        if (adj == ids[:, None]).any():
+        if (adj == np.arange(self.n)[:, None]).any():
             raise RangeError("self-loop in adjacency")
         if self.d > 1 and not (adj[:, 1:] > adj[:, :-1]).all():
             raise RangeError("neighbor rows must be strictly ascending (sorted, no duplicates)")
+
+    def _check_symmetric(self):
+        """Every arc u -> v has its reverse v -> u; needs :meth:`_check_rows` first."""
         # Rows ascend, so the arc keys u*n + v are sorted in row-major order;
         # the graph is symmetric when the sorted reversed keys v*n + u are the
         # same keys, row u being adj[u] + u*n.
+        adj, ids = self.adj, np.arange(self.n)
         backward = adj * self.n
         backward += ids[:, None]
         backward.ravel().sort()
@@ -201,7 +209,10 @@ def as_vertex_mask(n: int, s) -> np.ndarray:
         is_mask = len(items) > 0 and all(type(x) in (bool, np.bool_) for x in items)
         if not is_mask and not all(map(_is_integer, items)):
             raise RangeError(f"a vertex set is a bool mask or integer vertex ids, got {s!r}")
-        s = np.array(items, dtype=bool if is_mask else np.int64)
+        try:
+            s = np.array(items, dtype=bool if is_mask else np.int64)
+        except OverflowError:
+            raise RangeError("vertex id out of range") from None
     if s.dtype == bool:
         if s.shape != (n,):
             raise RangeError(f"mask length {s.shape} != ({n},)")
@@ -271,6 +282,12 @@ def _snapshot_from_keys(n: int, keys: np.ndarray, complement: bool = False) -> G
     Both directions of every edge are sorted together in one pass, so each
     vertex's neighbors come out as a contiguous ascending run; subtracting
     row u's base u*n from that run, in place, leaves its adjacency row.
+
+    Every key adds its arc and the reverse arc, so the rows are symmetric
+    whatever the keys, and so is their complement: the snapshot runs
+    :func:`_check_regular` and :meth:`GraphSnapshot._check_rows`, which catch
+    uneven or out-of-range keys, duplicates and self-loops with the public
+    constructor's errors, but not the symmetry sort.
     """
     m = len(keys)
     arcs = np.empty(2 * m, dtype=np.int64)
@@ -290,7 +307,11 @@ def _snapshot_from_keys(n: int, keys: np.ndarray, complement: bool = False) -> G
         if d == 0 or (adj[:, 0].min() >= 0 and adj[:, -1].max() < n):
             if complement:
                 adj = _complement_rows(n, adj)
-            return GraphSnapshot(n=n, d=adj.shape[1], adj=adj)
+            g = object.__new__(GraphSnapshot)
+            g.n, g.d, g.adj = n, adj.shape[1], adj
+            _check_regular(g.n, g.d)
+            g._check_rows()
+            return g
         adj += bases
     degrees = np.bincount(arcs // n, minlength=n)
     raise DegreeError(f"graph is not regular, degrees {np.unique(degrees).tolist()}")
@@ -339,11 +360,14 @@ def cycle_graph(n: int) -> GraphSnapshot:
 
 def matching_graph(pairs) -> GraphSnapshot:
     """Perfect matching (d = 1) from disjoint integer vertex pairs covering 0..n-1."""
-    pairs = np.asarray(pairs).reshape(-1, 2)
-    if len(pairs) and not _is_integer(pairs):
-        raise RangeError(f"matching pairs must be integer vertex ids, got dtype {pairs.dtype}")
+    pairs = np.asarray(pairs)
+    if pairs.shape[1:] != (2,):
+        raise RangeError(f"matching pairs must be (u, v) pairs, got shape {pairs.shape}")
     n = 2 * len(pairs)
-    if n and (pairs.min() < 0 or pairs.max() >= n):
+    _check_vertex_count(n)
+    if not _is_integer(pairs):
+        raise RangeError(f"matching pairs must be integer vertex ids, got dtype {pairs.dtype}")
+    if pairs.min() < 0 or pairs.max() >= n:
         raise RangeError(f"matching vertex out of range for n = {n}")
     uses = np.bincount(pairs.ravel().astype(np.int64), minlength=n)
     if (uses != 1).any():
@@ -429,7 +453,9 @@ def generate_random_regular(n: int, d: int, seed: int) -> GraphSnapshot:
     every pairing is rejected, the (n-1-d)-regular graph is paired from the
     same stream and its complement returned. Deterministic given ``seed``;
     raises :class:`RetryExhausted` after ``MAX_ATTEMPTS`` whole-graph
-    rejections.
+    rejections. The snapshot, or its complement, comes from
+    ``_snapshot_from_keys``: symmetric by construction, it runs every
+    snapshot check but the symmetry sort.
     """
     _check_regular(n, d)
     rng = rng_for(seed)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossipsim import graphs, harness
@@ -667,6 +667,39 @@ class TestSnapshotValidation:
     def test_impossible_degree_raises_typed_error(self, n, d, error):
         with pytest.raises(error):
             GraphSnapshot(n, d)
+
+    # Generated snapshots skip the symmetry sort, since their arcs come in both
+    # directions by construction; the public constructor runs it.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 96), st.integers(1, 95), st.integers(0, 2**63 - 1))
+    @example(40, 36, 1)
+    @example(10, 9, 0)
+    def test_generated_adjacency_passes_the_full_check(self, n, d, seed):
+        d = min(d, n - 1)
+        if (n * d) % 2:
+            n += 1
+        g = generate_random_regular(n, d, seed=seed)
+        assert np.array_equal(GraphSnapshot(n, d, g.adj.copy()).adj, g.adj)
+
+    # Key arrays that neither the generator nor an edge list passes. Each
+    # raises the error it raised when the symmetry sort also ran; no caller
+    # passes a negative key, which fails in numpy's degree count.
+    @pytest.mark.parametrize(
+        "n, keys, error, message",
+        [
+            (4, [1, 1, 11, 11], RangeError, "neighbor rows must be strictly ascending (sorted, no duplicates)"),
+            (4, [0, 5, 10, 15], RangeError, "self-loop in adjacency"),
+            (4, [1, 3, 6, 16], DegreeError, "graph is not regular, degrees [1, 2, 3]"),
+            (4, [-1, 3, 6, 11], ValueError, "'list' argument must have no negative elements"),
+            (4, [1, 3, 6], DegreeError, "graph is not regular, degrees [1, 2]"),
+            (4, [], DegreeError, "degree must be >= 1, got 0"),
+            (2, [1, 1, 1, 1], DegreeError, "degree 4 must be < n = 2"),
+        ],
+        ids=["duplicate", "self-loop", "above-n-squared", "negative", "irregular", "empty", "degree-n"],
+    )
+    def test_bad_keys_raise_as_with_the_symmetry_sort(self, n, keys, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            graphs._snapshot_from_keys(n, np.array(keys, dtype=np.int64))
 
 
 class TestIntegerSizes:

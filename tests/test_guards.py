@@ -66,12 +66,23 @@ GUARDS = {
                                   "seed part 2.5 is not an integer"),
     "MatchingSequence-seed-2.5": (lambda tmp: graphs.MatchingSequence(10, 2.5).snapshot(0), RangeError,
                                   "seed part 2.5 is not an integer"),
+    "shrink_bounds-degree-2.5": (lambda tmp: bounds.shrink_bounds(ProtocolKind.PUSH, 0.5, 0.5, 2.5), RangeError,
+                                 "degree must be an integer >= 1, got 2.5"),
+    "step-credibility-str": (
+        lambda tmp: protocol.step(ProtocolKind.PUSH, graphs.complete_graph(4), protocol.initial_state(4), "0.5",
+                                  np.random.default_rng(0)),
+        RangeError, "credibility must be a number in \\[0, 1\\], got '0.5'"),
+    "Constant-str": (lambda tmp: Constant("x"), RangeError,
+                     "constant credibility must be a number in \\[0, 1\\], got 'x'"),
+    "Table-str": (lambda tmp: Table(("x",)), RangeError,
+                  "table credibility values must be a number in \\[0, 1\\], got 'x'"),
     "cycle_graph-str": (lambda tmp: graphs.cycle_graph("6"), RangeError, "vertex count must be an integer, got '6'"),
     **{
         f"as_vertex_mask-{name}": (lambda tmp, s=s: graphs.as_vertex_mask(6, s), RangeError, message)
         for name, s, message in (
             ("scalar", 3, "a vertex set is a bool mask or integer vertex ids, got 3"),
             ("2d-ids", np.array([[0, 1]]), "integer vertex ids, got a 2-d int64 array"),
+            ("id-2**70", [2**70], "vertex id out of range"),
         )
     },
     **{
@@ -79,6 +90,10 @@ GUARDS = {
         for name, pairs, message in (
             ("overlap", [(0, 1), (1, 2)], "matching vertex 1 appears 2 times, not exactly once"),
             ("repeat", [(0, 1), (0, 1)], "matching vertex 0 appears 2 times, not exactly once"),
+            ("triple", [(0, 1, 2)], "matching pairs must be \\(u, v\\) pairs, got shape \\(1, 3\\)"),
+            ("empty", [], "matching pairs must be \\(u, v\\) pairs, got shape \\(0,\\)"),
+            ("flat", [0, 1, 2, 3], "matching pairs must be \\(u, v\\) pairs, got shape \\(4,\\)"),
+            ("no-pairs", np.empty((0, 2), dtype=np.int64), "need at least 2 vertices, got 0"),
         )
     },
     **{

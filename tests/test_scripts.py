@@ -5,9 +5,12 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,6 +75,8 @@ def test_bench_pairs_smoke():
             and line.endswith(("%: within bound", "%: regressed"))
             for line in lines
         )
+    caches = [line for line in lines if line.startswith("bytecode caches at the start: ")]
+    assert len(caches) == 1 and caches[0].split(": ")[1].startswith("parent ")
     assert "; match" in lines[-3] and lines[-2] == "runs whose passes disagreed: parent 0, change 0"
     assert lines[-1] == "failed checks: parent 0, change 0"
 
@@ -119,3 +124,19 @@ def test_bench_pairs_regression_rule():
     # ... unless every change run beats every parent run
     assert bench_pairs.regression("lower", 0.1, parent, [8.0] * 10) == (-0.2, 0.2, "within bound")
     assert bench_pairs.regression("higher", 0.1, parent, [12.0] * 10) == (-0.2, 0.2, "within bound")
+
+
+def test_bench_pairs_refuses_one_sided_bytecode_cache(tmp_path, capsys):
+    bench_pairs = _bench_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "src" / "gossipsim" / "__pycache__").mkdir(parents=True)
+    (parent / "src" / "gossipsim" / "__pycache__" / "graphs.cpython-311.pyc").write_bytes(b"")
+    (change / "src" / "gossipsim").mkdir(parents=True)
+    assert bench_pairs.bytecode_cache(parent) == "1 .pyc files"
+    assert bench_pairs.bytecode_cache(change) == "none"
+    # refused before any run starts, naming the checkout that holds the cache
+    cached = re.escape(str(parent.resolve()))
+    with pytest.raises(SystemExit, match=f"the parent checkout {cached} holds a bytecode cache"):
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "stall"])
+    with pytest.raises(SystemExit, match=f"the change checkout {cached} holds a bytecode cache"):
+        bench_pairs.main(["--parent", str(change), "--change", str(parent), "--workload", "stall"])
