@@ -20,9 +20,11 @@ how many pairs the change read better (ties count for neither side). A
 verdict line per metric then gives the median gap (positive when the change's
 median is better) against the parent's interquartile range, and whether a
 claimed gain would hold: the change better in at least 9 of every 10 pairs
-and the gap wider than that range. A regression line per metric compares the
-change's median with the parent's against the metric's ``bound`` in
-``BENCHMARK.json``: ``unresolved`` when the parent's IQR/median is wider than
+and the gap wider than that range; for ``peak_rss_mb`` the gap must also pass
+0.5 MB (``CLAIM_FLOORS``, printed on a line after the verdict), twice the drift
+seen between trees that differ in no allocation. A regression line per metric
+compares the change's median with the parent's against the metric's ``bound``
+in ``BENCHMARK.json``: ``unresolved`` when the parent's IQR/median is wider than
 the bound and not every change run beats every parent run, else ``regressed``
 when the change is worse by more than the bound, else ``within bound``. Last
 it prints each side's pass digests, read from the report a run writes to
@@ -49,6 +51,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The least median gap a claimed gain needs, by metric, whatever the IQR. Two
+# trees that differ in no allocation read peak_rss_mb up to 0.25 MB apart,
+# consistently within a batch, so a gain must be twice that drift.
+CLAIM_FLOORS = {"peak_rss_mb": 0.5}
 
 
 def run_once(checkout: Path, workload: str, args) -> dict:
@@ -88,17 +94,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(direction: str, parent: list[float], change: list[float]) -> tuple[int, float, float, bool]:
+def compare(
+    direction: str, parent: list[float], change: list[float], floor: float = 0.0
+) -> tuple[int, float, float, bool]:
     """For one metric over paired runs: the pairs the change read better (ties
     count for neither side), the median gap (positive when the change's median
     is better), the parent's interquartile range, and whether a claimed gain
     holds: the change better in at least 9 of every 10 pairs and the gap wider
-    than that range."""
+    than that range and than ``floor``."""
     sign = -1 if direction == "lower" else 1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     q1, med, q3 = quartiles(parent)
     gap = sign * (quartiles(change)[1] - med)
-    return wins, gap, q3 - q1, 10 * wins >= 9 * len(parent) and gap > q3 - q1
+    return wins, gap, q3 - q1, 10 * wins >= 9 * len(parent) and gap > max(q3 - q1, floor)
 
 
 def regression(direction: str, bound: float, parent: list[float], change: list[float]) -> tuple[float, float, str]:
@@ -148,12 +156,14 @@ def pair_workload(workload: str, sides: dict[str, Path], caches: dict[str, str],
     for name, direction in better.items():
         values = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
         cells = [f"{med:.6g} [{q1:.6g}, {q3:.6g}]" for q1, med, q3 in map(quartiles, values.values())]
-        wins, gap, iqr, holds = compare(direction, values["parent"], values["change"])
+        floor = CLAIM_FLOORS.get(name, 0.0)
+        wins, gap, iqr, holds = compare(direction, values["parent"], values["change"], floor)
         print(f"{name:20s} {cells[0]:34s} {cells[1]:34s} {wins}/{args.pairs} ({direction} is better)")
         worse, spread, status = regression(direction, bounds[name], values["parent"], values["change"])
         verdicts += [
             f"verdict {name}: median gap {gap:+.6g} against parent IQR {iqr:.6g}, better in "
             f"{wins}/{args.pairs}: claim {'holds' if holds else 'does not hold'}",
+            *([f"floor {name}: a claimed gain also needs a median gap above {floor:g}"] if floor else []),
             f"regression {name}: change median {abs(worse):.1%} {'worse' if worse > 0 else 'better'}, "
             f"parent IQR/median {spread:.1%}, bound {bounds[name]:.0%}: {status}",
         ]

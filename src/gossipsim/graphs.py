@@ -59,13 +59,14 @@ __all__ = [
     "parse_graph_spec",
 ]
 
-# spectral_lambda keeps a few length-n vectors and the tridiagonal; its one
-# large allocation is a check's eigh of that tridiagonal, ~5 steps^2 floats.
-# It raises SizeGuardExceeded rather than let that pass LANCZOS_FLOATS
-# (512 MiB), so at most 3663 steps run. A random 32-regular graph at n = 10^5
-# converges in ~700; n above 2^17 is refused up front.
+# spectral_lambda keeps a few length-n vectors, the walk's (d, n) gather and
+# the tridiagonal as lists of floats; a check bisects on those lists in O(steps)
+# memory. It raises SizeGuardExceeded after LANCZOS_STEPS steps without
+# convergence (the cap bounds time: each check costs O(steps) per bisection).
+# A random 32-regular graph at n = 10^5 converges in ~700; n above 2^17 is
+# refused up front.
 SPECTRAL_SIZE_GUARD = 1 << 17
-LANCZOS_FLOATS = 1 << 26
+LANCZOS_STEPS = 3663
 SPECTRAL_SEED = 0x5EC7
 LANCZOS_CHECK = 10
 LANCZOS_TOL = 1e-13
@@ -360,7 +361,10 @@ def cycle_graph(n: int) -> GraphSnapshot:
 
 def matching_graph(pairs) -> GraphSnapshot:
     """Perfect matching (d = 1) from disjoint integer vertex pairs covering 0..n-1."""
-    pairs = np.asarray(pairs)
+    try:
+        pairs = np.asarray(pairs)
+    except ValueError:  # numpy refuses ragged rows
+        raise RangeError("matching pairs must be (u, v) pairs, got ragged rows") from None
     if pairs.shape[1:] != (2,):
         raise RangeError(f"matching pairs must be (u, v) pairs, got shape {pairs.shape}")
     n = 2 * len(pairs)
@@ -491,6 +495,84 @@ def conductance(g: GraphSnapshot, s) -> float:
 # -- spectra ---------------------------------------------------------------
 
 
+def _above(x: float, diag: list[float], squares: list[float]) -> bool:
+    """Whether ``x`` lies above every eigenvalue of a symmetric tridiagonal T.
+
+    T has diagonal ``diag`` and squared off-diagonal ``squares[1:]``
+    (``squares[0]`` is 0). This is a Sturm count of k: x is above T's
+    spectrum exactly when every pivot of the LDL^T factorisation of T - xI
+    is negative, so the count stops at the first pivot that is not, and it
+    never divides by a zero pivot.
+    """
+    pivot = -1.0
+    for a, b2 in zip(diag, squares):
+        if pivot >= 0.0:
+            return False
+        pivot = a - x - b2 / pivot
+    return pivot < 0.0
+
+
+def _top_ritz(
+    diag: list[float], offdiag: list[float], squares: list[float], inner: float, step: float
+) -> tuple[float, float]:
+    """Largest eigenvalue theta of a symmetric tridiagonal (see :func:`_above`)
+    and |s_k|, the last component of its unit eigenvector.
+
+    ``inner`` must not lie above theta. The outer bound steps out from it by
+    ``step`` (at least 2^-52, so that a zero step still moves), four times
+    further each time a Sturm count does not confirm it, and bisection closes
+    the bracket to adjacent floats; theta is its lower end.
+    """
+    lo, step = inner, max(step, 2.0**-52)
+    hi = lo + step
+    while not _above(hi, diag, squares):
+        lo, step = hi, 4.0 * step
+        hi = lo + step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _above(mid, diag, squares):
+            hi = mid
+        else:
+            lo = mid
+    return lo, _last_component(diag, offdiag, squares, lo)
+
+
+def _last_component(diag: list[float], offdiag: list[float], squares: list[float], theta: float) -> float:
+    """|s_k|, the last component of the unit eigenvector of a symmetric
+    tridiagonal T (see :func:`_above`) for its eigenvalue ``theta``.
+
+    The eigenvector solves the twisted factorisation of T - theta I at the
+    index r where |gamma_r| = 1 / |(T - theta I)^-1_rr| is least (Dhillon &
+    Parlett 2004): z_r = 1, and above and below r each z_i is its
+    neighbour's times a ratio of an off-diagonal to a pivot of the LDL^T
+    (above) or UDU^T (below) factorisation. These products lose no digits to
+    cancellation; the plain three-term recurrence from z_k = 1 loses s_k
+    altogether when the vector is small at the top, as a random tridiagonal's
+    localised vector is. A zero pivot is replaced by a tiny one.
+    """
+    down: list[float] = []  # LDL^T pivots, top to bottom
+    pivot = -1.0
+    for a, b2 in zip(diag, squares):
+        pivot = a - theta - b2 / pivot or -1e-270
+        down.append(pivot)
+    up: list[float] = []  # UDU^T pivots, bottom to top
+    pivot = -1.0
+    for a, b2 in zip(reversed(diag), itertools.chain((0.0,), reversed(squares))):
+        pivot = a - theta - b2 / pivot or -1e-270
+        up.append(pivot)
+    up.reverse()
+    gammas = [abs(p + u - a + theta) for p, u, a in zip(down, up, diag)]
+    r = gammas.index(min(gammas))
+    total, z = 1.0, 1.0
+    for i in range(r - 1, -1, -1):
+        z *= -offdiag[i] / down[i]
+        total += z * z
+    z = 1.0
+    for i in range(r + 1, len(diag)):
+        z *= -offdiag[i - 1] / up[i]
+        total += z * z
+    return abs(z) / math.sqrt(total)
+
+
 def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
     """Spectral expansion of ``g`` by Lanczos on the deflated walk operator.
 
@@ -501,22 +583,22 @@ def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
     formed; a step is one gather of each vertex's d neighbours, or of its
     n-1-d non-neighbours when that is fewer. Plain three-term Lanczos keeps
     no Krylov basis, so besides those rows memory is O(n) plus the
-    tridiagonal: lost
-    orthogonality only adds ghost copies of Ritz values that have already
-    converged (Paige 1980). The extreme Ritz values of the tridiagonal are
-    accepted once both residuals ``beta_k |s_k|`` are at most
-    ``LANCZOS_TOL`` (the operator norm is at most 1), or when the Krylov
-    space is exhausted. Checks come at steps 10, 20, ... and then a quarter
-    further each time. Raises :class:`SizeGuardExceeded` when neither has
-    happened before one more check's ``eigh`` would pass ``LANCZOS_FLOATS``.
-    The start vector comes from a fixed seed stream, so lambda is the same
-    float on every call.
+    tridiagonal: lost orthogonality only adds ghost copies of Ritz values
+    that have already converged (Paige 1980). The extreme Ritz values of the
+    tridiagonal are accepted once both residuals ``beta_k |s_k|`` are at
+    most ``LANCZOS_TOL`` (the operator norm is at most 1), or when the
+    Krylov space is exhausted. Checks come at steps 10, 20, ... and then a
+    quarter further each time; each finds the two extreme Ritz values by
+    Sturm bisection (Barth, Martin & Wilkinson 1967) in O(steps) time per
+    count and memory, with no LAPACK call. Raises :class:`SizeGuardExceeded`
+    when neither has happened in ``LANCZOS_STEPS`` steps. The start vector
+    comes from a fixed seed stream, so lambda is the same float on every
+    call.
     """
     n, d, adj = g.n, g.d, g.adj
     if n > SPECTRAL_SIZE_GUARD:
         raise SizeGuardExceeded(f"n = {n} exceeds the Lanczos size guard {SPECTRAL_SIZE_GUARD}")
-    # The most steps with 5 * steps^2 <= LANCZOS_FLOATS.
-    max_steps = min(n - 1, math.isqrt(LANCZOS_FLOATS // 5))
+    max_steps = min(n - 1, LANCZOS_STEPS)
 
     # Summing the d gathered rows of adj.T beats summing n rows of length d.
     # Past d = (n-1)/2 the complement's rows are fewer: A x = sum(x) - x - A_c x.
@@ -537,29 +619,41 @@ def spectral_lambda(g: GraphSnapshot) -> SpectralReport:
     q -= q.mean()
     q /= np.linalg.norm(q)
     prev, beta = q, 0.0
+    # T's diagonal, off-diagonal and the off-diagonal's squares after a 0.
+    # T's bottom is minus the top of -T, which has the same squares and |s_k|.
     alphas: list[float] = []
+    negated: list[float] = []
     betas: list[float] = []
+    squares = [0.0]
+    # Each end's bracket start (inner bound, step): at first the largest
+    # diagonal entry, which no Ritz value lies below, and the operator's
+    # spectral diameter 2; then the last check's Ritz value, an inner bound by
+    # interlacing, and its squared residual r^2, since a Ritz value moves by
+    # about r^2 / gap (Kato-Temple) and a step too short costs one count per x4.
+    top = bottom = None
     next_check = min(LANCZOS_CHECK, max_steps)
     while True:
         w = walk(q) - beta * prev
-        alphas.append(float(q @ w))
-        w -= alphas[-1] * q
+        alpha = float(q @ w)
+        alphas.append(alpha)
+        negated.append(-alpha)
+        w -= alpha * q
         beta = math.sqrt(w @ w)
         steps = len(alphas)
         exhausted = beta <= LANCZOS_TOL or steps == n - 1
         if exhausted or steps == next_check:
-            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            theta, s = np.linalg.eigh(t)
-            residual = beta * np.abs(s[-1, [0, -1]]).max()
-            if exhausted or residual <= LANCZOS_TOL:
-                return SpectralReport(lam=min(float(max(-theta[0], theta[-1])), 1.0))
+            if top is None:
+                top, bottom = (max(alphas), 2.0), (max(negated), 2.0)
+            theta_top, s_top = _top_ritz(alphas, betas, squares, *top)
+            theta_bottom, s_bottom = _top_ritz(negated, betas, squares, *bottom)
+            if exhausted or beta * max(s_top, s_bottom) <= LANCZOS_TOL:
+                return SpectralReport(lam=min(max(theta_top, theta_bottom), 1.0))
             if steps == max_steps:
-                raise SizeGuardExceeded(
-                    f"Lanczos on n = {n} has not converged in {steps} steps, and more "
-                    f"would pass its budget of {LANCZOS_FLOATS} floats"
-                )
+                raise SizeGuardExceeded(f"Lanczos on n = {n} has not converged in {steps} steps, its step cap")
+            top, bottom = (theta_top, (beta * s_top) ** 2), (theta_bottom, (beta * s_bottom) ** 2)
             next_check = min(steps + max(LANCZOS_CHECK, steps // 4), max_steps)
         betas.append(beta)
+        squares.append(beta * beta)
         prev, q = q, w / beta
 
 

@@ -437,11 +437,33 @@ class TestSpectral:
 
     def test_basis_budget_stops_a_slowly_mixing_graph(self, monkeypatch):
         # C_20000's gap at the -1 end is ~5e-8, so Lanczos would run on for
-        # thousands of steps; the budget on the check's eigh stops it after
-        # 457 steps (5 * 457^2 <= 2^20).
-        monkeypatch.setattr(graphs, "LANCZOS_FLOATS", 1 << 20)
+        # thousands of steps; the step cap stops it after 457.
+        monkeypatch.setattr(graphs, "LANCZOS_STEPS", 457)
         with pytest.raises(SizeGuardExceeded, match="457 steps"):
             spectral_lambda(cycle_graph(20_000))
+
+    @pytest.mark.parametrize("build", SPECTRAL_CASES)
+    def test_checks_call_no_dense_solver(self, build, monkeypatch):
+        g = build()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Lanczos check called a dense eigensolver")
+
+        for name in ("eigh", "eigvalsh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert 0.0 <= spectral_lambda(g).lam <= 1.0
+
+    def test_refusal_at_the_default_cap_stays_small(self):
+        # C_20000 runs all 3663 steps; the dense check peaked at 686 MB RSS
+        # here, while the Sturm check keeps only lists of steps floats.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardExceeded, match="3663 steps"):
+                spectral_lambda(cycle_graph(20_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_working_memory_is_linear_in_n(self):
         # 363 steps on 16384 vertices: a stored Krylov basis alone would be
@@ -468,6 +490,68 @@ class TestSpectral:
             "21a4ce452a614296ae572722a6e0e1c97d945bce3c016a0e3bfdd3c9992e3660"
         )
         assert peak < 4 * g.adj.nbytes
+
+
+RITZ_KINDS = ("spread", "weak", "positive", "negative", "ghost")
+
+
+def _tridiagonal(kind: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed-seed random unreduced symmetric tridiagonal: (diagonal, off-diagonal)."""
+    rng = np.random.default_rng([k, RITZ_KINDS.index(kind)])
+    if kind == "ghost":
+        # one block repeated behind 1e-10 couplings, as Lanczos repeats a
+        # converged Ritz value: the top two eigenvalues nearly coincide
+        m = max(1, k // 3)
+        block, inner = rng.uniform(-1, 1, m), rng.uniform(0.1, 1, m - 1)
+        diag = np.resize(block, k)
+        off = np.resize(np.append(inner, 1e-10), k - 1)
+    elif kind == "weak":
+        diag, off = rng.uniform(-0.3, 0.3, k), 10.0 ** rng.uniform(-12, 0, k - 1)
+    elif kind in ("positive", "negative"):
+        # Gershgorin discs inside (0.2, 2.8): the whole spectrum on one side of 0
+        diag, off = rng.uniform(1, 2, k), rng.uniform(1e-3, 0.4, k - 1)
+        diag = diag if kind == "positive" else -diag
+    else:
+        diag, off = rng.uniform(-1, 1, k), rng.uniform(0.01, 1, k - 1)
+    return diag, off
+
+
+class TestRitzCheck:
+    """The Lanczos check's Sturm bisection against a dense symmetric solve.
+
+    A last component below 1e-14 is compared absolutely: eigh's eigenvectors
+    carry an absolute error of order eps / gap, so such a component has no
+    relative digits to compare.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 31, 100, 257, 300])
+    @pytest.mark.parametrize("kind", RITZ_KINDS)
+    def test_extremes_match_the_dense_solver(self, kind, k):
+        diag, off = _tridiagonal(kind, k)
+        values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        gaps = (np.inf, np.inf) if k == 1 else (values[-1] - values[-2], values[1] - values[0])
+        if kind == "ghost" and k > 1:
+            assert gaps[0] < 1e-6
+        offdiag = off.tolist()
+        squares = [0.0] + [b * b for b in offdiag]
+        ends = ((1, values[-1], vectors[:, -1], gaps[0]), (-1, -values[0], vectors[:, 0], gaps[1]))
+        for sign, ref, vector, gap in ends:
+            signed = (sign * diag).tolist()
+            theta, s = graphs._top_ritz(signed, offdiag, squares, max(signed), 2.0)
+            assert abs(theta - ref) <= 1e-14
+            assert 0.0 <= s <= 1.0
+            if gap > 1e-6:
+                assert s == pytest.approx(abs(vector[-1]), rel=1e-8, abs=1e-14)
+
+    def test_warm_bracket_gives_the_cold_result(self):
+        # from the interlacing bound of a leading block, with a step far too
+        # small, the outward search and bisection end on the same float
+        diag, off = _tridiagonal("spread", 100)
+        signed, offdiag = diag.tolist(), off.tolist()
+        squares = [0.0] + [b * b for b in offdiag]
+        cold = graphs._top_ritz(signed, offdiag, squares, max(signed), 2.0)
+        inner, _ = graphs._top_ritz(signed[:60], offdiag[:59], squares[:60], max(signed[:60]), 2.0)
+        assert graphs._top_ritz(signed, offdiag, squares, inner, 1e-20) == cold
 
 
 def min_conductance(g, k):

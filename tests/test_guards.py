@@ -93,6 +93,7 @@ GUARDS = {
             ("triple", [(0, 1, 2)], "matching pairs must be \\(u, v\\) pairs, got shape \\(1, 3\\)"),
             ("empty", [], "matching pairs must be \\(u, v\\) pairs, got shape \\(0,\\)"),
             ("flat", [0, 1, 2, 3], "matching pairs must be \\(u, v\\) pairs, got shape \\(4,\\)"),
+            ("ragged", [(0, 1), (2,)], "matching pairs must be \\(u, v\\) pairs, got ragged rows"),
             ("no-pairs", np.empty((0, 2), dtype=np.int64), "need at least 2 vertices, got 0"),
         )
     },

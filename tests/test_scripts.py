@@ -110,6 +110,26 @@ def test_bench_pairs_claim_rule():
     assert bench_pairs.compare("higher", parent, [8.0] * 10) == (0, -3.0, 2.0, False)
 
 
+def test_bench_pairs_memory_claim_needs_half_a_megabyte(monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    assert bench_pairs.compare("lower", [44.0] * 10, [43.75] * 10, 0.5) == (10, 0.25, 0.0, False)
+    assert bench_pairs.compare("lower", [44.0] * 10, [43.25] * 10, 0.5)[3]
+    # a 0.25 MB gain in every pair, over a parent that never moves, is drift for
+    # peak_rss_mb; the same gap on another metric still certifies its claim
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: 10.0 for m in spec["end_to_end"]}
+    fake = {"parent": dict(metrics, peak_rss_mb=44.0), "change": dict(metrics, peak_rss_mb=43.75, run_s=9.75)}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, args: {
+        "metrics": fake[checkout.name], "failed": 0, "digest": "d", "agree": True})
+    args = bench_pairs.argparse.Namespace(pairs=10, seconds=1.0, seed=None)
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    assert bench_pairs.pair_workload("stall", sides, {"parent": "none", "change": "none"}, spec, args)
+    out = capsys.readouterr().out
+    assert "verdict peak_rss_mb: median gap +0.25 against parent IQR 0, better in 10/10: claim does not hold\n" \
+           "floor peak_rss_mb: a claimed gain also needs a median gap above 0.5\n" in out
+    assert "verdict run_s: median gap +0.25 against parent IQR 0, better in 10/10: claim holds" in out
+
+
 def test_bench_pairs_regression_rule():
     bench_pairs = _bench_pairs()
     # parent median 10, quartiles 9 and 11: IQR/median 0.2
