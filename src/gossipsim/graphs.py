@@ -107,8 +107,8 @@ class GraphSnapshot:
     (every other vertex is a neighbor). Construction validates regularity,
     simplicity (:meth:`_check_rows`) and symmetry (:meth:`_check_symmetric`).
     The generator's and the edge list's snapshots, whose arcs come in both
-    directions by construction, are built by ``_snapshot_from_keys`` and run
-    every check but the symmetry sort.
+    directions by construction, are built by ``_snapshot_from_keys``, which
+    proves their shape and range and skips the symmetry sort.
     """
 
     n: int
@@ -130,15 +130,19 @@ class GraphSnapshot:
         return self.adj is None
 
     def _check_rows(self):
-        """Shape, neighbor range, no self-loop and strictly ascending rows."""
+        """Shape, neighbor range, then :meth:`_check_simple`."""
         adj = self.adj
         if adj.shape != (self.n, self.d):
             raise DegreeError(f"adjacency shape {adj.shape} != ({self.n}, {self.d})")
         if adj.min() < 0 or adj.max() >= self.n:
             raise RangeError("neighbor index out of range")
-        if (adj == np.arange(self.n)[:, None]).any():
+        self._check_simple(self.d < 2 or (adj[:, 1:] > adj[:, :-1]).all())
+
+    def _check_simple(self, ascending):
+        """No self-loop, then rows strictly ascending, as ``ascending`` found them."""
+        if (self.adj == np.arange(self.n)[:, None]).any():
             raise RangeError("self-loop in adjacency")
-        if self.d > 1 and not (adj[:, 1:] > adj[:, :-1]).all():
+        if not ascending:
             raise RangeError("neighbor rows must be strictly ascending (sorted, no duplicates)")
 
     def _check_symmetric(self):
@@ -168,7 +172,9 @@ class GraphSnapshot:
         if len(vertices) == 0:
             return np.empty(0, dtype=np.int64)
         if self.adj is not None:
-            return self.adj[vertices, rng.integers(self.d, size=len(vertices))]
+            # adj[v, r] is cell v*d + r of the contiguous adjacency
+            cells = np.asarray(vertices) * self.d
+            return self.adj.ravel()[cells + rng.integers(self.d, size=len(vertices))]
         draw = rng.integers(self.n - 1, size=len(vertices))
         return draw + (draw >= vertices)
 
@@ -286,9 +292,12 @@ def _snapshot_from_keys(n: int, keys: np.ndarray, complement: bool = False) -> G
 
     Every key adds its arc and the reverse arc, so the rows are symmetric
     whatever the keys, and so is their complement: the snapshot runs
-    :func:`_check_regular` and :meth:`GraphSnapshot._check_rows`, which catch
-    uneven or out-of-range keys, duplicates and self-loops with the public
-    constructor's errors, but not the symmetry sort.
+    :func:`_check_regular` and catches uneven or out-of-range keys,
+    duplicates and self-loops with the public constructor's errors, but
+    skips the symmetry sort. The first/last-arc test proves the rows' shape
+    and range, so only :meth:`GraphSnapshot._check_simple` runs on them,
+    with the ascending test made once on the flat sorted arcs; a complement
+    runs every check of :meth:`GraphSnapshot._check_rows`.
     """
     m = len(keys)
     arcs = np.empty(2 * m, dtype=np.int64)
@@ -300,6 +309,9 @@ def _snapshot_from_keys(n: int, keys: np.ndarray, complement: bool = False) -> G
     arcs.sort()
     d, extra = divmod(2 * m, n)
     if not extra:
+        # Once every row's arcs lie in [u*n, u*n + n), the rows ascend
+        # strictly exactly when the flat sorted arcs do.
+        ascending = complement or (arcs[1:] > arcs[:-1]).all()
         adj = arcs.reshape(n, d)
         bases = np.arange(0, n * n, n)[:, None]
         adj -= bases
@@ -311,7 +323,10 @@ def _snapshot_from_keys(n: int, keys: np.ndarray, complement: bool = False) -> G
             g = object.__new__(GraphSnapshot)
             g.n, g.d, g.adj = n, adj.shape[1], adj
             _check_regular(g.n, g.d)
-            g._check_rows()
+            if complement:
+                g._check_rows()
+            else:
+                g._check_simple(ascending)
             return g
         adj += bases
     degrees = np.bincount(arcs // n, minlength=n)

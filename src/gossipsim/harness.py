@@ -17,7 +17,7 @@ import csv
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
 
@@ -257,16 +257,23 @@ class ExperimentSummary:
     config: dict
 
     def to_dict(self) -> dict:
-        return _jsonable(asdict(self))
+        return _jsonable(vars(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _jsonable(value):
+    """``value`` as JSON-ready data: dicts and lists copied, tuples as lists,
+    numpy scalars as Python numbers and a non-finite float as its text
+    (``"nan"``, ``"inf"``, ``"-inf"``). A list of plain ints, or of finite
+    plain floats, is copied as a whole."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds <= {int} or kinds == {float} and all(map(math.isfinite, value)):
+            return list(value)
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
@@ -275,21 +282,30 @@ def _jsonable(value):
     return value
 
 
+def _median(values: list[int]) -> float:
+    """The median of integers: the middle value, or the mean of the middle two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid]) if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def summarize(spec: ExperimentSpec, records: list[TrialRecord]) -> ExperimentSummary:
-    """Aggregate trial records; every statistic is recomputable from exports."""
+    """Aggregate trial records; every statistic is recomputable from exports.
+
+    The quartiles are numpy's linear ones, read in one ``np.quantile`` call,
+    and only when some trial completed; the medians, which numpy's would
+    equal on these integer data, come from the sorted values, so a run with
+    no completion never calls ``np.quantile`` or ``np.median`` (whose first
+    call imports ``numpy.ma``).
+    """
     n = spec.graph.n
     completions = [r.completion_round for r in records if r.completion_round is not None]
-    finals = np.array([r.final_informed for r in records], dtype=float)
+    finals = [r.final_informed for r in records]
 
     quantiles = None
     if completions:
-        arr = np.array(completions, dtype=float)
-        quantiles = {
-            "q10": float(np.quantile(arr, 0.10)),
-            "q25": float(np.quantile(arr, 0.25)),
-            "q75": float(np.quantile(arr, 0.75)),
-            "q90": float(np.quantile(arr, 0.90)),
-        }
+        q10, q25, q75, q90 = np.quantile(np.array(completions, dtype=float), [0.10, 0.25, 0.75, 0.90]).tolist()
+        quantiles = {"q10": q10, "q25": q25, "q75": q75, "q90": q90}
 
     by_round = None
     traced = [r.informed_counts for r in records if r.informed_counts]
@@ -299,17 +315,17 @@ def summarize(spec: ExperimentSpec, records: list[TrialRecord]) -> ExperimentSum
         for c in traced:
             padded = np.array(c + [c[-1]] * (horizon - len(c)), dtype=float)
             total += padded
-        by_round = list(total / (len(traced) * n))
+        by_round = (total / (len(traced) * n)).tolist()
 
     return ExperimentSummary(
         trials=len(records),
         n=n,
         fraction_completed=len(completions) / len(records) if records else 0.0,
         completion_mean=float(np.mean(completions)) if completions else None,
-        completion_median=float(np.median(completions)) if completions else None,
+        completion_median=_median(completions) if completions else None,
         completion_quantiles=quantiles,
-        final_informed_mean=float(finals.mean()) if len(finals) else 0.0,
-        final_informed_median=float(np.median(finals)) if len(finals) else 0.0,
+        final_informed_mean=float(np.mean(finals)) if finals else 0.0,
+        final_informed_median=_median(finals) if finals else 0.0,
         mean_informed_fraction_by_round=by_round,
         predictor=predictor_comparison(spec.protocol, spec.credibility, n),
         config={
@@ -392,7 +408,7 @@ def export_records(records: list[TrialRecord], path, fmt: str = "csv") -> None:
     with _io_errors(), open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "jsonl":
             for r in records:
-                fh.write(json.dumps(_jsonable(asdict(r)), sort_keys=True) + "\n")
+                fh.write(json.dumps(_jsonable(vars(r)), sort_keys=True) + "\n")
             return
         writer = csv.writer(fh, lineterminator="\n")
         if not records or records[0].informed_counts:

@@ -914,3 +914,12 @@ def test_vertex_mask_validation():
         conductance(complete_graph(5), mask)
     with pytest.raises(RangeError):
         conductance(complete_graph(5), [7])
+
+
+@pytest.mark.parametrize("g", [graphs.cycle_graph(6), generate_random_regular(64, 5, seed=2)], ids=["C6", "regular"])
+def test_sample_neighbors_is_the_row_column_gather(g):
+    # the flat gather adj.ravel()[v*d + r] draws r as the 2-D gather adj[v, r] does
+    vertices = np.random.default_rng(0).integers(g.n, size=200)
+    expected = g.adj[vertices, np.random.default_rng(1).integers(g.d, size=len(vertices))]
+    for given in (vertices, vertices.astype(np.int32), vertices.tolist(), tuple(vertices.tolist())):
+        assert np.array_equal(g.sample_neighbors(given, np.random.default_rng(1)), expected)

@@ -3,7 +3,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,6 +664,57 @@ class TestGoldenRecords:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+class TestOutputGoldens:
+    """The bytes of both record files and of ``summary.to_json()``, pinned
+    across commits: a change to the export or summary code that moves any
+    byte fails here. The runs cover the exact deltas and a non-finite q, the
+    quartiles and even-count medians, and summary-level records."""
+
+    RUNS = {
+        "complete256-push-pull-power2-exact": (
+            small_spec(graph=graphs.parse_graph_spec("complete:256"), protocol=ProtocolKind.PUSH_PULL,
+                       credibility=PowerLaw(2.0), trials=4, max_rounds=60,
+                       record_level=RecordLevel.PER_ROUND_EXACT),
+            "6d48d022d2317082da9d40208e1307c7ca40d013a96049b57307ca4d422649c3",
+            "7d095eced046b5183a3cedff9ae3dd537b7f8f72f43b95bde409e74091474d1a",
+            "57e75499108992376a159848494c6fc700129628c7151303e7f9799fa0883415",
+        ),
+        "regular64-pull-const-completes": (
+            small_spec(graph=graphs.parse_graph_spec("regular:64,4"), protocol=ProtocolKind.PULL,
+                       credibility=Constant(0.5), trials=4, max_rounds=None),
+            "4f086b7147a7276ae42874b17629cc1d9ab016084c7226529c09298cc3c05cf2",
+            "57ad89527637d98c0390c2ca7896cca8db35c13124e0595644f33cde10c70d6d",
+            "8d80f521666899ebd823f1bd80fc1dabaa882d6720280e596262b6cdabf10e2e",
+        ),
+        "dynamic64-push-summary": (
+            small_spec(graph=graphs.parse_graph_spec("dynamic-regular:64,4"), trials=5, max_rounds=None,
+                       record_level=RecordLevel.SUMMARY),
+            "a89613845b701e5224314378024e5ffc2c7e0710bec3d18753d073ffbd478513",
+            "0d86c120ae491bd2f0a90c0512b5225e957bc14a7ecaf22f9684046045a6eb21",
+            "670c3914509f349197f9e4152a04ee02288c9b1e64fa92b476d17d9c81cbdd30",
+        ),
+        # q turns NaN at round 3; a custom schedule has no summary text
+        "complete64-nan-at-3": (
+            small_spec(graph=StaticGraph(complete_graph(64)), credibility=OneUntilNan(3), max_rounds=3),
+            "1c17245e8261f8d949019724128429df1f434c8107fd8d41e6870280dbbb96d0",
+            "3657c53c84389f50198b4132accc4945de3d5e6b50f0abcfa671cacc7c33ed0d",
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_outputs_match_their_digests(self, tmp_path, name):
+        spec, csv_digest, jsonl_digest, summary_digest = self.RUNS[name]
+        records = [run_trial(spec, i) for i in range(spec.trials)]
+        for fmt, digest in (("csv", csv_digest), ("jsonl", jsonl_digest)):
+            path = tmp_path / f"records.{fmt}"
+            export_records(records, path, fmt=fmt)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
+        if summary_digest is not None:
+            text = summarize(spec, records).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == summary_digest
+
+
 def assert_law_fits(samples: np.ndarray, law: np.ndarray) -> None:
     """Every bin within 6 standard errors plus 1/N of the exact law (N fixed before the run)."""
     freq = np.bincount(samples, minlength=len(law)) / len(samples)
@@ -1108,6 +1164,38 @@ class TestExports:
         export_summary(summary, path)
         parsed = json.loads(path.read_text())
         assert parsed["trials"] == 2
+
+    def test_a_stalled_run_and_its_files_leave_numpy_ma_unimported(self, tmp_path):
+        # trials that never complete reach no quantile; numpy's median and
+        # quantile import numpy.ma on their first call, so nothing else may
+        code = textwrap.dedent(f"""
+            import sys
+            from pathlib import Path
+            from gossipsim.credibility import PowerLaw
+            from gossipsim.graphs import parse_graph_spec
+            from gossipsim.harness import (
+                ExperimentSpec, export_records, load_records_csv, load_records_jsonl, run_experiment,
+            )
+            from gossipsim.protocol import ProtocolKind
+            spec = ExperimentSpec(graph=parse_graph_spec("complete:1024"), protocol=ProtocolKind.PUSH,
+                                  credibility=PowerLaw(2.0), trials=4, max_rounds=200)
+            records, summary = run_experiment(spec)
+            assert summary.completion_quantiles is None and summary.to_json()
+            for fmt, load in (("csv", load_records_csv), ("jsonl", load_records_jsonl)):
+                path = Path({str(tmp_path)!r}) / ("records." + fmt)
+                export_records(records, path, fmt=fmt)
+                assert [r.informed_counts for r in load(path)] == [r.informed_counts for r in records]
+            assert "numpy.ma" not in sys.modules
+        """)
+        path = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifySuites:

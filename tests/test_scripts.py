@@ -160,3 +160,41 @@ def test_bench_pairs_refuses_one_sided_bytecode_cache(tmp_path, capsys):
         bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "stall"])
     with pytest.raises(SystemExit, match=f"the change checkout {cached} holds a bytecode cache"):
         bench_pairs.main(["--parent", str(change), "--change", str(parent), "--workload", "stall"])
+
+
+def test_phase_breakdown(tmp_path):
+    from gossipsim.credibility import Constant
+    from gossipsim.graphs import parse_graph_spec
+    from gossipsim.harness import ExperimentSpec, export_records, run_experiment
+    from gossipsim.protocol import ProtocolKind
+
+    spec = ExperimentSpec(graph=parse_graph_spec("regular:128,8,seed=3"), protocol=ProtocolKind.PUSH_PULL,
+                          credibility=Constant(0.5), trials=4, master_seed=5)
+    records, _ = run_experiment(spec)
+    for fmt in ("csv", "jsonl"):
+        export_records(records, tmp_path / f"records.{fmt}", fmt=fmt)
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+
+    def run(name: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "phase_breakdown.py"), "--in", str(tmp_path / name),
+             "--protocol", "push-pull", "--q", "0.5", "--lambda", "0.5"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    out = run("records.csv")
+    assert out == run("records.csv") == run("records.jsonl")
+    lines = out.splitlines()
+    assert lines[0] == "n = 128, push-pull, q = 0.5, lambda = 0.5: 4 of 4 trials completed"
+    rows = [line.split() for line in lines[2:-1]]
+    assert [row[:2] for row in rows] == [[str(k), "growing"] for k in (1, 2, 3)] + [
+        [str(k), "shrinking"] for k in (4, 5, 6)]
+    # every stepped round of a completed trial falls in one phase
+    mean = sum(len(r.informed_counts) - 1 for r in records) / len(records)
+    assert sum(float(row[5]) for row in rows) == pytest.approx(mean)
+    assert lines[-1].startswith(f"mean completion {mean:.2f}, p95 completion ")
