@@ -11,25 +11,18 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import itertools
 import json
-import math
 import sys
-from dataclasses import asdict
 
 from . import harness
-from .bounds import GROWTH_CONSTANT, basic_growth_bounds, refined_spectral_lower, shrink_bounds
-from .credibility import Constant, parse_credibility
-from .errors import DomainError, GossipSimError, RangeError, _io_errors
+from .bounds import basic_growth_bounds, refined_spectral_lower, shrink_bounds
+from .credibility import parse_credibility
+from .errors import GossipSimError, RangeError, _io_errors
 from .graphs import load_graph, parse_graph_spec, spectral_lambda
 from .plotting import plot_trajectories
-from .predictor import (
-    general_strong_T,
-    phase_schedule,
-    predictor_comparison,
-    tau2_threshold,
-    tau3_threshold,
-)
+from .predictor import phase_schedule, predict_report
 from .protocol import ProtocolKind
 
 __all__ = ["main", "build_parser"]
@@ -135,38 +128,8 @@ def _cmd_predict(args) -> int:
             raise RangeError(f"{args.graph_file} has {g.n} vertices but --n is {n}")
         lam = spectral_lambda(g).lam
 
-    out: dict = {
-        "protocol": kind.value,
-        "n": n,
-        "lambda": lam,
-        "credibility": args.cred,
-        "leading_order": True,
-        "family": predictor_comparison(kind, cred, n, lam=lam),
-    }
-
-    if isinstance(cred, Constant) and 0.0 < cred.q <= 1.0:
-        q = cred.q
-        out["fixed_q_runtime"] = out["family"]["fixed_q_runtime"]
-        try:
-            plan = phase_schedule(kind, q, n, lam=lam or 0.0)
-            out["phase_plan"] = [asdict(p) for p in plan.phases]
-            out["phase_plan_total"] = plan.total_rounds
-        except (DomainError, RangeError):
-            out["phase_plan"] = None
-    log_n = math.log(n)
-    out["tau2_threshold_main_phase"] = tau2_threshold(log_n, n / log_n, GROWTH_CONSTANT[kind])
-    out["tau3_threshold_main_phase"] = tau3_threshold(n / log_n, max(log_n, 0.75), 0.5)
-    if lam is not None and kind in (ProtocolKind.PUSH, ProtocolKind.PULL):
-        try:
-            res = general_strong_T(cred, lam, n, kind)
-            out["general_strong_T"] = {
-                "rounds": res.rounds,
-                "threshold": res.threshold,
-                "gamma": res.gamma,
-                "epsilon_ok": res.epsilon_ok,
-            }
-        except GossipSimError as exc:
-            out["general_strong_T"] = {"error": str(exc)}
+    out = {"protocol": kind.value, "n": n, "lambda": lam, "credibility": args.cred,
+           **predict_report(kind, cred, n, lam=lam)}
     print(json.dumps(harness._jsonable(out), sort_keys=True))
     return 0
 
@@ -233,28 +196,19 @@ def _cmd_sweep(args) -> int:
     fixed_n = "n" not in args.param  # a swept n already has its column
     header = [*args.param, *(["n"] if fixed_n else []), "fraction_completed", "completion_mean",
               "completion_median", "final_informed_mean", "final_informed_median"]
-    lines = [",".join(header)]
+    rows = [header]
     for combo in itertools.product(*grids):
         point = copy.copy(args)
         for param, value in zip(args.param, combo):
             _apply_sweep_value(point, param, value)
         _, summary = harness.run_experiment(_spec_from_args(point))
-        row = [
-            *combo,
-            *([str(summary.n)] if fixed_n else []),
-            repr(summary.fraction_completed),
-            repr(summary.completion_mean) if summary.completion_mean is not None else "",
-            repr(summary.completion_median) if summary.completion_median is not None else "",
-            repr(summary.final_informed_mean),
-            repr(summary.final_informed_median),
-        ]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with _io_errors(), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        rows.append([*combo, *([summary.n] if fixed_n else []), summary.fraction_completed, summary.completion_mean,
+                     summary.completion_median, summary.final_informed_mean, summary.final_informed_median])
+    if not args.out:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return 0
+    with _io_errors(), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return 0
 
 
@@ -264,8 +218,11 @@ def _cmd_plot(args) -> int:
     else:
         records = harness.load_records_csv(args.infile)
     phases = None
-    if args.protocol and args.q is not None and args.n is not None:
-        phases = phase_schedule(ProtocolKind.parse(args.protocol), args.q, args.n, lam=args.lam)
+    if args.protocol and args.q is not None:
+        n = args.n if args.n is not None else max((r.n for r in records if r.n is not None), default=None)
+        if n is None:
+            raise RangeError(f"the records in {args.infile} carry no n; pass --n to draw the phase lines")
+        phases = phase_schedule(ProtocolKind.parse(args.protocol), args.q, n, lam=args.lam)
     plot_trajectories(records, args.out, phases=phases, n=args.n)
     return 0
 

@@ -810,7 +810,9 @@ def parse_graph_spec(text: str) -> DynamicGraphSpec:
 
     Supported forms: ``complete:N``, ``cycle:N``, ``regular:N,D[,seed=S]``
     (one static random regular graph), ``dynamic-regular:N,D[,seed=S]``
-    (resampled each round), ``matching:N[,seed=S]`` and ``file:PATH``.
+    (resampled each round), ``matching:N[,seed=S]`` and ``file:PATH``. A
+    seed on a complete or cycle graph, which would go unused, or a second
+    seed raises :class:`RangeError`.
     """
     head, sep, rest = text.strip().partition(":")
     if not sep:
@@ -820,14 +822,14 @@ def parse_graph_spec(text: str) -> DynamicGraphSpec:
         return StaticGraph(load_graph(rest))
 
     parts = [p.strip() for p in rest.split(",") if p.strip()]
-    seed = 0
-    plain: list[int] = []
+    seeds = [p[5:] for p in parts if p.startswith("seed=")]
+    if len(seeds) > 1:
+        raise RangeError(f"bad graph spec {text!r}: more than one seed")
+    if seeds and head in ("complete", "cycle"):
+        raise RangeError(f"bad graph spec {text!r}: a {head} graph takes no seed")
     try:
-        for p in parts:
-            if p.startswith("seed="):
-                seed = int(p[5:])
-            else:
-                plain.append(int(p))
+        seed = int(seeds[0]) if seeds else 0
+        plain = [int(p) for p in parts if not p.startswith("seed=")]
         if head == "complete" and len(plain) == 1:
             return StaticGraph(complete_graph(plain[0]))
         if head == "cycle" and len(plain) == 1:

@@ -24,8 +24,8 @@ from itertools import zip_longest
 import numpy as np
 
 from .bounds import basic_growth_bounds, shrink_bounds
-from .credibility import Constant, Credibility, PowerLaw, format_credibility
-from .errors import DomainError, RangeError, _io_errors, _is_integer
+from .credibility import Credibility, PowerLaw, format_credibility
+from .errors import RangeError, _io_errors, _is_integer
 from .graphs import (
     DynamicGraphSpec,
     StaticGraph,
@@ -37,7 +37,7 @@ from .graphs import (
     matching_graph,
 )
 from .predictor import (
-    fixed_q_runtime,
+    _runtime_at_constant_q,
     harmonic_sum_check,
     multiplicative_product_check,
     predictor_comparison,
@@ -139,12 +139,8 @@ def resolved_max_rounds(spec: ExperimentSpec) -> int:
     """
     if spec.max_rounds is not None:
         return spec.max_rounds
-    if isinstance(spec.credibility, Constant):
-        try:
-            return max(1, math.ceil(10.0 * fixed_q_runtime(spec.protocol, spec.credibility.q, spec.graph.n)))
-        except (RangeError, DomainError):
-            pass
-    return max(1, math.ceil(100.0 * math.log(spec.graph.n)))
+    runtime = _runtime_at_constant_q(spec.protocol, spec.credibility, spec.graph.n)
+    return max(1, math.ceil(10.0 * runtime if runtime is not None else 100.0 * math.log(spec.graph.n)))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import GROWTH_CONSTANT, _check_size, basic_growth_bounds, fixed_q_log_rates
 from .bounds import shrink_lower, spectral_factor
@@ -39,6 +39,7 @@ from .errors import (
     AlphaRange,
     DomainError,
     GammaNonpositive,
+    GossipSimError,
     KindError,
     NonIntegerReciprocal,
     PhiNonpositive,
@@ -71,6 +72,7 @@ __all__ = [
     "MultiplicativeThresholds",
     "multiplicative_thresholds",
     "predictor_comparison",
+    "predict_report",
     "StirlingProductCheck",
     "stirling_product_check",
     "HarmonicSumCheck",
@@ -204,6 +206,17 @@ def fixed_q_runtime(kind: ProtocolKind, q: float, n: int) -> float:
     grow, shrink = fixed_q_log_rates(kind, q)
     _check_size("n", n, 2)
     return (1.0 / grow + 1.0 / shrink) * math.log(n)
+
+
+def _runtime_at_constant_q(kind: ProtocolKind, cred: Credibility, n: int) -> float | None:
+    """:func:`fixed_q_runtime` at a constant credibility; None for any other
+    family, and where the runtime is undefined (q = 0, PULL at q = 1)."""
+    if isinstance(cred, Constant):
+        try:
+            return fixed_q_runtime(kind, cred.q, n)
+        except (RangeError, DomainError):
+            pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -516,21 +529,20 @@ def predictor_comparison(
 
     Present exactly for the four named credibility families; None for Table
     schedules. Conductance floors that need lambda are included only when a
-    measured lambda is supplied. Values are raw floats (possibly inf).
+    measured lambda is supplied, and the power-law (alpha <= 1) and
+    multiplicative thresholds only from n = 3. Values are raw floats
+    (possibly inf).
     """
     if lam is not None:
         _check_unit("lambda", lam)
     psi = GROWTH_CONSTANT[kind]
     if isinstance(cred, Constant):
-        try:
-            runtime = fixed_q_runtime(kind, cred.q, n)
-        except (RangeError, DomainError):
-            runtime = None
-        return {"family": "constant", "q": cred.q, "fixed_q_runtime": runtime}
+        return {"family": "constant", "q": cred.q, "fixed_q_runtime": _runtime_at_constant_q(kind, cred, n)}
     if isinstance(cred, PowerLaw):
         out: dict = {"family": "power-law", "alpha": cred.alpha}
         if cred.alpha > 1.0:
             out["expectation_bound"] = powerlaw_expectation_bound(cred.alpha, psi)
+        if cred.alpha > 1.0 or n < 3:
             return out
         phi = None
         if lam is not None:
@@ -551,17 +563,49 @@ def predictor_comparison(
                 out["alpha_lower_regime"] = th.alpha_lower_regime
         return out
     if isinstance(cred, Multiplicative):
-        th = multiplicative_thresholds(n)
-        regime = "few" if cred.alpha >= th.alpha_few else ("most" if cred.alpha <= th.alpha_most else "between")
-        return {
-            "family": "multiplicative",
-            "alpha": cred.alpha,
-            "alpha_few": th.alpha_few,
-            "alpha_most": th.alpha_most,
-            "t_most": th.t_most,
-            "regime": regime,
-        }
+        out = {"family": "multiplicative", "alpha": cred.alpha}
+        if n >= 3:
+            th = multiplicative_thresholds(n)
+            regime = "few" if cred.alpha >= th.alpha_few else ("most" if cred.alpha <= th.alpha_most else "between")
+            out.update(alpha_few=th.alpha_few, alpha_most=th.alpha_most, t_most=th.t_most, regime=regime)
+        return out
     return None
+
+
+def predict_report(kind: ProtocolKind, cred: Credibility, n: int, lam: float | None = None) -> dict:
+    """The predictors that apply to a protocol, q(t), n >= 3 and, if known,
+    lambda: what ``gossipsim predict`` prints beside its inputs.
+
+    ``family`` is :func:`predictor_comparison`. A constant q > 0 adds its
+    runtime and the six-phase plan (None where the plan is undefined, as for
+    PULL at q = 1; lambda unknown reads as 0). The main-phase tau2 and tau3
+    thresholds are always present, and for PUSH or PULL with a known lambda
+    so is :func:`general_strong_T`, or the text of the error it raised.
+    """
+    out: dict = {"leading_order": True, "family": predictor_comparison(kind, cred, n, lam=lam)}
+    if isinstance(cred, Constant) and cred.q > 0.0:
+        out["fixed_q_runtime"] = out["family"]["fixed_q_runtime"]
+        try:
+            plan = phase_schedule(kind, cred.q, n, lam=lam or 0.0)
+            out["phase_plan"] = [asdict(p) for p in plan.phases]
+            out["phase_plan_total"] = plan.total_rounds
+        except (DomainError, RangeError):
+            out["phase_plan"] = None
+    log_n = math.log(n)
+    out["tau2_threshold_main_phase"] = tau2_threshold(log_n, n / log_n, GROWTH_CONSTANT[kind])
+    out["tau3_threshold_main_phase"] = tau3_threshold(n / log_n, max(log_n, 0.75), 0.5)
+    if lam is not None and kind in (ProtocolKind.PUSH, ProtocolKind.PULL):
+        try:
+            res = general_strong_T(cred, lam, n, kind)
+            out["general_strong_T"] = {
+                "rounds": res.rounds,
+                "threshold": res.threshold,
+                "gamma": res.gamma,
+                "epsilon_ok": res.epsilon_ok,
+            }
+        except GossipSimError as exc:
+            out["general_strong_T"] = {"error": str(exc)}
+    return out
 
 
 # -- numeric claim oracles ----------------------------------------------------

@@ -63,6 +63,18 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("graph", ["complete:2", "matching:2"])
+@pytest.mark.parametrize("cred, family", [("power:0.5", "power-law"), ("mult:0.1", "multiplicative")])
+def test_simulate_on_two_vertices_keeps_its_records(tmp_path, capsys, graph, cred, family):
+    # the decay thresholds need n >= 3; the summary keeps the family and alpha
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--graph", graph, "--protocol", "push", "--cred", cred, "--trials", "2", "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["predictor"] == {"family": family, "alpha": float(cred.partition(":")[2])}
+    assert [r.n for r in harness.load_records_csv(out)] == [2, 2]
+
+
 def test_predict_constant(capsys):
     code = main(
         ["predict", "--protocol", "push", "--cred", "const:0.5", "--n", "4096", "--lambda", "0.1"]
@@ -311,6 +323,31 @@ def test_plot_from_csv(tmp_path):
     ) == 0
     root = ET.parse(chart).getroot()
     assert root.tag.endswith("svg")
+
+
+def _phase_lines(chart) -> int:
+    return sum(el.get("class") == "phase-boundary" for el in ET.parse(chart).getroot().iter())
+
+
+def test_plot_takes_n_from_the_records(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    chart = tmp_path / "chart.svg"
+    assert main(["simulate", "--graph", "complete:12", "--protocol", "push",
+                 "--cred", "const:1", "--trials", "2", "--out", str(records)]) == 0
+    plot = ["plot", "--in", str(records), "--out", str(chart), "--protocol", "push", "--q", "1"]
+    assert main(plot) == 0
+    assert _phase_lines(chart) == 6
+    without_n = chart.read_bytes()
+    assert main([*plot, "--n", "12"]) == 0
+    assert chart.read_bytes() == without_n
+    # a file of an earlier version carries no n
+    old = tmp_path / "old.csv"
+    old.write_text("trial,round,informed,q_t\n0,0,1,1.0\n0,1,2,1.0\n")
+    capsys.readouterr()
+    assert main(["plot", "--in", str(old), "--out", str(tmp_path / "old.svg"), "--protocol", "push", "--q", "1"]) == 2
+    assert "carry no n; pass --n" in capsys.readouterr().err
+    assert main(["plot", "--in", str(old), "--out", str(tmp_path / "old.svg"), "--protocol", "push", "--q", "1",
+                 "--n", "12"]) == 0
 
 
 @pytest.mark.parametrize("n", ["0", "3", "-4"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,15 @@ GUARDS = {
         f"render_trajectories_svg-n-{n}": (lambda tmp, n=n: plotting.render_trajectories_svg([RECORD], n=n),
                                            RangeError, f"n = {n} is below the largest informed count plotted, 2")
         for n in (0, 1, -4)
+    },
+    **{
+        f"parse_graph_spec-{spec}": (lambda tmp, spec=spec: graphs.parse_graph_spec(spec), RangeError,
+                                     re.escape(f"bad graph spec {spec!r}: {reason}"))
+        for spec, reason in (
+            ("complete:8,seed=3", "a complete graph takes no seed"),
+            ("cycle:5,seed=9", "a cycle graph takes no seed"),
+            ("regular:8,3,seed=1,seed=2", "more than one seed"),
+        )
     },
     "tau2_rounds-negative-nu": (lambda tmp: predictor.tau2_rounds(lambda t: -0.1, 0, 2.0, 100.0, 1.0), RangeError,
                                 "must be >= 0"),

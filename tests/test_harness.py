@@ -832,6 +832,12 @@ class TestMaxRoundsDefault:
         spec = small_spec(max_rounds=None, credibility=PowerLaw(2.0))
         assert resolved_max_rounds(spec) == math.ceil(100 * math.log(8))
 
+    @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("text", ["const:0", "table:0.5", "add:0.1", "mult:0.1"])
+    def test_no_constant_runtime_falls_back_to_log_budget(self, kind, text):
+        spec = small_spec(max_rounds=None, protocol=kind, credibility=parse_credibility(text))
+        assert resolved_max_rounds(spec) == math.ceil(100 * math.log(8))
+
 
 class TestExports:
     def test_per_round_csv_roundtrip(self, tmp_path):

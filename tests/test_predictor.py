@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -12,7 +14,7 @@ from gossipsim.bounds import (
     shrink_bounds,
     spectral_factor,
 )
-from gossipsim.credibility import Additive, Constant, Multiplicative, PowerLaw, Table
+from gossipsim.credibility import Additive, Constant, Multiplicative, PowerLaw, Table, parse_credibility
 from gossipsim.errors import (
     AlphaRange,
     DomainError,
@@ -45,6 +47,7 @@ from gossipsim.predictor import (
     tau3_rounds,
     tau3_threshold,
 )
+from gossipsim.harness import _jsonable
 from gossipsim.protocol import ProtocolKind
 
 Q_GRID = (0.01, 0.3, 0.5, 0.999, 1.0)
@@ -667,3 +670,23 @@ class TestPredictorComparison:
         few = 0.5 / math.log(n)
         out = predictor_comparison(ProtocolKind.PUSH, Multiplicative(few), n)
         assert out["regime"] == "few"
+
+    def test_comparisons_from_three_vertices_are_pinned(self):
+        # sha256 of the JSON of every comparison on this grid; a byte that moves fails here
+        h = hashlib.sha256()
+        for kind in ProtocolKind:
+            for text in ("const:0", "const:0.5", "const:1", "power:0.5", "power:1", "power:2", "add:0.05",
+                         "add:0.1", "mult:0.01", "mult:0.1", "table:0.5"):
+                for n in (3, 5, 64, 65, 4096):
+                    for lam in (None, 0.0, 0.35, 0.9):
+                        out = predictor_comparison(kind, parse_credibility(text), n, lam=lam)
+                        h.update(json.dumps(_jsonable(out), sort_keys=True).encode())
+        assert h.hexdigest() == "738fe77548bf944e42fc52ffea5b38f3e6f19c3c63fd48cf6bb67a0d6ae8cb03"
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("lam", [None, 0.35])
+    def test_two_vertices_keep_the_family_and_alpha_only(self, kind, lam):
+        assert predictor_comparison(kind, PowerLaw(0.5), 2, lam=lam) == {"family": "power-law", "alpha": 0.5}
+        assert predictor_comparison(kind, Multiplicative(0.1), 2, lam=lam) == {"family": "multiplicative",
+                                                                                "alpha": 0.1}
+        assert predictor_comparison(kind, PowerLaw(2.0), 2, lam=lam)["expectation_bound"] > 1.0

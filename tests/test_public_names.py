@@ -9,7 +9,10 @@ import pkgutil
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import gossipsim
+from gossipsim import credibility
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +75,34 @@ def test_every_all_is_complete_and_called():
         ]
     problems += [f"{name} is allowlisted but has a caller" for name in UNCALLED if refs[name]]
     assert not problems, "\n".join(problems)
+
+
+def test_only_credibility_and_predictor_ask_a_credibility_its_family():
+    """Each family answers its own questions, and predictor.py alone picks the predictors that apply
+    to one: no other module calls ``isinstance`` on a credibility class."""
+    families = {name for name in credibility.__all__ if not inspect.isfunction(getattr(credibility, name))}
+    problems = []
+    for path in sorted((ROOT / "src" / "gossipsim").glob("*.py")):
+        if path.name in ("credibility.py", "predictor.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and len(node.args) == 2):
+                continue
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            named = {getattr(k, "id", getattr(k, "attr", None)) for k in kinds}
+            problems += [f"{path.name}:{node.lineno} isinstance on {name}" for name in sorted(named & families)]
+    assert not problems, "\n".join(problems)
+
+
+# What each of these modules may not import: the inputs of the choice of predictors, which predictor.py makes.
+# The claims verify suite in harness.py checks the tau closed forms, so it keeps the tau thresholds.
+PREDICTOR_INPUTS = {"Constant", "GROWTH_CONSTANT", "fixed_q_runtime", "general_strong_T"}
+NOT_IMPORTED = {"cli.py": PREDICTOR_INPUTS | {"tau2_threshold", "tau3_threshold"}, "harness.py": PREDICTOR_INPUTS}
+
+
+@pytest.mark.parametrize("module", list(NOT_IMPORTED))
+def test_the_cli_and_harness_import_no_predictor_inputs(module):
+    tree = ast.parse((ROOT / "src" / "gossipsim" / module).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & NOT_IMPORTED[module]
